@@ -20,11 +20,11 @@ from . import reference
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, collocate_p0,
                      dual_norm, h_gram, h_norm, l2_inner, l2_norm, norm_1h,
                      p0_mass, p1nc_mass, project_p0, project_rt0)
-from .linalg import SolverConfig, SolverError, solve
+from .linalg import SolverConfig, SolverError, ZeroMeanSolver, solve
 from .mesh import Mesh, unit_square_acute
 from .operators import (convection_matrix, divergence, gradient,
-                        gradient_matrices, laplacian_p0, pressure_stiffness,
-                        trilinear_form, upwind_convection)
+                        gradient_matrices, laplacian_p0, pressure_solver,
+                        pressure_stiffness, trilinear_form, upwind_convection)
 from .scheme import _velocity_a
 
 IDENTITY_TOL = 1e-11
@@ -90,20 +90,16 @@ def random_p1nc(mesh, rng) -> ScalarP1NC:
     return ScalarP1NC(mesh, rng.standard_normal(mesh.num_edges))
 
 
-def _solver_for(mesh) -> SolverConfig:
-    method = "dense" if mesh.num_edges < 2000 else "cg"
-    return SolverConfig(method=method, rtol=1e-13, atol=1e-16)
+# tolerances of the verification suite's linear solves
+_TIGHT = SolverConfig(method="cg", rtol=1e-13, atol=1e-16)
 
 
 def leray_projection(v: VectorP0) -> SolenoidalP0:
     """Divergence-free part of a cellwise field (discrete Leray projection)."""
     mesh = v.mesh
     d = divergence(v)
-    mass = p1nc_mass(mesh)
-    phi, info = solve(pressure_stiffness(mesh), -(mass * d.values),
-                      _solver_for(mesh), zero_mean_weights=mass)
-    if not info.converged:
-        raise SolverError(f"Leray projection failed: {info}")
+    phi, _ = pressure_solver(mesh).solve(-(p1nc_mass(mesh) * d.values),
+                                         _TIGHT)
     return SolenoidalP0.trusted(v - gradient(ScalarP1NC(mesh, phi)))
 
 
@@ -421,7 +417,8 @@ def _prefactored_solver(A, zero_mean_weights):
     """Reusable solver for the many identical solves of a power iteration.
 
     Dense Cholesky below 2000 unknowns (on the zero-mean subspace when
-    weights are given); per-solve CG otherwise.
+    weights are given); otherwise the sparse bordered LU with weights, and
+    per-solve CG without.
     """
     n = A.shape[0]
     if n < 2000:
@@ -434,10 +431,12 @@ def _prefactored_solver(A, zero_mean_weights):
         factor = scipy.linalg.cho_factor(basis.T @ dense @ basis)
         return lambda b: basis @ scipy.linalg.cho_solve(factor, basis.T @ b)
 
-    config = SolverConfig(method="cg", rtol=1e-13, atol=1e-16)
+    if zero_mean_weights is not None:
+        lu = ZeroMeanSolver(A, zero_mean_weights)
+        return lambda b: lu.solve(b, _TIGHT)[0]
 
     def apply(b):
-        x, info = solve(A, b, config, zero_mean_weights=zero_mean_weights)
+        x, info = solve(A, b, _TIGHT)
         if not info.converged:
             raise SolverError(f"power-iteration solve failed: {info}")
         return x

@@ -157,14 +157,21 @@ class SolenoidalP0:
     single-valued and vanish on the boundary, i.e. it is pointwise
     divergence free in the discrete sense.
 
-    Carries a certificate: the measured maximum normal jump.
+    Carries a certificate: the measured maximum normal jump, measured on
+    first access when the field was built with ``trusted``.
     """
 
-    __slots__ = ("field", "max_jump")
+    __slots__ = ("field", "_max_jump")
 
-    def __init__(self, field: VectorP0, max_jump: float):
+    def __init__(self, field: VectorP0, max_jump: float | None = None):
         self.field = field
-        self.max_jump = max_jump
+        self._max_jump = max_jump
+
+    @property
+    def max_jump(self) -> float:
+        if self._max_jump is None:
+            self._max_jump = max_normal_jump(self.field)
+        return self._max_jump
 
     @classmethod
     def certify(cls, field: VectorP0, rel_tol: float = 1e-10) -> "SolenoidalP0":
@@ -178,8 +185,9 @@ class SolenoidalP0:
 
     @classmethod
     def trusted(cls, field: VectorP0) -> "SolenoidalP0":
-        """Record the jump without enforcing a tolerance."""
-        return cls(field, max_normal_jump(field))
+        """Wrap without enforcing a tolerance; the jump is measured only if
+        ``max_jump`` is read."""
+        return cls(field)
 
     @property
     def mesh(self):

@@ -1,8 +1,11 @@
-"""Sparse linear algebra: tagged CSR operators and Krylov/direct solvers.
+"""Sparse linear algebra: tagged CSR operators, Krylov/direct solvers, and
+the factored zero-mean solver of the pressure Laplacian.
 
 CG and BiCGStab are implemented here so the zero-mean constraint can be
 re-imposed on the initial guess, on every Krylov correction, and on the
 result; GMRES and the dense direct fallback come from scipy.
+``ZeroMeanSolver`` factors the bordered system once with SuperLU, so every
+later solve with the same operator is two triangular solves.
 """
 from __future__ import annotations
 
@@ -120,6 +123,11 @@ def _projectors(weights, n):
 
 def _tol(b, config):
     return max(config.rtol * np.linalg.norm(b), config.atol)
+
+
+def _require_finite(b):
+    if not np.all(np.isfinite(b)):
+        raise SolverError("right-hand side has NaN or Inf entries")
 
 
 def _cg(A, b, proj_sol, proj_res, config, jacobi):
@@ -258,6 +266,7 @@ def solve(A, b, config: SolverConfig | None = None, zero_mean_weights=None):
     n = len(b)
     if A_csr.shape != (n, n):
         raise ValueError(f"matrix shape {A_csr.shape} does not match rhs of size {n}")
+    _require_finite(b)
     proj_sol, proj_res = _projectors(zero_mean_weights, n)
     if not np.linalg.norm(b):
         return np.zeros(n), SolveInfo(True, 0, 0.0, config.method)
@@ -282,3 +291,43 @@ def solve(A, b, config: SolverConfig | None = None, zero_mean_weights=None):
             x, info = _dense(A_csr, b, proj_sol, proj_res, config, zero_mean_weights)
         info.fallbacks = fallbacks
     return x, info
+
+
+class ZeroMeanSolver:
+    """Solver for A x = b on the subspace w . x = 0, for a symmetric
+    positive semidefinite A whose kernel is the constants.
+
+    The bordered system [[A, w], [w', 0]] [x; lam] = [b; 0] is
+    nonsingular; it is factored once by SuperLU with a minimum-degree
+    ordering of its symmetric pattern (the default COLAMD ordering fills
+    about twice as much on the pressure Laplacian).  A compatible right-hand side
+    (sum b = 0) gives lam = 0; an incompatible one leaves a residual that
+    the solve reports as a failure.
+    """
+
+    def __init__(self, A, weights):
+        A = _as_csr(A)
+        w = np.asarray(weights, dtype=float)
+        n = A.shape[0]
+        if A.shape != (n, n) or w.shape != (n,):
+            raise ValueError("constraint weights must match the system size")
+        col = sp.csr_matrix(w[:, None])
+        bordered = sp.bmat([[A, col], [col.T, None]], format="csc")
+        self.matrix = A
+        self._lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A",
+                             options={"SymmetricMode": True})
+
+    def solve(self, b, config: SolverConfig):
+        """Returns (x, SolveInfo); raises SolverError when the true residual
+        |b - A x| exceeds max(rtol |b|, atol)."""
+        b = np.asarray(b, dtype=float)
+        n = self.matrix.shape[0]
+        if b.shape != (n,):
+            raise ValueError(f"rhs of shape {b.shape} does not match a system of size {n}")
+        _require_finite(b)
+        x = self._lu.solve(np.append(b, 0.0))[:n]
+        res = float(np.linalg.norm(b - self.matrix @ x))
+        info = SolveInfo(res <= _tol(b, config), 1, res, "lu")
+        if not info.converged:
+            raise SolverError(f"zero-mean solve failed: {info}")
+        return x, info

@@ -78,8 +78,9 @@ class Mesh:
         nv = len(vertices)
         if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
             raise MeshTopologyError("triangle vertex index out of range")
-        keys = {tuple(sorted(t)) for t in triangles}
-        if len(keys) != len(triangles):
+        keys = np.sort(triangles, axis=1)
+        keys = keys[np.lexsort(keys.T[::-1])]
+        if np.any(np.all(keys[1:] == keys[:-1], axis=1)):
             raise MeshTopologyError("duplicate triangle")
 
         self.vertices = vertices
@@ -110,31 +111,33 @@ class Mesh:
 
     def _build_edges(self):
         nt = len(self.triangles)
-        # edge opposite local vertex j is (v_{j+1}, v_{j+2})
-        pairs = {}
-        for k in range(nt):
-            t = self.triangles[k]
-            for j in range(3):
-                key = (min(t[(j + 1) % 3], t[(j + 2) % 3]),
-                       max(t[(j + 1) % 3], t[(j + 2) % 3]))
-                pairs.setdefault(key, []).append((k, j))
-        for key, owners in pairs.items():
-            if len(owners) > 2:
-                raise MeshTopologyError(f"edge {key} shared by {len(owners)} triangles")
+        # half-edge h = 3k + j is the edge opposite local vertex j of
+        # triangle k, i.e. (v_{j+1}, v_{j+2}); a stable sort by its vertex
+        # pair groups each edge's half-edges in increasing triangle order
+        tri = self.triangles
+        a, b = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.append(starts, len(order)))
+        if np.any(counts > 2):
+            e = int(np.argmax(counts > 2))
+            key = (int(lo[starts[e]]), int(hi[starts[e]]))
+            raise MeshTopologyError(f"edge {key} shared by {counts[e]} triangles")
 
-        keys = sorted(pairs)
-        self.edges = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        ne = len(keys)
-        self.edge_owner = np.empty(ne, dtype=np.int64)
+        self.edges = np.stack([lo[starts], hi[starts]], axis=1)
+        ne = len(starts)
+        owner_half = order[starts]
+        self.edge_owner = owner_half // 3
         self.edge_neighbor = np.full(ne, -1, dtype=np.int64)
-        self.tri_edges = np.empty((nt, 3), dtype=np.int64)
-        for e, key in enumerate(keys):
-            inc = sorted(pairs[key])
-            self.edge_owner[e] = inc[0][0]
-            if len(inc) == 2:
-                self.edge_neighbor[e] = inc[1][0]
-            for k, j in inc:
-                self.tri_edges[k, j] = e
+        pair = counts == 2
+        self.edge_neighbor[pair] = order[starts[pair] + 1] // 3
+        tri_edges = np.empty(3 * nt, dtype=np.int64)
+        tri_edges[order] = np.cumsum(first) - 1
+        self.tri_edges = tri_edges.reshape(nt, 3)
 
         va = self.vertices[self.edges[:, 0]]
         vb = self.vertices[self.edges[:, 1]]
@@ -143,11 +146,7 @@ class Mesh:
         tang = (vb - va) / self.edge_length[:, None]
         normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
         # orient out of the owner: away from the opposite vertex
-        opp = np.empty((ne, 2))
-        for e in range(ne):
-            k = self.edge_owner[e]
-            j = int(np.where(self.tri_edges[k] == e)[0][0])
-            opp[e] = self.vertices[self.triangles[k, j]]
+        opp = self.vertices[tri.ravel()[owner_half]]
         flip = np.einsum("ed,ed->e", normal, self.edge_midpoint - opp) < 0
         normal[flip] *= -1.0
         self.edge_normal = normal
@@ -381,27 +380,21 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 # -- refinement ------------------------------------------------------------------
 
+# children of (v0, v1, v2) as columns of [v0, v1, v2, m0, m1, m2], where
+# m_j is the midpoint of the edge opposite v_j
+_CHILDREN = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2], [3, 4, 5]])
+
+
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 congruent children by edge midpoints.
 
     Child angles equal parent angles, so admissibility and all quality
     ratios survive refinement; h halves exactly.
     """
-    nv = mesh.num_vertices
-    mid = nv + np.arange(mesh.num_edges)
+    corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh.tri_edges])
+    tris = corners[:, _CHILDREN].reshape(-1, 3)
     verts = np.vstack([mesh.vertices, mesh.edge_midpoint])
-    tris = []
-    for k in range(mesh.num_triangles):
-        v0, v1, v2 = mesh.triangles[k]
-        # tri_edges[k, j] is opposite local vertex j
-        m0, m1, m2 = mid[mesh.tri_edges[k]]
-        tris += [
-            (v0, m2, m1),
-            (m2, v1, m0),
-            (m1, m0, v2),
-            (m0, m1, m2),
-        ]
-    return Mesh(verts, np.array(tris, dtype=np.int64))
+    return Mesh(verts, tris)
 
 
 # -- built-in meshes ---------------------------------------------------------------

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
-                     h_gram)
-from .linalg import SparseOperator
+                     h_gram, p1nc_mass)
+from .linalg import SparseOperator, ZeroMeanSolver
 from .mesh import Mesh
 
 
@@ -97,6 +97,16 @@ def pressure_stiffness(mesh: Mesh) -> SparseOperator:
         A = (Gx.T @ M @ Gx + Gy.T @ M @ Gy).tocsr()
         cached = SparseOperator(A, domain="p1nc", codomain="p1nc")
         mesh._cache["pressure_stiffness"] = cached
+    return cached
+
+
+def pressure_solver(mesh: Mesh) -> ZeroMeanSolver:
+    """The factored pressure Laplacian on the mass-weighted zero-mean
+    subspace; built on first use and kept for the life of the mesh."""
+    cached = mesh._cache.get("pressure_solver")
+    if cached is None:
+        cached = ZeroMeanSolver(pressure_stiffness(mesh).matrix, p1nc_mass(mesh))
+        mesh._cache["pressure_solver"] = cached
     return cached
 
 

@@ -286,3 +286,74 @@ def generalized_eig_extremes(A: np.ndarray, B: np.ndarray):
     """(min, max) eigenvalues of A x = lambda B x for SPD B, dense."""
     vals = scipy.linalg.eigh(A, B, eigvals_only=True)
     return float(vals[0]), float(vals[-1])
+
+
+# -- mesh construction by loops -------------------------------------------------
+
+def edge_topology_loop(vertices, triangles):
+    """Edge arrays of a triangulation by dictionary enumeration.
+
+    Returns a dict with ``edges`` (vertex pairs, sorted lexicographically),
+    ``edge_owner`` (lowest adjacent triangle id), ``edge_neighbor`` (-1 on
+    the boundary), ``tri_edges`` (edge opposite each local vertex) and
+    ``edge_normal`` (unit normal pointing away from the owner's opposite
+    vertex).  Raises ValueError on an edge shared by more than two
+    triangles.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    nt = len(triangles)
+    pairs = {}
+    for k in range(nt):
+        t = triangles[k]
+        for j in range(3):
+            key = (min(t[(j + 1) % 3], t[(j + 2) % 3]),
+                   max(t[(j + 1) % 3], t[(j + 2) % 3]))
+            pairs.setdefault(key, []).append((k, j))
+    for key, owners in pairs.items():
+        if len(owners) > 2:
+            raise ValueError(f"edge {key} shared by {len(owners)} triangles")
+
+    keys = sorted(pairs)
+    edges = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    ne = len(keys)
+    owner = np.empty(ne, dtype=np.int64)
+    neighbor = np.full(ne, -1, dtype=np.int64)
+    tri_edges = np.empty((nt, 3), dtype=np.int64)
+    for e, key in enumerate(keys):
+        inc = sorted(pairs[key])
+        owner[e] = inc[0][0]
+        if len(inc) == 2:
+            neighbor[e] = inc[1][0]
+        for k, j in inc:
+            tri_edges[k, j] = e
+
+    va = vertices[edges[:, 0]]
+    vb = vertices[edges[:, 1]]
+    tang = (vb - va) / np.linalg.norm(vb - va, axis=1)[:, None]
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    opp = np.empty((ne, 2))
+    for e in range(ne):
+        k = owner[e]
+        j = int(np.where(tri_edges[k] == e)[0][0])
+        opp[e] = vertices[triangles[k, j]]
+    flip = np.einsum("ed,ed->e", normal, 0.5 * (va + vb) - opp) < 0
+    normal[flip] *= -1.0
+    return {"edges": edges, "edge_owner": owner, "edge_neighbor": neighbor,
+            "tri_edges": tri_edges, "edge_normal": normal}
+
+
+def refine_uniform_loop(vertices, triangles):
+    """(vertices, triangles) of the 4-to-1 midpoint refinement, children
+    appended triangle by triangle."""
+    vertices = np.asarray(vertices, dtype=float)
+    topo = edge_topology_loop(vertices, triangles)
+    edges = topo["edges"]
+    mid = len(vertices) + np.arange(len(edges))
+    verts = np.vstack([vertices,
+                       0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])])
+    tris = []
+    for k, (v0, v1, v2) in enumerate(np.asarray(triangles, dtype=np.int64)):
+        m0, m1, m2 = mid[topo["tri_edges"][k]]
+        tris += [(v0, m2, m1), (m2, v1, m0), (m1, m0, v2), (m0, m1, m2)]
+    return verts, np.array(tris, dtype=np.int64)

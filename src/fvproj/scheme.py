@@ -29,7 +29,7 @@ from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm, l2_inner,
 from .linalg import SolverConfig, SolverError, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
 from .operators import (convection_matrix, divergence, gradient,
-                        pressure_stiffness, trilinear_form, velocity_stiffness)
+                        pressure_solver, trilinear_form, velocity_stiffness)
 
 
 class SchemeError(RuntimeError):
@@ -106,6 +106,7 @@ class RunConfig:
     case: str = "manufactured-A"
     momentum: SolverConfig = field(
         default_factory=lambda: SolverConfig(method="bicgstab", rtol=1e-12))
+    # pressure solves use the factored operator: only rtol and atol apply
     pressure: SolverConfig = field(
         default_factory=lambda: SolverConfig(method="cg", rtol=1e-13))
     out_dir: str | None = None
@@ -215,21 +216,28 @@ class Trajectory:
 
 
 class _Workspace:
-    """Once-per-run assembled pieces: masses, stiffness, forcing sampler."""
+    """Once-per-run assembled pieces: masses, stiffness, the factored
+    pressure operator, forcing sampler."""
 
     def __init__(self, config: RunConfig, mesh: Mesh):
         self.mesh = mesh
         self.case = make_case(config.case, config.re)
         self.mass = mesh.tri_area
         self.h_stiff = velocity_stiffness(mesh).matrix
-        self.p_stiff = pressure_stiffness(mesh)
+        self.p_solver = pressure_solver(mesh)
         self.p_mass = p1nc_mass(mesh)
         self.quad_order = config.quad_order
         self.cert_tol = 10.0 * config.pressure.rtol
+        self._forcing = (None, None)
 
     def forcing_at(self, t: float) -> VectorP0:
-        return project_p0(lambda x, y: self.case.forcing(x, y, t),
-                          self.mesh, self.quad_order)
+        """Cell averages of the forcing at time t; the last one is kept,
+        since a step needs f(t^{n+1}) for both the predictor and the
+        energy monitor."""
+        if self._forcing[0] != t:
+            self._forcing = (t, project_p0(lambda x, y: self.case.forcing(x, y, t),
+                                           self.mesh, self.quad_order))
+        return self._forcing[1]
 
     def certify(self, v: VectorP0, where: str, div_scale: float = 0.0) -> SolenoidalP0:
         """Gate a projected field on its remaining divergence.
@@ -238,6 +246,8 @@ class _Workspace:
         tolerance, so the gate scales with the larger of the field norm and
         the divergence that was removed.
         """
+        if not np.all(np.isfinite(v.values)):
+            raise SchemeError(f"{where}: field has NaN or Inf entries")
         div_l2 = l2_norm(divergence(v))
         scale = max(l2_norm(v), div_scale)
         if div_l2 > self.cert_tol * scale:
@@ -250,25 +260,26 @@ class _Workspace:
 def leray_project(v: VectorP0, ws: _Workspace, config: SolverConfig):
     """Remove the discrete gradient part: returns (projected field, potential)."""
     d = divergence(v)
-    rhs = -(ws.p_mass * d.values)
-    phi, info = solve(ws.p_stiff, rhs, config, zero_mean_weights=ws.p_mass)
-    if not info.converged:
-        raise SolverError(f"Leray projection solve failed: {info}")
+    phi, _ = ws.p_solver.solve(-(ws.p_mass * d.values), config)
     phi_field = ScalarP1NC(v.mesh, phi)
     return v - gradient(phi_field), phi_field
 
 
 # -- the three substeps --------------------------------------------------------------
 
-def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace) -> VectorP0:
-    """Solve the predictor system; one matrix, two right-hand sides."""
+def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
+                  grad_p: VectorP0 | None = None) -> VectorP0:
+    """Solve the predictor system; one matrix, two right-hand sides.
+
+    ``grad_p`` is gradient(state.p_curr) when the caller already has it.
+    """
     k = config.k
     u_star = SolenoidalP0.trusted(
         2.0 * state.u_curr.field - state.u_prev.field)
     A = (sp.diags(1.5 / k * ws.mass) + (1.0 / config.re) * ws.h_stiff
          + convection_matrix(u_star, weighted=True).matrix).tocsr()
     f = ws.forcing_at(state.t + k)
-    gp = gradient(state.p_curr)
+    gp = gradient(state.p_curr) if grad_p is None else grad_p
     rhs_common = (f.values
                   + (4.0 * state.u_curr.values - state.u_prev.values) / (2.0 * k)
                   - gp.values) * ws.mass[:, None]
@@ -291,10 +302,7 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
         raise SchemeError(
             f"pressure right-hand side incompatible: (div u, 1) = {compat:.3e}")
     rhs = -1.5 / config.k * weighted
-    dp_vals, info = solve(ws.p_stiff, rhs, config.pressure,
-                          zero_mean_weights=ws.p_mass)
-    if not info.converged:
-        raise SolverError(f"pressure solve failed: {info}")
+    dp_vals, _ = ws.p_solver.solve(rhs, config.pressure)
     dp = ScalarP1NC(u_tilde.mesh, dp_vals)
     p_next = mean_zero(state.p_curr + dp)
     return p_next, dp
@@ -313,34 +321,37 @@ def correction_step(state: SchemeState, u_tilde: VectorP0, p_next: ScalarP1NC,
 def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     """One full BDF2 projection step; returns (new state, StepRecord)."""
     k = config.k
-    u_tilde = momentum_step(state, config, ws)
+    gp_n = gradient(state.p_curr)
+    u_tilde = momentum_step(state, config, ws, grad_p=gp_n)
     p_next, dp = pressure_step(state, u_tilde, config, ws)
     new = correction_step(state, u_tilde, p_next, dp, config, ws)
 
     u_np1, u_n, u_nm1 = new.u_curr.field, state.u_curr.field, state.u_prev.field
     tiny = 1e-300
+    u_np1_l2 = l2_norm(u_np1)
+    u_tilde_l2 = l2_norm(u_tilde)
+    jump_l2 = l2_norm(u_np1 - u_tilde)
     gp_next = gradient(p_next)
-    orth = abs(l2_inner(u_np1, gp_next)) / (l2_norm(u_np1) * l2_norm(gp_next) + tiny)
-    pyth_num = (l2_norm(u_np1) ** 2 - l2_norm(u_tilde) ** 2
-                + l2_norm(u_np1 - u_tilde) ** 2)
-    pyth = abs(pyth_num) / max(l2_norm(u_tilde) ** 2, tiny)
+    orth = abs(l2_inner(u_np1, gp_next)) / (u_np1_l2 * l2_norm(gp_next) + tiny)
+    pyth_num = u_np1_l2 ** 2 - u_tilde_l2 ** 2 + jump_l2 ** 2
+    pyth = abs(pyth_num) / max(u_tilde_l2 ** 2, tiny)
 
     u_star = SolenoidalP0.trusted(2.0 * u_n - u_nm1)
     terms = [
-        l2_norm(u_np1) ** 2 - l2_norm(u_n) ** 2,
+        u_np1_l2 ** 2 - l2_norm(u_n) ** 2,
         l2_norm(2.0 * u_np1 - u_n) ** 2 - l2_norm(2.0 * u_n - u_nm1) ** 2,
         l2_norm(u_np1 - 2.0 * u_n + u_nm1) ** 2,
-        6.0 * l2_norm(u_tilde - u_np1) ** 2,
+        6.0 * jump_l2 ** 2,
         4.0 * k / config.re * h_norm(u_tilde) ** 2,
         4.0 * k * trilinear_form(u_star, u_tilde, u_tilde),
-        4.0 * k * l2_inner(gradient(state.p_curr), u_tilde),
+        4.0 * k * l2_inner(gp_n, u_tilde),
         -4.0 * k * l2_inner(ws.forcing_at(new.t), u_tilde),
     ]
     energy = abs(sum(terms)) / max(max(abs(v) for v in terms), tiny)
 
     rec = StepRecord(
         step=new.n, t=new.t,
-        u_l2=l2_norm(u_np1),
+        u_l2=u_np1_l2,
         ut_hnorm=h_norm(u_tilde),
         p_l2=l2_norm(p_next),
         div_residual=l2_norm(divergence(u_np1)),
@@ -382,11 +393,7 @@ def initialize(config: RunConfig, mesh: Mesh):
     u_tilde1 = VectorP0(mesh, ut1)
 
     d = divergence(u_tilde1)
-    rhs = -(ws.p_mass * d.values) / k
-    dp_vals, info = solve(ws.p_stiff, rhs, config.pressure,
-                          zero_mean_weights=ws.p_mass)
-    if not info.converged:
-        raise SolverError(f"start-up pressure solve failed: {info}")
+    dp_vals, _ = ws.p_solver.solve(-(ws.p_mass * d.values) / k, config.pressure)
     p1 = mean_zero(ScalarP1NC(mesh, dp_vals))
     u1_field = u_tilde1 - k * gradient(p1)
     u1 = ws.certify(u1_field, "start-up projection",

@@ -119,6 +119,23 @@ class TestConstants:
         assert report.ok, report.to_text()
         assert report.constants["poincare-cellwise"][0] > 0
 
+    def test_sparse_zero_mean_inverse_matches_cg(self):
+        # above 2000 unknowns the power iteration's pressure solves use the
+        # sparse bordered LU
+        from fvproj.fields import p1nc_mass
+        from fvproj.linalg import SolverConfig, solve
+        from fvproj.operators import pressure_stiffness
+        mesh = unit_square_acute(3)
+        assert mesh.num_edges >= 2000
+        A, mass = pressure_stiffness(mesh).matrix, p1nc_mass(mesh)
+        x0 = np.random.default_rng(2).standard_normal(mesh.num_edges)
+        x0 -= (mass @ x0) / mass.sum()
+        x = analysis._prefactored_solver(A, mass)(mass * x0)
+        x_cg, info = solve(A, mass * x0, SolverConfig(method="cg", rtol=1e-13),
+                           zero_mean_weights=mass)
+        assert info.converged
+        assert np.linalg.norm(x - x_cg) <= 1e-10 * np.linalg.norm(x_cg)
+
     def test_boundary_cell_field_has_finite_ratio(self, rng):
         # a field supported on one boundary-adjacent cell keeps |v|/||v||_h
         # finite thanks to the boundary terms

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from fvproj.fields import ScalarP1NC, mean_zero, p1nc_mass
-from fvproj.linalg import SolveInfo, SolverConfig, SparseOperator, solve
-from fvproj.mesh import unit_square_acute
-from fvproj.operators import pressure_stiffness, velocity_stiffness
+from fvproj.linalg import (SolveInfo, SolverConfig, SolverError, SparseOperator,
+                           ZeroMeanSolver, solve)
+from fvproj.mesh import equilateral_pair, unit_square_acute
+from fvproj.operators import (pressure_solver, pressure_stiffness,
+                              velocity_stiffness)
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +148,66 @@ class TestSparseOperator:
 def test_solve_info_str_fallbacks():
     info = SolveInfo(False, 3, 1e-2, "gmres", fallbacks=["bicgstab"])
     assert "bicgstab" in str(info)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["cg", "bicgstab", "gmres", "dense"])
+def test_non_finite_rhs_rejected(bad, method):
+    b = np.linspace(-1, 1, 9)
+    b[4] = bad
+    with pytest.raises(SolverError):
+        solve(sp.eye(9, format="csr"), b, SolverConfig(method=method))
+
+
+def _compatible_rhs(mesh, seed=3):
+    mass = p1nc_mass(mesh)
+    rng = np.random.default_rng(seed)
+    return mass, mass * mean_zero(ScalarP1NC(mesh, rng.standard_normal(mesh.num_edges))).values
+
+
+class TestZeroMeanSolver:
+    @pytest.mark.parametrize("mesh", [equilateral_pair()] + [
+        unit_square_acute(level) for level in range(3)])
+    def test_matches_dense_bordered_solve(self, mesh):
+        mass, b = _compatible_rhs(mesh)
+        A = pressure_stiffness(mesh)
+        x, info = pressure_solver(mesh).solve(b, SolverConfig(rtol=1e-13))
+        x_d, info_d = solve(A, b, SolverConfig(method="dense"),
+                            zero_mean_weights=mass)
+        assert info.converged and info_d.converged
+        assert np.linalg.norm(x - x_d) <= 1e-10 * np.linalg.norm(x_d)
+        assert abs(mass @ x) <= 1e-13 * np.abs(x).max()
+        assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
+        assert info.residual == pytest.approx(np.linalg.norm(b - A @ x))
+
+    def test_constant_rhs_raises(self, pressure_system):
+        mesh, A, mass, _ = pressure_system
+        with pytest.raises(SolverError):
+            ZeroMeanSolver(A, mass).solve(np.ones(mesh.num_edges), SolverConfig())
+
+    def test_repeat_is_bit_identical(self, pressure_system):
+        mesh, A, mass, b = pressure_system
+        solver = pressure_solver(mesh)
+        x1, _ = solver.solve(b, SolverConfig())
+        x2, _ = solver.solve(b, SolverConfig())
+        assert np.array_equal(x1, x2)
+
+    def test_factored_once_per_mesh(self):
+        mesh = unit_square_acute(1)
+        assert pressure_solver(mesh) is pressure_solver(mesh)
+        assert pressure_solver(unit_square_acute(1)) is not pressure_solver(mesh)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, pressure_system, bad):
+        mesh, A, mass, b = pressure_system
+        b = b.copy()
+        b[7] = bad
+        with pytest.raises(SolverError):
+            pressure_solver(mesh).solve(b, SolverConfig())
+
+    def test_size_mismatch(self, pressure_system):
+        mesh, A, mass, b = pressure_system
+        with pytest.raises(ValueError):
+            pressure_solver(mesh).solve(b[:-1], SolverConfig())
+        with pytest.raises(ValueError):
+            ZeroMeanSolver(A, mass[:-1])

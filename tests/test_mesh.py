@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fvproj import mesh as meshmod
+from fvproj import reference
 from fvproj.mesh import (Mesh, MeshFormatError, MeshOrientationError,
                          MeshTopologyError, load_mesh, refine_uniform,
                          save_mesh, square_two_triangles, unit_square_acute,
@@ -231,3 +232,35 @@ def test_equilateral_pair_taus(pair):
     assert abs(pair.edge_tau[e] - np.sqrt(3)) < 1e-14
     for e in pair.boundary_edges:
         assert abs(pair.edge_tau[e] - 2 * np.sqrt(3)) < 1e-13
+
+
+class TestLoopOracle:
+    """The array-built connectivity against the dictionary-loop build."""
+
+    @staticmethod
+    def assert_matches_loop(mesh):
+        ref = reference.edge_topology_loop(mesh.vertices, mesh.triangles)
+        for name, expected in ref.items():
+            got = getattr(mesh, name)
+            assert got.dtype == expected.dtype, name
+            assert got.shape == expected.shape, name
+            assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_family_matches_loop_build(self, level):
+        mesh = unit_square_acute(level)
+        self.assert_matches_loop(mesh)
+        verts, tris = reference.refine_uniform_loop(mesh.vertices, mesh.triangles)
+        fine = refine_uniform(mesh)
+        assert fine.vertices.dtype == verts.dtype and np.array_equal(fine.vertices, verts)
+        assert fine.triangles.dtype == tris.dtype and np.array_equal(fine.triangles, tris)
+
+    def test_loaded_mesh_matches_loop_build(self, tmp_path):
+        # shuffled triangle order and rotated local vertex order
+        base = unit_square_acute(1)
+        rng = np.random.default_rng(5)
+        tris = base.triangles[rng.permutation(base.num_triangles)]
+        shifts = rng.integers(0, 3, len(tris))
+        tris = np.array([np.roll(t, r) for t, r in zip(tris, shifts)])
+        save_mesh(Mesh(base.vertices, tris), tmp_path / "shuffled.mesh")
+        self.assert_matches_loop(load_mesh(tmp_path / "shuffled.mesh"))

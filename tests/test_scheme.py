@@ -4,10 +4,10 @@ import pytest
 from fvproj import scheme
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, l2_norm,
                            p1nc_mass)
-from fvproj.linalg import SolverConfig
+from fvproj.linalg import SolverConfig, solve
 from fvproj.mesh import single_triangle, unit_square_acute
-from fvproj.operators import divergence, gradient
-from fvproj.scheme import (RunConfig, _Workspace, advance,
+from fvproj.operators import divergence, gradient, pressure_stiffness
+from fvproj.scheme import (RunConfig, SchemeError, _Workspace, advance,
                            correction_step, initialize, make_case,
                            momentum_step, pressure_step, run)
 
@@ -216,16 +216,45 @@ class TestStepProperties:
         assert np.abs(new.u_curr.values - ut.values).max() < 1e-10
 
     def test_pressure_solution_unique_across_methods(self):
+        # the factored increment against a dense solve of the same system
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=3)
         mesh = unit_square_acute(1)
         state, _, ws = initialize(cfg, mesh)
         ut = momentum_step(state, cfg, ws)
-        _, dp_cg = pressure_step(state, ut, cfg, ws)
-        cfg_dense = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=3,
-                              pressure=SolverConfig(method="dense"))
-        _, dp_dense = pressure_step(state, ut, cfg_dense, ws)
-        denom = max(np.abs(dp_dense.values).max(), 1e-12)
-        assert np.abs(dp_cg.values - dp_dense.values).max() < 1e-8 * denom
+        _, dp = pressure_step(state, ut, cfg, ws)
+        rhs = -1.5 / cfg.k * ws.p_mass * divergence(ut).values
+        dp_dense, info = solve(pressure_stiffness(mesh), rhs,
+                               SolverConfig(method="dense"),
+                               zero_mean_weights=ws.p_mass)
+        assert info.converged
+        denom = max(np.abs(dp_dense).max(), 1e-12)
+        assert np.abs(dp.values - dp_dense).max() < 1e-10 * denom
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_certify_rejects_non_finite_field(self, bad):
+        mesh = unit_square_acute(0)
+        ws = _Workspace(RunConfig(mesh_spec="acute:0"), mesh)
+        values = np.zeros((mesh.num_triangles, 2))
+        values[3, 0] = bad
+        with pytest.raises(SchemeError, match="NaN or Inf"):
+            ws.certify(VectorP0(mesh, values), "test")
+        with pytest.raises(SchemeError, match="NaN or Inf"):
+            ws.certify(VectorP0(mesh, np.full_like(values, bad)), "test")
+
+    def test_forcing_projected_once_per_step(self, monkeypatch):
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
+        state, _, ws = initialize(cfg, unit_square_acute(1))
+        calls = []
+        project = scheme.project_p0
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "project_p0", counting)
+        for _ in range(2):
+            state, _ = advance(state, cfg, ws)
+        assert len(calls) == 2
 
     def test_orthogonality_and_pythagoras_along_run(self, short_run):
         for rec in short_run.records:
