@@ -23,7 +23,7 @@ from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, collocate_p0,
 from .linalg import SolverConfig, SolverError, ZeroMeanSolver, solve
 from .mesh import Mesh, unit_square_acute
 from .operators import (convection_matrix, divergence, gradient,
-                        gradient_matrices, laplacian_p0, pressure_solver,
+                        gradient_matrices, laplacian_p0, leray_project,
                         pressure_stiffness, trilinear_form, upwind_convection)
 from .scheme import _velocity_a
 
@@ -94,17 +94,9 @@ def random_p1nc(mesh, rng) -> ScalarP1NC:
 _TIGHT = SolverConfig(method="cg", rtol=1e-13, atol=1e-16)
 
 
-def leray_projection(v: VectorP0) -> SolenoidalP0:
-    """Divergence-free part of a cellwise field (discrete Leray projection)."""
-    mesh = v.mesh
-    d = divergence(v)
-    phi, _ = pressure_solver(mesh).solve(-(p1nc_mass(mesh) * d.values),
-                                         _TIGHT)
-    return SolenoidalP0.trusted(v - gradient(ScalarP1NC(mesh, phi)))
-
-
 def random_solenoidal(mesh, rng) -> SolenoidalP0:
-    return leray_projection(random_vector_p0(mesh, rng))
+    return SolenoidalP0.trusted(
+        leray_project(random_vector_p0(mesh, rng), _TIGHT)[0])
 
 
 # -- operator identities ---------------------------------------------------------------
@@ -130,7 +122,7 @@ def check_identities(mesh: Mesh, seed: int = 7, level: int = 0,
         w = random_vector_p0(mesh, rng)
         cont = max(cont, -l2_inner(laplacian_p0(v), w) / (h_norm(v) * h_norm(w)))
 
-        u = leray_projection(w)
+        u = SolenoidalP0.trusted(leray_project(w, _TIGHT)[0])
         gq = gradient(q)
         # normalize by the pre-projection field: on meshes whose solenoidal
         # subspace is trivial the projected field is pure roundoff
@@ -202,7 +194,8 @@ def check_convection(mesh: Mesh, seed: int = 7, level: int = 0,
         cell = rng.integers(mesh.num_triangles)
         vals = np.zeros((mesh.num_triangles, 2))
         vals[cell] = rng.standard_normal(2)
-        u = leray_projection(VectorP0(mesh, vals))
+        u = SolenoidalP0.trusted(
+            leray_project(VectorP0(mesh, vals), _TIGHT)[0])
         W = convection_matrix(u, weighted=True).matrix.toarray()
         sigma = np.linalg.norm(h_invsq @ W @ h_invsq, ord=2)
         stab = max(stab, sigma / l2_norm(u.field))
@@ -433,7 +426,7 @@ def _prefactored_solver(A, zero_mean_weights):
 
     if zero_mean_weights is not None:
         lu = ZeroMeanSolver(A, zero_mean_weights)
-        return lambda b: lu.solve(b, _TIGHT)[0]
+        return lambda b: lu.solve(b, _TIGHT, "power iteration")[0]
 
     def apply(b):
         x, info = solve(A, b, _TIGHT)

@@ -366,49 +366,3 @@ def norm_1h(q: ScalarP1NC) -> float:
 
     g = operators.gradient(q)
     return float(np.sqrt(l2_inner(q, q) + l2_inner(g, g)))
-
-
-# -- serialization ---------------------------------------------------------------
-
-def write_field_vtk(field, path) -> None:
-    """Legacy ASCII VTK: cellwise fields as CELL_DATA on the triangle grid,
-    edge-indexed fields as a point cloud sampled at edge midpoints."""
-    from . import vtkio
-
-    mesh = field.mesh
-    if isinstance(field, ScalarP0):
-        vtkio.write_unstructured(path, mesh, cell_scalars={"value": field.values})
-    elif isinstance(field, VectorP0):
-        vtkio.write_unstructured(path, mesh, cell_vectors={"value": field.values})
-    elif isinstance(field, ScalarP1NC):
-        vtkio.write_point_cloud(path, mesh.edge_midpoint,
-                                scalars={"value": field.values})
-    elif isinstance(field, VectorRT0):
-        vtkio.write_point_cloud(path, mesh.edge_midpoint,
-                                scalars={"normal_flux": field.values})
-    else:
-        raise SpaceMismatchError(f"cannot serialize {type(field).__name__}")
-
-
-def write_field_csv(field, path) -> None:
-    """CSV with one entity per row: cells for P0 data, edges otherwise."""
-    vals = field.values
-    with open(path, "w") as f:
-        if isinstance(field, ScalarP0):
-            f.write("cell,value\n")
-            for i, v in enumerate(vals):
-                f.write(f"{i},{v:.16e}\n")
-        elif isinstance(field, VectorP0):
-            f.write("cell,vx,vy\n")
-            for i, (x, y) in enumerate(vals):
-                f.write(f"{i},{x:.16e},{y:.16e}\n")
-        elif isinstance(field, ScalarP1NC):
-            f.write("edge,value\n")
-            for i, v in enumerate(vals):
-                f.write(f"{i},{v:.16e}\n")
-        elif isinstance(field, VectorRT0):
-            f.write("edge,flux\n")
-            for i, v in enumerate(vals):
-                f.write(f"{i},{v:.16e}\n")
-        else:
-            raise SpaceMismatchError(f"cannot serialize {type(field).__name__}")

@@ -1,11 +1,12 @@
-"""Sparse linear algebra: tagged CSR operators, Krylov/direct solvers, and
-the factored zero-mean solver of the pressure Laplacian.
+"""Sparse linear algebra: tagged CSR operators, the general solve of
+nonsingular systems (momentum, dual norms), and the factored zero-mean
+solver of the pressure Laplacian.
 
-CG and BiCGStab are implemented here so the zero-mean constraint can be
-re-imposed on the initial guess, on every Krylov correction, and on the
-result; GMRES and the dense direct fallback come from scipy.
-``ZeroMeanSolver`` factors the bordered system once with SuperLU, so every
-later solve with the same operator is two triangular solves.
+``solve`` runs Jacobi-preconditioned CG or BiCGStab, GMRES from scipy, or
+a dense direct solve; a failed Krylov method falls back to GMRES, then to
+the dense solve.  Every zero-mean solve goes through ``ZeroMeanSolver``,
+which factors the bordered system once with SuperLU, so each later solve
+with the same operator is two triangular solves.
 """
 from __future__ import annotations
 
@@ -47,14 +48,6 @@ class SparseOperator:
     def toarray(self):
         return self.matrix.toarray()
 
-    def export_coo(self, path) -> None:
-        """Write 'row col value' lines in row-major order."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w") as f:
-            for i in order:
-                f.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.16e}\n")
-
     def __repr__(self):
         return (f"SparseOperator({self.shape[0]}x{self.shape[1]}, "
                 f"{self.domain or '?'} -> {self.codomain or '?'}, "
@@ -62,18 +55,26 @@ class SparseOperator:
 
 
 @dataclass
-class SolverConfig:
-    method: str = "cg"          # cg | bicgstab | gmres | dense
+class Tolerance:
+    """The tolerances of a solve; all a factored solve reads."""
     rtol: float = 1e-10
     atol: float = 1e-14
+
+    def __post_init__(self):
+        if self.rtol <= 0 or self.atol <= 0:
+            raise ValueError("tolerances must be positive")
+
+
+@dataclass
+class SolverConfig(Tolerance):
+    method: str = "cg"          # cg | bicgstab | gmres | dense
     maxiter: int | None = None  # default 10 * n
     restart: int = 50
 
     def __post_init__(self):
+        super().__post_init__()
         if self.method not in ("cg", "bicgstab", "gmres", "dense"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
 
@@ -96,31 +97,6 @@ def _as_csr(A):
     return A.matrix if isinstance(A, SparseOperator) else sp.csr_matrix(A)
 
 
-def _projectors(weights, n):
-    """(solution projector, residual projector) for the zero-mean constraint.
-
-    The solution is pinned to zero weighted mean.  Residuals of the
-    (symmetric, constant-kernel) operator are compatible when their plain
-    mean vanishes, so they get the unweighted cleanup; mixing the two
-    projections corrupts the Krylov recurrence.
-    """
-    if weights is None:
-        ident = lambda x: x
-        return ident, ident
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError("constraint weights must match the system size")
-    total = w.sum()
-
-    def proj_sol(x):
-        return x - (w @ x) / total
-
-    def proj_res(x):
-        return x - x.mean()
-
-    return proj_sol, proj_res
-
-
 def _tol(b, config):
     return max(config.rtol * np.linalg.norm(b), config.atol)
 
@@ -130,33 +106,33 @@ def _require_finite(b):
         raise SolverError("right-hand side has NaN or Inf entries")
 
 
-def _cg(A, b, proj_sol, proj_res, config, jacobi):
+def _cg(A, b, config, jacobi):
     """Preconditioned CG with up to two restarts so the reported (true)
     residual, not the recursion, meets the tolerance."""
     n = len(b)
     maxiter = config.maxiter or 10 * n
     tol = _tol(b, config)
-    x = proj_sol(np.zeros(n))
+    x = np.zeros(n)
     total_it = 0
     res = np.inf
     for _ in range(3):
-        r = proj_res(b - A @ x)
+        r = b - A @ x
         res = np.linalg.norm(r)
         if res <= tol or total_it >= maxiter:
             break
-        z = proj_sol(jacobi * r)
+        z = jacobi * r
         p = z.copy()
         rz = r @ z
         rec = res
         while rec > 0.5 * tol and total_it < maxiter:
-            Ap = proj_res(A @ p)
+            Ap = A @ p
             denom = p @ Ap
             if denom <= 0:
                 break  # lost positive definiteness
             alpha = rz / denom
             x += alpha * p
             r -= alpha * Ap
-            z = proj_sol(jacobi * r)
+            z = jacobi * r
             rz_new = r @ z
             if rz_new == 0.0:
                 break
@@ -164,19 +140,18 @@ def _cg(A, b, proj_sol, proj_res, config, jacobi):
             rz = rz_new
             rec = np.linalg.norm(r)
             total_it += 1
-        x = proj_sol(x)
-        res = np.linalg.norm(proj_res(b - A @ x))
+        res = np.linalg.norm(b - A @ x)
         if res <= tol:
             break
     return x, SolveInfo(res <= tol, total_it, float(res), "cg")
 
 
-def _bicgstab(A, b, proj_sol, proj_res, config, jacobi):
+def _bicgstab(A, b, config, jacobi):
     n = len(b)
     maxiter = config.maxiter or 10 * n
     tol = _tol(b, config)
-    x = proj_sol(np.zeros(n))
-    r = proj_res(b - A @ x)
+    x = np.zeros(n)
+    r = b - A @ x
     r0 = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros(n)
@@ -190,20 +165,20 @@ def _bicgstab(A, b, proj_sol, proj_res, config, jacobi):
             return x, SolveInfo(False, it, float(res), "bicgstab")  # breakdown
         beta = (rho_new / rho) * (alpha / omega) if it else 0.0
         p = r + beta * (p - omega * v) if it else r.copy()
-        phat = proj_sol(jacobi * p)
-        v = proj_res(A @ phat)
+        phat = jacobi * p
+        v = A @ phat
         alpha = rho_new / (r0 @ v)
         s = r - alpha * v
         if np.linalg.norm(s) <= tol:
-            x = proj_sol(x + alpha * phat)
+            x = x + alpha * phat
             return x, SolveInfo(True, it + 1, float(np.linalg.norm(s)), "bicgstab")
-        shat = proj_sol(jacobi * s)
-        t = proj_res(A @ shat)
+        shat = jacobi * s
+        t = A @ shat
         tt = t @ t
         if tt == 0.0:
             return x, SolveInfo(False, it, float(res), "bicgstab")
         omega = (t @ s) / tt
-        x = proj_sol(x + alpha * phat + omega * shat)
+        x = x + alpha * phat + omega * shat
         r = s - omega * t
         rho = rho_new
         res = np.linalg.norm(r)
@@ -211,38 +186,20 @@ def _bicgstab(A, b, proj_sol, proj_res, config, jacobi):
     return x, SolveInfo(res <= tol, it, float(res), "bicgstab")
 
 
-def _gmres(A, b, proj_sol, proj_res, config, weights):
+def _gmres(A, b, config):
     n = len(b)
-    if weights is not None:
-        op = spla.LinearOperator((n, n), matvec=lambda x: A @ proj_sol(x))
-    else:
-        op = A
     maxiter = (config.maxiter or 10 * n) // config.restart + 1
     tol = _tol(b, config)
-    x, flag = spla.gmres(op, proj_res(b), rtol=config.rtol, atol=config.atol,
+    x, flag = spla.gmres(A, b, rtol=config.rtol, atol=config.atol,
                          restart=config.restart, maxiter=maxiter)
-    x = proj_sol(x)
-    res = float(np.linalg.norm(proj_res(b - A @ x)))
+    res = float(np.linalg.norm(b - A @ x))
     return x, SolveInfo(flag == 0 and res <= tol * 1.01, -1 if flag == 0 else flag,
                         res, "gmres")
 
 
-def _dense(A, b, proj_sol, proj_res, config, weights):
-    n = len(b)
-    dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    if weights is not None:
-        # saddle formulation pins the weighted mean exactly
-        w = np.asarray(weights, dtype=float)
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = dense
-        aug[:n, n] = w
-        aug[n, :n] = w
-        rhs = np.concatenate([proj_res(b), [0.0]])
-        x = np.linalg.solve(aug, rhs)[:n]
-    else:
-        x = np.linalg.solve(dense, b)
-    x = proj_sol(x)
-    res = float(np.linalg.norm(proj_res(b - A @ x)))
+def _dense(A, b, config):
+    x = np.linalg.solve(A.toarray(), b)
+    res = float(np.linalg.norm(b - A @ x))
     # a direct solve of a numerically singular system can return garbage
     # without raising; judge convergence by the actual residual
     return x, SolveInfo(res <= max(10 * _tol(b, config), 1e-11 * np.linalg.norm(b)),
@@ -253,21 +210,23 @@ def solve(A, b, config: SolverConfig | None = None, zero_mean_weights=None):
     """Solve A x = b.
 
     With ``zero_mean_weights`` (the diagonal mass of the pressure space),
-    the solution is constrained to zero weighted mean; the projection is
-    applied to the initial guess, every Krylov correction, and the result.
-    On BiCGStab breakdown or non-convergence the solver falls back to
-    GMRES, then to a dense direct solve below 2000 unknowns.
+    the solution is the one with zero weighted mean, from a
+    ``ZeroMeanSolver`` factor of A; it raises SolverError on failure.
+    Otherwise the configured method runs; on CG or BiCGStab breakdown or
+    non-convergence the solver falls back to GMRES, then to a dense direct
+    solve below 2000 unknowns.
 
     Returns (x, SolveInfo).
     """
     config = config or SolverConfig()
+    if zero_mean_weights is not None:
+        return ZeroMeanSolver(A, zero_mean_weights).solve(b, config)
     A_csr = _as_csr(A)
     b = np.asarray(b, dtype=float)
     n = len(b)
     if A_csr.shape != (n, n):
         raise ValueError(f"matrix shape {A_csr.shape} does not match rhs of size {n}")
     _require_finite(b)
-    proj_sol, proj_res = _projectors(zero_mean_weights, n)
     if not np.linalg.norm(b):
         return np.zeros(n), SolveInfo(True, 0, 0.0, config.method)
 
@@ -275,20 +234,20 @@ def solve(A, b, config: SolverConfig | None = None, zero_mean_weights=None):
     jacobi = np.where(np.abs(diag) > 0, 1.0 / np.where(diag != 0, diag, 1.0), 1.0)
 
     if config.method == "cg":
-        x, info = _cg(A_csr, b, proj_sol, proj_res, config, jacobi)
+        x, info = _cg(A_csr, b, config, jacobi)
     elif config.method == "bicgstab":
-        x, info = _bicgstab(A_csr, b, proj_sol, proj_res, config, jacobi)
+        x, info = _bicgstab(A_csr, b, config, jacobi)
     elif config.method == "gmres":
-        x, info = _gmres(A_csr, b, proj_sol, proj_res, config, zero_mean_weights)
+        x, info = _gmres(A_csr, b, config)
     else:
-        return _dense(A_csr, b, proj_sol, proj_res, config, zero_mean_weights)
+        return _dense(A_csr, b, config)
 
     if not info.converged and config.method in ("cg", "bicgstab"):
         fallbacks = [info.method]
-        x, info = _gmres(A_csr, b, proj_sol, proj_res, config, zero_mean_weights)
+        x, info = _gmres(A_csr, b, config)
         if not info.converged and n < 2000:
             fallbacks.append("gmres")
-            x, info = _dense(A_csr, b, proj_sol, proj_res, config, zero_mean_weights)
+            x, info = _dense(A_csr, b, config)
         info.fallbacks = fallbacks
     return x, info
 
@@ -303,6 +262,12 @@ class ZeroMeanSolver:
     about twice as much on the pressure Laplacian).  A compatible right-hand side
     (sum b = 0) gives lam = 0; an incompatible one leaves a residual that
     the solve reports as a failure.
+
+    Each solve is gated on its normwise backward error in the infinity
+    norm, |b - A x| <= max(rtol (|A| |x| + |b|), atol) (Rigal and Gaches,
+    J. ACM 14(3), 1967; Higham, Accuracy and Stability of Numerical
+    Algorithms, section 7.1), which a backward-stable factor meets however
+    large |A| |x| / |b| grows on fine meshes.
     """
 
     def __init__(self, A, weights):
@@ -314,20 +279,27 @@ class ZeroMeanSolver:
         col = sp.csr_matrix(w[:, None])
         bordered = sp.bmat([[A, col], [col.T, None]], format="csc")
         self.matrix = A
+        self.norm_inf = float(spla.norm(A, np.inf))
         self._lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A",
                              options={"SymmetricMode": True})
 
-    def solve(self, b, config: SolverConfig):
-        """Returns (x, SolveInfo); raises SolverError when the true residual
-        |b - A x| exceeds max(rtol |b|, atol)."""
+    def solve(self, b, tol: Tolerance, where: str = "ZeroMeanSolver"):
+        """Returns (x, SolveInfo) with the 2-norm of the true residual;
+        raises SolverError, naming ``where``, when the backward-error gate
+        fails."""
         b = np.asarray(b, dtype=float)
         n = self.matrix.shape[0]
         if b.shape != (n,):
             raise ValueError(f"rhs of shape {b.shape} does not match a system of size {n}")
         _require_finite(b)
         x = self._lu.solve(np.append(b, 0.0))[:n]
-        res = float(np.linalg.norm(b - self.matrix @ x))
-        info = SolveInfo(res <= _tol(b, config), 1, res, "lu")
+        r = b - self.matrix @ x
+        r_inf = float(np.abs(r).max())
+        scale = self.norm_inf * float(np.abs(x).max()) + float(np.abs(b).max())
+        info = SolveInfo(r_inf <= max(tol.rtol * scale, tol.atol), 1,
+                         float(np.linalg.norm(r)), "lu")
         if not info.converged:
-            raise SolverError(f"zero-mean solve failed: {info}")
+            raise SolverError(
+                f"{where}: zero-mean solve failed: {info}, backward error "
+                f"{r_inf / scale:.3e} > rtol {tol.rtol:.1e}")
         return x, info

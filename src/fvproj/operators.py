@@ -9,7 +9,8 @@ interior rows carry 3|e|/(|K|+|L|).
 Two Laplacians: the pressure Laplacian is the composition div(grad) with
 an SPD weak form (grad, grad); the velocity Laplacian is the two-point
 flux operator whose negative mass-weighted matrix is the Gram matrix of
-the discrete H1 norm.
+the discrete H1 norm.  The factored pressure Laplacian also gives the one
+discrete Leray projection.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
                      h_gram, p1nc_mass)
-from .linalg import SparseOperator, ZeroMeanSolver
+from .linalg import SparseOperator, Tolerance, ZeroMeanSolver
 from .mesh import Mesh
 
 
@@ -110,9 +111,15 @@ def pressure_solver(mesh: Mesh) -> ZeroMeanSolver:
     return cached
 
 
-def laplacian_p1nc(q: ScalarP1NC) -> ScalarP1NC:
-    """Pointwise composition div(grad q); equals -A q / mass by adjointness."""
-    return divergence(gradient(q))
+def leray_project(v: VectorP0, tol: Tolerance, where: str = "Leray projection"):
+    """Discrete Leray projection: remove the gradient part of a cellwise
+    field by one zero-mean pressure solve.  Returns (projected field,
+    potential); the caller certifies or trusts the projected field."""
+    mesh = v.mesh
+    phi, _ = pressure_solver(mesh).solve(
+        -(p1nc_mass(mesh) * divergence(v).values), tol, where)
+    phi = ScalarP1NC(mesh, phi)
+    return v - gradient(phi), phi
 
 
 def velocity_stiffness(mesh: Mesh) -> SparseOperator:

@@ -288,6 +288,19 @@ def generalized_eig_extremes(A: np.ndarray, B: np.ndarray):
     return float(vals[0]), float(vals[-1])
 
 
+def zero_mean_solve_dense(A: np.ndarray, b, weights) -> np.ndarray:
+    """x with w . x = 0 solving A x = b (A singular with the constants as
+    kernel): dense LU of the bordered system [[A, w], [w', 0]]."""
+    A = np.asarray(A, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    n = len(w)
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = A
+    aug[:n, n] = w
+    aug[n, :n] = w
+    return np.linalg.solve(aug, np.append(b, 0.0))[:n]
+
+
 # -- mesh construction by loops -------------------------------------------------
 
 def edge_topology_loop(vertices, triangles):

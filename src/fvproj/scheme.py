@@ -3,16 +3,17 @@ velocity correction, and a hypothesis-compliant start-up.
 
 Each step advances (u^{n-1}, u^n, p^n) to (u_tilde, p^{n+1}, u^{n+1}):
 
-* predictor: (3 u_tilde - 4 u^n + u^{n-1}) / (2k) - (1/Re) lap u_tilde
+* predictor: (a0 u_tilde + a1 u^n + a2 u^{n-1}) / k - (1/Re) lap u_tilde
   + upwind(2 u^n - u^{n-1}, u_tilde) + grad p^n = f^{n+1},
-* pressure: (grad dp, grad r) = -(3/(2k)) (div u_tilde, r) on the
+* pressure: (grad dp, grad r) = -(a0/k) (div u_tilde, r) on the
   zero-mean subspace,
-* correction: u^{n+1} = u_tilde - (2k/3) grad dp,
+* correction: u^{n+1} = u_tilde - (k/a0) grad dp,
 
 which leaves u^{n+1} divergence free up to the pressure-solve residual.
-Start-up: the initial velocity is the discrete Leray projection of the
-cell-averaged data, and u^1 comes from one semi-implicit Euler step (old
-pressure zero) followed by one projection.
+(a0, a1, a2) = (3/2, -2, 1/2) is BDF2.  Start-up: u^0 is the discrete
+Leray projection of the cell-averaged data, and u^1 comes from the same
+step out of (u^{-1}, u^0, p^0) = (u^0, u^0, 0) with the BDF1 coefficients
+(1, -1, 0): semi-implicit Euler, advected by 2 u^0 - u^0 = u^0.
 """
 from __future__ import annotations
 
@@ -26,10 +27,11 @@ import scipy.sparse as sp
 from . import vtkio
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm, l2_inner,
                      l2_norm, mean_zero, p1nc_mass, project_p0)
-from .linalg import SolverConfig, SolverError, solve
+from .linalg import SolverConfig, SolverError, Tolerance, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
 from .operators import (convection_matrix, divergence, gradient,
-                        pressure_solver, trilinear_form, velocity_stiffness)
+                        leray_project, pressure_solver, trilinear_form,
+                        velocity_stiffness)
 
 
 class SchemeError(RuntimeError):
@@ -106,9 +108,8 @@ class RunConfig:
     case: str = "manufactured-A"
     momentum: SolverConfig = field(
         default_factory=lambda: SolverConfig(method="bicgstab", rtol=1e-12))
-    # pressure solves use the factored operator: only rtol and atol apply
-    pressure: SolverConfig = field(
-        default_factory=lambda: SolverConfig(method="cg", rtol=1e-13))
+    # pressure solves use the factored operator
+    pressure: Tolerance = field(default_factory=lambda: Tolerance(rtol=1e-13))
     out_dir: str | None = None
     cadence: int = 0            # snapshot every this many steps; 0 disables
     quad_order: int = 4
@@ -257,15 +258,12 @@ class _Workspace:
         return SolenoidalP0.trusted(v)
 
 
-def leray_project(v: VectorP0, ws: _Workspace, config: SolverConfig):
-    """Remove the discrete gradient part: returns (projected field, potential)."""
-    d = divergence(v)
-    phi, _ = ws.p_solver.solve(-(ws.p_mass * d.values), config)
-    phi_field = ScalarP1NC(v.mesh, phi)
-    return v - gradient(phi_field), phi_field
-
-
 # -- the three substeps --------------------------------------------------------------
+
+def _bdf_coefficients(state: SchemeState):
+    """(a0, a1, a2) of the step out of ``state``: BDF1 at n = 0, BDF2 after."""
+    return (1.0, -1.0, 0.0) if state.n == 0 else (1.5, -2.0, 0.5)
+
 
 def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
                   grad_p: VectorP0 | None = None) -> VectorP0:
@@ -274,14 +272,15 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     ``grad_p`` is gradient(state.p_curr) when the caller already has it.
     """
     k = config.k
+    a0, a1, a2 = _bdf_coefficients(state)
     u_star = SolenoidalP0.trusted(
         2.0 * state.u_curr.field - state.u_prev.field)
-    A = (sp.diags(1.5 / k * ws.mass) + (1.0 / config.re) * ws.h_stiff
+    A = (sp.diags(a0 / k * ws.mass) + (1.0 / config.re) * ws.h_stiff
          + convection_matrix(u_star, weighted=True).matrix).tocsr()
     f = ws.forcing_at(state.t + k)
     gp = gradient(state.p_curr) if grad_p is None else grad_p
     rhs_common = (f.values
-                  + (4.0 * state.u_curr.values - state.u_prev.values) / (2.0 * k)
+                  - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
                   - gp.values) * ws.mass[:, None]
     out = np.empty_like(rhs_common)
     for c in range(2):
@@ -301,8 +300,9 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
     if compat > 1e-12 * max(scale, 1.0):
         raise SchemeError(
             f"pressure right-hand side incompatible: (div u, 1) = {compat:.3e}")
-    rhs = -1.5 / config.k * weighted
-    dp_vals, _ = ws.p_solver.solve(rhs, config.pressure)
+    rhs = -_bdf_coefficients(state)[0] / config.k * weighted
+    dp_vals, _ = ws.p_solver.solve(rhs, config.pressure,
+                                   f"pressure step {state.n + 1}")
     dp = ScalarP1NC(u_tilde.mesh, dp_vals)
     p_next = mean_zero(state.p_curr + dp)
     return p_next, dp
@@ -311,7 +311,7 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
 def correction_step(state: SchemeState, u_tilde: VectorP0, p_next: ScalarP1NC,
                     dp: ScalarP1NC, config: RunConfig, ws: _Workspace) -> SchemeState:
     """Subtract the increment gradient and rotate the state."""
-    u_next = u_tilde - (2.0 * config.k / 3.0) * gradient(dp)
+    u_next = u_tilde - (config.k / _bdf_coefficients(state)[0]) * gradient(dp)
     cert = ws.certify(u_next, f"correction step {state.n + 1}",
                       div_scale=l2_norm(divergence(u_tilde)))
     return SchemeState(u_prev=state.u_curr, u_curr=cert, p_curr=p_next,
@@ -369,35 +369,25 @@ def initialize(config: RunConfig, mesh: Mesh):
     """Build (u^0, u^1, p^1) and report the start-up diagnostics.
 
     u^0 is the discrete Leray projection of the cell-averaged initial
-    data; u^1 comes from one semi-implicit Euler step (upwind convection
-    by u^0, old pressure zero) followed by one projection with step k.
+    data; u^1 comes from the three substeps of every time step, run out
+    of n = 0 (BDF1).  The start-up step has no StepRecord.
     Returns (state, diagnostics, workspace).
     """
     ws = _Workspace(config, mesh)
     k = config.k
 
     u0_raw = project_p0(ws.case.u0, mesh, config.quad_order)
-    u0_field, _ = leray_project(u0_raw, ws, config.pressure)
+    u0_field, _ = leray_project(u0_raw, config.pressure, "initial projection")
     u0 = ws.certify(u0_field, "initial projection",
                     div_scale=l2_norm(divergence(u0_raw)))
 
-    A = (sp.diags(ws.mass / k) + (1.0 / config.re) * ws.h_stiff
-         + convection_matrix(u0, weighted=True).matrix).tocsr()
-    f1 = ws.forcing_at(k)
-    rhs_common = (f1.values + u0.values / k) * ws.mass[:, None]
-    ut1 = np.empty_like(rhs_common)
-    for c in range(2):
-        ut1[:, c], info = solve(A, rhs_common[:, c], config.momentum)
-        if not info.converged:
-            raise SolverError(f"start-up momentum solve failed: {info}")
-    u_tilde1 = VectorP0(mesh, ut1)
-
-    d = divergence(u_tilde1)
-    dp_vals, _ = ws.p_solver.solve(-(ws.p_mass * d.values) / k, config.pressure)
-    p1 = mean_zero(ScalarP1NC(mesh, dp_vals))
-    u1_field = u_tilde1 - k * gradient(p1)
-    u1 = ws.certify(u1_field, "start-up projection",
-                    div_scale=l2_norm(d))
+    state = SchemeState(u_prev=u0, u_curr=u0,
+                        p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
+                        t=0.0, n=0)
+    u_tilde1 = momentum_step(state, config, ws)
+    p1, dp = pressure_step(state, u_tilde1, config, ws)
+    state = correction_step(state, u_tilde1, p1, dp, config, ws)
+    u1 = state.u_curr
 
     err0 = _quadrature_error(u0.field, ws.case.u0, config.quad_order)
     diagnostics = {
@@ -411,8 +401,6 @@ def initialize(config: RunConfig, mesh: Mesh):
         "div_u0": l2_norm(divergence(u0.field)),
         "div_u1": l2_norm(divergence(u1.field)),
     }
-    state = SchemeState(u_prev=u0, u_curr=u1, p_curr=p1, t=k, n=1,
-                        u_tilde=u_tilde1)
     return state, diagnostics, ws
 
 

@@ -7,7 +7,7 @@ from fvproj.fields import (FluxContinuityError, ScalarP0, ScalarP1NC,
                            VectorRT0, collocate_p0, dual_norm, h_norm,
                            l2_inner, l2_norm, max_normal_jump, mean_zero,
                            norm_1h, p1nc_mass, project_p0, project_p1nc,
-                           project_rt0, write_field_csv)
+                           project_rt0)
 from fvproj.mesh import refine_uniform, unit_square_acute
 from fvproj.operators import gradient, laplacian_p0
 
@@ -320,36 +320,18 @@ class TestCertificates:
 
 
 class TestSerialization:
-    def test_csv_headers(self, pair, tmp_path, rng):
-        cases = [
-            (ScalarP0(pair, rng.standard_normal(2)), "cell,value"),
-            (VectorP0(pair, rng.standard_normal((2, 2))), "cell,vx,vy"),
-            (ScalarP1NC(pair, rng.standard_normal(5)), "edge,value"),
-            (VectorRT0(pair, np.zeros(5)), "edge,flux"),
-        ]
-        for field, header in cases:
-            path = tmp_path / "f.csv"
-            write_field_csv(field, path)
-            lines = path.read_text().splitlines()
-            assert lines[0] == header
-            assert len(lines) == 1 + len(field.values)
-
-    def test_csv_roundtrip_values(self, pair, tmp_path):
-        f = ScalarP0(pair, np.array([1.5, -2.25]))
-        path = tmp_path / "f.csv"
-        write_field_csv(f, path)
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        assert [float(r[1]) for r in rows] == [1.5, -2.25]
-
     def test_vtk_cell_and_point_variants(self, pair, tmp_path, rng):
-        from fvproj.fields import write_field_vtk
+        # cellwise fields as CELL_DATA, edge-indexed fields as a point cloud
+        from fvproj import vtkio
         grid = tmp_path / "cells.vtk"
-        write_field_vtk(VectorP0(pair, rng.standard_normal((2, 2))), grid)
+        vtkio.write_unstructured(
+            grid, pair, cell_vectors={"value": rng.standard_normal((2, 2))})
         text = grid.read_text()
         assert "DATASET UNSTRUCTURED_GRID" in text
         assert "CELL_DATA 2" in text
         cloud = tmp_path / "edges.vtk"
-        write_field_vtk(ScalarP1NC(pair, rng.standard_normal(5)), cloud)
+        vtkio.write_point_cloud(cloud, pair.edge_midpoint,
+                                scalars={"value": rng.standard_normal(5)})
         text = cloud.read_text()
         assert "DATASET POLYDATA" in text
         assert "POINT_DATA 5" in text

@@ -5,23 +5,18 @@ from fvproj import reference
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
                            h_norm, l2_inner, l2_norm, mean_zero, p1nc_mass,
                            project_p1nc)
-from fvproj.linalg import SolverConfig, solve
-from fvproj.mesh import equilateral_pair, single_triangle, unit_square_acute
+from fvproj.linalg import SolverConfig, Tolerance, solve
+from fvproj.mesh import single_triangle, unit_square_acute
 from fvproj.operators import (convection_matrix, divergence,
                               divergence_matrices, gradient,
-                              gradient_matrices, laplacian_p0, laplacian_p1nc,
+                              gradient_matrices, laplacian_p0, leray_project,
                               pressure_stiffness, trilinear_form,
                               upwind_convection, velocity_stiffness)
 
 
 def random_solenoidal(mesh, rng):
     v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
-    d = divergence(v)
-    mass = p1nc_mass(mesh)
-    phi, info = solve(pressure_stiffness(mesh), -(mass * d.values),
-                      SolverConfig(method="dense"), zero_mean_weights=mass)
-    assert info.converged
-    return SolenoidalP0.trusted(v - gradient(ScalarP1NC(mesh, phi)))
+    return SolenoidalP0.trusted(leray_project(v, Tolerance(rtol=1e-13))[0])
 
 
 class TestGradient:
@@ -101,7 +96,7 @@ class TestPressureLaplacian:
     def test_constant_in_kernel(self, family):
         mesh = family[0]
         c = ScalarP1NC(mesh, np.full(mesh.num_edges, 2.0))
-        out = laplacian_p1nc(c)
+        out = divergence(gradient(c))
         assert np.abs(out.values).max() < 1e-12
 
     def test_energy_identity(self, family, rng):
@@ -110,7 +105,7 @@ class TestPressureLaplacian:
         for _ in range(6):
             q = ScalarP1NC(mesh, rng.standard_normal(mesh.num_edges))
             g = gradient(q)
-            lhs = -l2_inner(laplacian_p1nc(q), q)
+            lhs = -l2_inner(divergence(gradient(q)), q)
             rhs = l2_inner(g, g)
             assert abs(lhs - rhs) <= 1e-12 * rhs
 
@@ -123,6 +118,15 @@ class TestPressureLaplacian:
         assert abs(w[0]) < 1e-12  # constants
         assert w[1] > 1e-6        # rest strictly positive
         assert np.abs(A @ np.ones(mesh.num_edges)).max() < 1e-12
+
+    def test_leray_project_splits_off_a_gradient(self, family, rng):
+        mesh = family[1]
+        v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
+        u, phi = leray_project(v, Tolerance(rtol=1e-13))
+        assert l2_norm(divergence(u)) <= 1e-11 * l2_norm(v)
+        gap = (v - u).values - gradient(phi).values
+        assert np.abs(gap).max() <= 1e-14 * np.abs(v.values).max()
+        assert abs(p1nc_mass(mesh) @ phi.values) <= 1e-13 * np.abs(phi.values).max()
 
     def test_mean_zero_solve_converges(self, family, rng):
         mesh = family[1]
@@ -259,18 +263,6 @@ class TestTrilinearForm:
         w = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
         assert abs(trilinear_form(u, v, w)
                    - l2_inner(upwind_convection(u, v), w)) < 1e-12
-
-
-def test_operator_export_coo(tmp_path):
-    mesh = equilateral_pair()
-    op = velocity_stiffness(mesh)
-    path = tmp_path / "H.txt"
-    op.export_coo(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == op.matrix.nnz
-    row, col, val = lines[0].split()
-    assert int(row) == 0 and int(col) in (0, 1)
-    float(val)
 
 
 def test_operator_tags():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from fvproj import scheme
+from dataclasses import replace
+
+from fvproj import reference, scheme
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, l2_norm,
                            p1nc_mass)
-from fvproj.linalg import SolverConfig, solve
+from fvproj.linalg import SolverError, Tolerance
 from fvproj.mesh import single_triangle, unit_square_acute
 from fvproj.operators import divergence, gradient, pressure_stiffness
 from fvproj.scheme import (RunConfig, SchemeError, _Workspace, advance,
@@ -80,7 +82,8 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
         assert cfg.momentum.method == "bicgstab"
-        assert cfg.pressure.method == "cg"
+        # the factored pressure solve reads its tolerances and nothing else
+        assert cfg.pressure == Tolerance(rtol=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,6 +144,23 @@ class TestZeroRun:
 
 
 class TestStartup:
+    def test_start_up_runs_the_shared_substeps(self, monkeypatch):
+        # one call of each substep out of n = 0, and no call of advance
+        # (whose StepRecord would add a row to monitors.csv)
+        calls = []
+        for name in ("momentum_step", "pressure_step", "correction_step",
+                     "advance"):
+            def counting(state, *args, _fn=getattr(scheme, name), _name=name,
+                         **kwargs):
+                calls.append((_name, state.n))
+                return _fn(state, *args, **kwargs)
+            monkeypatch.setattr(scheme, name, counting)
+        cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=2)
+        state, _, _ = initialize(cfg, unit_square_acute(0))
+        assert calls == [("momentum_step", 0), ("pressure_step", 0),
+                         ("correction_step", 0)]
+        assert (state.n, state.t) == (1, cfg.k)
+
     def test_initial_velocity_divergence_free(self):
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=2)
         mesh = unit_square_acute(1)
@@ -170,17 +190,21 @@ class TestStartup:
 
 
 class TestSingleCellMomentum:
-    def test_hand_assembled_two_by_two(self):
-        # all edges on the boundary: no convection coupling, and the
-        # momentum system reduces to one scalar equation per component
+    @pytest.fixture
+    def cell(self):
         mesh = single_triangle()
         cfg = RunConfig(mesh_spec="unused", k=0.05, n_steps=2, re=10.0,
                         case="manufactured-A")
-        ws = _Workspace(cfg, mesh)
         rng = np.random.default_rng(8)
         u_n = SolenoidalP0.trusted(VectorP0(mesh, rng.standard_normal((1, 2))))
         u_nm1 = SolenoidalP0.trusted(VectorP0(mesh, rng.standard_normal((1, 2))))
         p_n = ScalarP1NC(mesh, rng.standard_normal(3))
+        return mesh, cfg, _Workspace(cfg, mesh), u_n, u_nm1, p_n
+
+    def test_hand_assembled_two_by_two(self, cell):
+        # all edges on the boundary: no convection coupling, and the
+        # momentum system reduces to one scalar equation per component
+        mesh, cfg, ws, u_n, u_nm1, p_n = cell
         state = scheme.SchemeState(u_prev=u_nm1, u_curr=u_n, p_curr=p_n,
                                    t=0.3, n=4)
         ut = momentum_step(state, cfg, ws)
@@ -192,6 +216,21 @@ class TestSingleCellMomentum:
         diag = 1.5 / k + np.sum(mesh.edge_tau) / (re * area)
         rhs = f + (4 * u_n.values[0] - u_nm1.values[0]) / (2 * k) - gp
         expected = rhs / diag
+        assert np.abs(ut.values[0] - expected).max() < 1e-12
+
+    def test_start_up_step_is_bdf1(self, cell):
+        # out of n = 0 the same step is semi-implicit Euler: u^{n-1} and
+        # the old pressure drop out
+        mesh, cfg, ws, u_n, u_nm1, p_n = cell
+        state = scheme.SchemeState(u_prev=u_nm1, u_curr=u_n, p_curr=p_n,
+                                   t=0.0, n=0)
+        ut = momentum_step(state, cfg, ws)
+
+        k, re = cfg.k, cfg.re
+        f = ws.forcing_at(k).values[0]
+        gp = gradient(p_n).values[0]
+        diag = 1.0 / k + np.sum(mesh.edge_tau) / (re * mesh.tri_area[0])
+        expected = (f + u_n.values[0] / k - gp) / diag
         assert np.abs(ut.values[0] - expected).max() < 1e-12
 
 
@@ -223,10 +262,8 @@ class TestStepProperties:
         ut = momentum_step(state, cfg, ws)
         _, dp = pressure_step(state, ut, cfg, ws)
         rhs = -1.5 / cfg.k * ws.p_mass * divergence(ut).values
-        dp_dense, info = solve(pressure_stiffness(mesh), rhs,
-                               SolverConfig(method="dense"),
-                               zero_mean_weights=ws.p_mass)
-        assert info.converged
+        dp_dense = reference.zero_mean_solve_dense(
+            pressure_stiffness(mesh).toarray(), rhs, ws.p_mass)
         denom = max(np.abs(dp_dense).max(), 1e-12)
         assert np.abs(dp.values - dp_dense).max() < 1e-10 * denom
 
@@ -240,6 +277,19 @@ class TestStepProperties:
             ws.certify(VectorP0(mesh, values), "test")
         with pytest.raises(SchemeError, match="NaN or Inf"):
             ws.certify(VectorP0(mesh, np.full_like(values, bad)), "test")
+
+    def test_pressure_failure_names_its_caller(self):
+        # no solve meets rtol 1e-30, so the first pressure solve of each
+        # path fails and must say where it was
+        cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=3)
+        mesh = unit_square_acute(0)
+        strict = replace(cfg, pressure=Tolerance(rtol=1e-30, atol=1e-300))
+        with pytest.raises(SolverError, match="^initial projection: "):
+            initialize(strict, mesh)
+        state, _, ws = initialize(cfg, mesh)
+        ut = momentum_step(state, cfg, ws)
+        with pytest.raises(SolverError, match="^pressure step 2: "):
+            pressure_step(state, ut, strict, ws)
 
     def test_forcing_projected_once_per_step(self, monkeypatch):
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
