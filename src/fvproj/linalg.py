@@ -147,42 +147,49 @@ def _cg(A, b, config, jacobi):
 
 
 def _bicgstab(A, b, config, jacobi):
+    """Jacobi-preconditioned BiCGStab with up to two restarts so the
+    reported (true) residual, not the recursion, meets the tolerance."""
     n = len(b)
     maxiter = config.maxiter or 10 * n
     tol = _tol(b, config)
-    x = np.zeros(n)
-    r = b - A @ x
-    r0 = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
-    res = np.linalg.norm(r)
-    it = 0
     scale = max(np.linalg.norm(b), 1e-300)
-    while res > tol and it < maxiter:
-        rho_new = r0 @ r
-        if abs(rho_new) < 1e-30 * scale * scale:
-            return x, SolveInfo(False, it, float(res), "bicgstab")  # breakdown
-        beta = (rho_new / rho) * (alpha / omega) if it else 0.0
-        p = r + beta * (p - omega * v) if it else r.copy()
-        phat = jacobi * p
-        v = A @ phat
-        alpha = rho_new / (r0 @ v)
-        s = r - alpha * v
-        if np.linalg.norm(s) <= tol:
-            x = x + alpha * phat
-            return x, SolveInfo(True, it + 1, float(np.linalg.norm(s)), "bicgstab")
-        shat = jacobi * s
-        t = A @ shat
-        tt = t @ t
-        if tt == 0.0:
-            return x, SolveInfo(False, it, float(res), "bicgstab")
-        omega = (t @ s) / tt
-        x = x + alpha * phat + omega * shat
-        r = s - omega * t
-        rho = rho_new
+    x = np.zeros(n)
+    it = 0
+    for _ in range(3):
+        r = b - A @ x
         res = np.linalg.norm(r)
-        it += 1
+        if res <= tol or it >= maxiter:
+            break
+        r0 = r.copy()
+        rho = alpha = omega = 1.0
+        v = p = np.zeros(n)  # so that the first direction is p = r
+        while res > tol and it < maxiter:
+            rho_new = r0 @ r
+            if abs(rho_new) < 1e-30 * scale * scale:
+                break  # breakdown
+            p = r + (rho_new / rho) * (alpha / omega) * (p - omega * v)
+            phat = jacobi * p
+            v = A @ phat
+            alpha = rho_new / (r0 @ v)
+            s = r - alpha * v
+            if np.linalg.norm(s) <= tol:
+                x = x + alpha * phat
+                it += 1
+                break
+            shat = jacobi * s
+            t = A @ shat
+            tt = t @ t
+            if tt == 0.0:
+                break
+            omega = (t @ s) / tt
+            x = x + alpha * phat + omega * shat
+            r = s - omega * t
+            rho = rho_new
+            res = np.linalg.norm(r)
+            it += 1
+        res = np.linalg.norm(b - A @ x)
+        if res <= tol:
+            break
     return x, SolveInfo(res <= tol, it, float(res), "bicgstab")
 
 

@@ -38,6 +38,11 @@ class SchemeError(RuntimeError):
     pass
 
 
+# Divergence certificate |div u| <= CERT_TOL max(|u|, removed divergence) of
+# a projected field; the pressure solve has its own (backward-error) gate.
+CERT_TOL = 1e-12
+
+
 # -- built-in data cases ----------------------------------------------------------
 
 def _a(x):
@@ -228,7 +233,7 @@ class _Workspace:
         self.p_solver = pressure_solver(mesh)
         self.p_mass = p1nc_mass(mesh)
         self.quad_order = config.quad_order
-        self.cert_tol = 10.0 * config.pressure.rtol
+        self.cert_tol = CERT_TOL
         self._forcing = (None, None)
 
     def forcing_at(self, t: float) -> VectorP0:

@@ -75,10 +75,24 @@ class TestInfSup:
         assert report.ok, report.to_text()
 
     def test_iterative_mode_matches_dense(self):
+        # LOBPCG against the dense Schur complement, assembled here
+        import scipy.linalg
+        from fvproj.fields import h_gram, p0_mass, p1nc_mass
+        from fvproj.operators import gradient_matrices
         mesh = unit_square_acute(1)
-        dense = analysis.estimate_infsup(mesh)
-        iterative = analysis.estimate_infsup(mesh, dense_limit=10)
-        assert abs(dense.beta - iterative.beta) < 1e-5 * dense.beta
+        H = h_gram(mesh).toarray()
+        area = p0_mass(mesh)
+        S = np.zeros((mesh.num_edges, mesh.num_edges))
+        for G in gradient_matrices(mesh):
+            MG = area[:, None] * G.toarray()
+            S += MG.T @ np.linalg.solve(H, MG)
+        mass = p1nc_mass(mesh)
+        basis = scipy.linalg.null_space(mass[None, :])
+        lam = scipy.linalg.eigh(basis.T @ S @ basis,
+                                basis.T @ (mass[:, None] * basis),
+                                eigvals_only=True)[0]
+        beta = analysis.estimate_infsup(mesh).beta
+        assert abs(np.sqrt(lam) - beta) < 1e-5 * np.sqrt(lam)
 
 
 class TestConsistencyRate:
@@ -118,22 +132,36 @@ class TestConstants:
         report = analysis.poincare_inverse_constants(levels=(0, 1), seed=7)
         assert report.ok, report.to_text()
         assert report.constants["poincare-cellwise"][0] > 0
+        # ARPACK starts from the seeded vector: the values repeat exactly
+        again = analysis.poincare_inverse_constants(levels=(0, 1), seed=7)
+        assert again.constants == report.constants
+
+    def test_arpack_failure_names_constant_and_level(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+        from fvproj.linalg import SolverError
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(analysis.spla, "eigs", no_convergence)
+        with pytest.raises(SolverError, match="poincare-cellwise level 0"):
+            analysis.poincare_inverse_constants(levels=(0,))
 
     def test_sparse_zero_mean_inverse_matches_cg(self):
-        # above 2000 unknowns the power iteration's pressure solves use the
-        # sparse bordered LU
+        # the pressure Poincare constant's solve: the cached factor applied
+        # to the mass times a kernel-projected vector, against CG
+        import scipy.sparse.linalg as spla
         from fvproj.fields import p1nc_mass
-        from fvproj.linalg import SolverConfig, solve
-        from fvproj.operators import pressure_stiffness
+        from fvproj.operators import pressure_solver, pressure_stiffness
         mesh = unit_square_acute(3)
-        assert mesh.num_edges >= 2000
         A, mass = pressure_stiffness(mesh).matrix, p1nc_mass(mesh)
         x0 = np.random.default_rng(2).standard_normal(mesh.num_edges)
         x0 -= (mass @ x0) / mass.sum()
-        x = analysis._prefactored_solver(A, mass)(mass * x0)
-        x_cg, info = solve(A, mass * x0, SolverConfig(method="cg", rtol=1e-13),
-                           zero_mean_weights=mass)
-        assert info.converged
+        x, _ = pressure_solver(mesh).solve(mass * x0, analysis._TIGHT)
+        x_cg, info = spla.cg(A, mass * x0, rtol=1e-13, atol=0.0,
+                             maxiter=20 * mesh.num_edges)
+        assert info == 0
+        x_cg -= (mass @ x_cg) / mass.sum()
         assert np.linalg.norm(x - x_cg) <= 1e-10 * np.linalg.norm(x_cg)
 
     def test_boundary_cell_field_has_finite_ratio(self, rng):

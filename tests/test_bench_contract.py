@@ -18,9 +18,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# perfbench/README.md documents this hook as optional
-OPTIONAL_HOOKS = {"fvproj.analysis._power_iteration"}
-
 # registers one workload, then runs it as ``perfbench/job.py`` would
 _DRIVER = """
 import json, sys
@@ -51,7 +48,7 @@ def _traced_job(tmp_path, name, kind, argv, writes_output=False):
 def _assert_clean(out):
     assert out["exit_code"] == 0
     assert out["attempted"] > 0 and out["failed"] == 0
-    assert set(out["missing_hooks"]) <= OPTIONAL_HOOKS
+    assert out["missing_hooks"] == []
 
 
 def test_run_job_binds(tmp_path):
@@ -70,3 +67,4 @@ def test_verify_job_binds(tmp_path):
                       ("verify", "--level", "0"))
     _assert_clean(out)
     assert len(out["verify_csv_sha256"]) == 64
+    assert out["counts"]["analysis.eig_applies"] > 0

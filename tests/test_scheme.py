@@ -117,6 +117,12 @@ class TestConfig:
         assert cfg2.pressure.rtol == 1e-12
         assert cfg2.momentum.rtol == 1e-9
 
+    def test_certificate_tolerance_independent_of_pressure_rtol(self):
+        cfg = RunConfig(mesh_spec="acute:0").with_overrides(
+            {"pressure_rtol": "1e-9"})
+        ws = _Workspace(cfg, unit_square_acute(0))
+        assert ws.cert_tol == scheme.CERT_TOL == 1e-12
+
     def test_bad_config_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("viscosity = 1\n")
@@ -325,6 +331,27 @@ class TestStepProperties:
         mass = p1nc_mass(state.u_curr.mesh)
         mean = abs(mass @ state.p_curr.values)
         assert mean <= 1e-13 * max(np.abs(state.p_curr.values).max(), 1.0)
+
+
+class TestMomentumSolveResidual:
+    def test_true_residual_meets_rtol(self, monkeypatch):
+        # regression: on this run BiCGStab once stopped on its recursive
+        # residual while |b - A x| / |b| was 1.00005e-12 > rtol
+        from fvproj import linalg
+        residuals = []
+
+        def recording_solve(A, b, config=None, **kwargs):
+            x, info = linalg.solve(A, b, config, **kwargs)
+            residuals.append(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+            return x, info
+
+        monkeypatch.setattr(scheme, "solve", recording_solve)
+        cfg = RunConfig(mesh_spec="acute:3", k=0.01, n_steps=20, re=1.0,
+                        case="manufactured-A")
+        run(cfg)
+        assert len(residuals) == 2 * cfg.n_steps
+        assert cfg.momentum.rtol == 1e-12
+        assert max(residuals) <= cfg.momentum.rtol
 
 
 class TestExtrapolatedAdvection:
