@@ -27,9 +27,9 @@ from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, collocate_p0,
 from .linalg import SolverError, Tolerance, solve
 from .mesh import Mesh, unit_square_acute
 from .operators import (convection_matrix, divergence, gradient,
-                        gradient_matrices, laplacian_p0, leray_project,
-                        pressure_solver, pressure_stiffness, trilinear_form,
-                        upwind_convection)
+                        gradient_matrices, h_solver, laplacian_p0,
+                        leray_project, pressure_solver, pressure_stiffness,
+                        trilinear_form, upwind_convection)
 from .scheme import _velocity_a
 
 IDENTITY_TOL = 1e-11
@@ -97,6 +97,12 @@ def random_p1nc(mesh, rng) -> ScalarP1NC:
 
 # tolerances of the verification suite's linear solves
 _TIGHT = Tolerance(rtol=1e-13, atol=1e-16)
+
+
+def _h_inverse(mesh: Mesh, where: str):
+    """x -> H^-1 x by the mesh's cached factor of the H1 Gram matrix."""
+    solver = h_solver(mesh)
+    return lambda x: solver.solve(x, _TIGHT, where)[0]
 
 
 def random_solenoidal(mesh, rng) -> SolenoidalP0:
@@ -193,7 +199,7 @@ def check_convection(mesh: Mesh, seed: int = 7, level: int = 0,
     # so probe with solenoidal single-cell impulses.  The ratio for one u is
     # sqrt(lambda_max) of W' H^-1 W x = lambda H x, W the weighted transport.
     H = h_gram(mesh)
-    h_lu = spla.splu(sp.csc_matrix(H))
+    h_inv = _h_inverse(mesh, f"convection-stability level {level}")
     impulses = [(rng.integers(mesh.num_triangles), rng.standard_normal(2))
                 for _ in range(n_extremal)]
     stab = 0.0
@@ -204,9 +210,9 @@ def check_convection(mesh: Mesh, seed: int = 7, level: int = 0,
             leray_project(VectorP0(mesh, vals), _TIGHT)[0])
         W = convection_matrix(u, weighted=True).matrix
         lam, _ = _power_iteration(
-            lambda x: h_lu.solve(W.T @ h_lu.solve(W @ x)),
+            lambda x: h_inv(W.T @ h_inv(W @ x)),
             b_product=lambda x: x @ (H @ x),
-            a_product=lambda x: (W @ x) @ h_lu.solve(W @ x),
+            a_product=lambda x: (W @ x) @ h_inv(W @ x),
             x0=rng.standard_normal(mesh.num_triangles), tol=1e-12,
             where=f"convection-stability level {level}")
         stab = max(stab, np.sqrt(lam) / l2_norm(u.field))
@@ -264,15 +270,12 @@ def _schur_smallest(mesh: Mesh, mass_p, tol=1e-10, maxiter=300):
     identity on meshes too small for LOBPCG."""
     Gx, Gy = gradient_matrices(mesh)
     area = p0_mass(mesh)
-    lu = spla.splu(sp.csc_matrix(h_gram(mesh)))
+    h_inv = _h_inverse(mesh, "inf-sup Schur complement")
 
     def s_matvec(q):
         q = np.asarray(q, dtype=float).ravel()
-        out = np.zeros(len(q))
-        for G in (Gx, Gy):
-            mg = area * (G @ q)
-            out += G.T @ (area * lu.solve(mg))
-        return out
+        w = area[:, None] * h_inv(area[:, None] * np.stack([Gx @ q, Gy @ q], axis=1))
+        return Gx.T @ w[:, 0] + Gy.T @ w[:, 1]
 
     ne = mesh.num_edges
     S_op = spla.LinearOperator((ne, ne), matvec=s_matvec, dtype=np.float64)
@@ -453,13 +456,13 @@ def poincare_inverse_constants(levels=(0, 1, 2), seed: int = 7,
         rng = _rng(seed, lvl + 757)
         area = p0_mass(mesh)
         H = h_gram(mesh)
-        h_lu = spla.splu(sp.csc_matrix(H))
+        h_inv = _h_inverse(mesh, f"poincare-cellwise level {lvl}")
         # the coarsest level is compared against the dense oracle; finer
         # levels only feed the (loose) drift trend
         tol = 1e-15 if lvl == min(levels) else 1e-12
 
         lam_p, _ = _power_iteration(
-            lambda x: h_lu.solve(area * x),
+            lambda x: h_inv(area * x),
             b_product=lambda x: x @ (H @ x),
             a_product=lambda x: x @ (area * x),
             x0=rng.standard_normal(mesh.num_triangles), tol=tol,

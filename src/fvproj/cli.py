@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mesh", help="mesh file path or acute:L selector")
     run.add_argument("--out", help="output directory (monitors.csv, snapshots)")
     run.add_argument("--solver-rtol", type=float,
-                     help="relative tolerance for all linear solves")
+                     help="relative tolerance of the momentum and pressure solves")
     run.add_argument("--allow-degenerate", action="store_true",
                      help="only warn on inadmissible meshes")
     run.add_argument("overrides", nargs="*", metavar="key=value",

@@ -335,22 +335,15 @@ def h_norm(v) -> float:
     return float(np.sqrt(max(s, 0.0)))
 
 
-def dual_norm(v: VectorP0, rtol: float = 1e-12) -> float:
-    """Dual of the discrete H1 norm, realized exactly by one SPD solve per
-    component: ||v||_* = sqrt((Mv)' H^{-1} (Mv))."""
-    from . import linalg  # deferred: linalg is independent of field types
+def dual_norm(v: VectorP0) -> float:
+    """Dual of the discrete H1 norm, realized exactly by one solve with the
+    factored H for both components: ||v||_* = sqrt((Mv)' H^{-1} (Mv))."""
+    from . import linalg, operators  # deferred: operators imports fields
 
-    mesh = v.mesh
-    H = linalg.SparseOperator(h_gram(mesh), domain="p0", codomain="p0")
-    config = linalg.SolverConfig(method="cg", rtol=rtol)
-    total = 0.0
-    for c in range(2):
-        mv = mesh.tri_area * v.values[:, c]
-        w, info = linalg.solve(H, mv, config)
-        if not info.converged:
-            raise linalg.SolverError(f"dual norm solve failed: {info}")
-        total += float(mv @ w)
-    return float(np.sqrt(max(total, 0.0)))
+    mv = v.mesh.tri_area[:, None] * v.values
+    w, _ = operators.h_solver(v.mesh).solve(mv, linalg.Tolerance(rtol=1e-12),
+                                            "dual norm")
+    return float(np.sqrt(max(np.sum(mv * w), 0.0)))
 
 
 def mean_zero(q: ScalarP1NC) -> ScalarP1NC:

@@ -199,31 +199,6 @@ class Mesh:
             out[:, j] = np.arccos(np.clip(cosang, -1.0, 1.0))
         return out
 
-    def boundary_polygon_area(self):
-        """Area enclosed by the boundary loop(s), by the shoelace formula."""
-        nxt = {}
-        for e in self.boundary_edges:
-            k = self.edge_owner[e]
-            t = self.triangles[k]
-            j = int(np.where(self.tri_edges[k] == e)[0][0])
-            # boundary edge traversed CCW as seen from the owner
-            nxt[t[(j + 1) % 3]] = t[(j + 2) % 3]
-        total = 0.0
-        seen = set()
-        for start in sorted(nxt):
-            if start in seen:
-                continue
-            v = start
-            while True:
-                seen.add(v)
-                w = nxt[v]
-                total += (self.vertices[v, 0] * self.vertices[w, 1]
-                          - self.vertices[w, 0] * self.vertices[v, 1])
-                v = w
-                if v == start:
-                    break
-        return 0.5 * total
-
     def __repr__(self):
         return (f"Mesh(nv={self.num_vertices}, nt={self.num_triangles}, "
                 f"ne={self.num_edges}, h={self.h:.4g})")
@@ -399,11 +374,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
 # -- built-in meshes ---------------------------------------------------------------
 
-def single_triangle(vertices=((0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2))) -> Mesh:
-    """One triangle; default equilateral with unit sides."""
-    return Mesh(np.array(vertices, dtype=float), np.array([[0, 1, 2]]))
-
-
 def equilateral_pair() -> Mesh:
     """Two unit equilateral triangles sharing an edge (a rhombus).
 
@@ -414,38 +384,6 @@ def equilateral_pair() -> Mesh:
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, s], [0.5, -s]])
     tris = np.array([[0, 1, 2], [1, 0, 3]])
     return Mesh(verts, tris)
-
-
-def square_two_triangles() -> Mesh:
-    """Unit square split by one diagonal.  Right angles: not admissible."""
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    tris = np.array([[0, 1, 2], [0, 2, 3]])
-    return Mesh(verts, tris)
-
-
-def unit_square_crisscross(n: int = 2) -> Mesh:
-    """n*n grid, each cell cut into 4 by both diagonals.  All angles are
-    pi/4 or pi/2: not admissible."""
-    pts = []
-    idx = {}
-
-    def vid(x, y):
-        key = (round(x, 12), round(y, 12))
-        if key not in idx:
-            idx[key] = len(pts)
-            pts.append(key)
-        return idx[key]
-
-    tris = []
-    d = 1.0 / n
-    for i in range(n):
-        for j in range(n):
-            x0, y0 = i * d, j * d
-            c = vid(x0 + d / 2, y0 + d / 2)
-            corners = [vid(x0, y0), vid(x0 + d, y0), vid(x0 + d, y0 + d), vid(x0, y0 + d)]
-            for a in range(4):
-                tris.append((corners[a], corners[(a + 1) % 4], c))
-    return Mesh(np.array(pts, dtype=float), np.array(tris, dtype=np.int64))
 
 
 # A strictly acute triangulation of the unit square (26 triangles, max

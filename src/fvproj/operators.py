@@ -9,8 +9,9 @@ interior rows carry 3|e|/(|K|+|L|).
 Two Laplacians: the pressure Laplacian is the composition div(grad) with
 an SPD weak form (grad, grad); the velocity Laplacian is the two-point
 flux operator whose negative mass-weighted matrix is the Gram matrix of
-the discrete H1 norm.  The factored pressure Laplacian also gives the one
-discrete Leray projection.
+the discrete H1 norm.  The pressure Laplacian and that Gram matrix are
+each factored once per mesh; the factored pressure Laplacian also gives
+the one discrete Leray projection.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
                      h_gram, p1nc_mass)
-from .linalg import SparseOperator, Tolerance, ZeroMeanSolver
+from .linalg import FactoredSolver, SparseOperator, Tolerance
 from .mesh import Mesh
 
 
@@ -101,13 +102,23 @@ def pressure_stiffness(mesh: Mesh) -> SparseOperator:
     return cached
 
 
-def pressure_solver(mesh: Mesh) -> ZeroMeanSolver:
+def pressure_solver(mesh: Mesh) -> FactoredSolver:
     """The factored pressure Laplacian on the mass-weighted zero-mean
     subspace; built on first use and kept for the life of the mesh."""
     cached = mesh._cache.get("pressure_solver")
     if cached is None:
-        cached = ZeroMeanSolver(pressure_stiffness(mesh).matrix, p1nc_mass(mesh))
+        cached = FactoredSolver(pressure_stiffness(mesh).matrix, p1nc_mass(mesh))
         mesh._cache["pressure_solver"] = cached
+    return cached
+
+
+def h_solver(mesh: Mesh) -> FactoredSolver:
+    """The factored Gram matrix H of the discrete H1 norm (SPD); built on
+    first use and kept for the life of the mesh."""
+    cached = mesh._cache.get("h_solver")
+    if cached is None:
+        cached = FactoredSolver(h_gram(mesh))
+        mesh._cache["h_solver"] = cached
     return cached
 
 

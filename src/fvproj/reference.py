@@ -303,6 +303,16 @@ def zero_mean_solve_dense(A: np.ndarray, b, weights) -> np.ndarray:
 
 # -- mesh construction by loops -------------------------------------------------
 
+def boundary_polygon_area(mesh) -> float:
+    """Area enclosed by the boundary loop(s), by the shoelace formula over
+    the counterclockwise boundary half-edges: the (a, b) of a triangle
+    whose reverse (b, a) belongs to no triangle."""
+    half = {(int(t[j]), int(t[(j + 1) % 3])) for t in mesh.triangles for j in range(3)}
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    return 0.5 * sum(x[a] * y[b] - x[b] * y[a]
+                     for a, b in sorted(half) if (b, a) not in half)
+
+
 def edge_topology_loop(vertices, triangles):
     """Edge arrays of a triangulation by dictionary enumeration.
 

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import vtkio
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm, l2_inner,
                      l2_norm, mean_zero, p1nc_mass, project_p0)
-from .linalg import SolverConfig, SolverError, Tolerance, solve
+from .linalg import SolverError, Tolerance, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
 from .operators import (convection_matrix, divergence, gradient,
                         leray_project, pressure_solver, trilinear_form,
@@ -111,8 +111,7 @@ class RunConfig:
     n_steps: int = 200
     re: float = 100.0
     case: str = "manufactured-A"
-    momentum: SolverConfig = field(
-        default_factory=lambda: SolverConfig(method="bicgstab", rtol=1e-12))
+    momentum: Tolerance = field(default_factory=lambda: Tolerance(rtol=1e-12))
     # pressure solves use the factored operator
     pressure: Tolerance = field(default_factory=lambda: Tolerance(rtol=1e-13))
     out_dir: str | None = None

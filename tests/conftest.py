@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fvproj import mesh as meshmod
+from fixture_meshes import single_triangle
 
 
 @pytest.fixture
@@ -11,12 +12,12 @@ def rng():
 
 @pytest.fixture(scope="session")
 def equilateral():
-    return meshmod.single_triangle()
+    return single_triangle()
 
 
 @pytest.fixture(scope="session")
 def right_triangle():
-    return meshmod.single_triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    return single_triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,12 @@ import pytest
 from fvproj import analysis, reference
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm,
                            l2_inner, l2_norm, norm_1h, p1nc_mass)
-from fvproj.mesh import equilateral_pair, single_triangle, unit_square_acute
+from fvproj.mesh import equilateral_pair, unit_square_acute
 from fvproj.linalg import Tolerance
 from fvproj.operators import (divergence, gradient, laplacian_p0,
                               leray_project, trilinear_form)
 from fvproj.scheme import RunConfig, SchemeState, _Workspace, momentum_step, run
+from fixture_meshes import single_triangle
 
 LEVELS = (0, 1, 2)
 N_SAMPLES = 32

@@ -60,6 +60,9 @@ def test_run_job_binds(tmp_path):
     assert out["attempted"] == 3
     assert out["div_max"] <= out["cert_tol"]
     assert out["counts"]["fields.project_p0_calls"] > 0
+    # every momentum solve went through BiCGStab; nothing fell back
+    assert out["counts"]["linalg.momentum_solves"] > 0
+    assert out["counts"]["linalg.fallbacks"] == 0
 
 
 def test_verify_job_binds(tmp_path):
@@ -68,3 +71,7 @@ def test_verify_job_binds(tmp_path):
     _assert_clean(out)
     assert len(out["verify_csv_sha256"]) == 64
     assert out["counts"]["analysis.eig_applies"] > 0
+    # verify solves no momentum system: its dual norms use the H factor, not
+    # the ``solve`` that perfbench counts as a momentum solve (a Counter
+    # dumped to JSON has no key for a count never incremented)
+    assert out["counts"].get("linalg.momentum_solves", 0) == 0

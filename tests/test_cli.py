@@ -1,5 +1,6 @@
 from fvproj.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main)
-from fvproj.mesh import save_mesh, square_two_triangles, unit_square_acute
+from fvproj.mesh import save_mesh, unit_square_acute
+from fixture_meshes import square_two_triangles
 
 
 class TestMeshCheck:

@@ -5,13 +5,14 @@ from fvproj import reference
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
                            h_norm, l2_inner, l2_norm, mean_zero, p1nc_mass,
                            project_p1nc)
-from fvproj.linalg import SolverConfig, Tolerance, solve
-from fvproj.mesh import single_triangle, unit_square_acute
+from fvproj.linalg import Tolerance, solve
+from fvproj.mesh import unit_square_acute
 from fvproj.operators import (convection_matrix, divergence,
                               divergence_matrices, gradient,
                               gradient_matrices, laplacian_p0, leray_project,
                               pressure_stiffness, trilinear_form,
                               upwind_convection, velocity_stiffness)
+from fixture_meshes import single_triangle
 
 
 def random_solenoidal(mesh, rng):
@@ -134,7 +135,7 @@ class TestPressureLaplacian:
         rhs_field = mean_zero(ScalarP1NC(mesh, rng.standard_normal(mesh.num_edges)))
         b = mass * rhs_field.values
         x, info = solve(pressure_stiffness(mesh), b,
-                        SolverConfig(method="cg", rtol=1e-12),
+                        Tolerance(rtol=1e-12),
                         zero_mean_weights=mass)
         assert info.converged
         assert abs(mass @ x) < 1e-13 * max(np.abs(x).max(), 1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fvproj import quadrature
-from fvproj.mesh import single_triangle
+from fixture_meshes import single_triangle
 
 
 def bary_monomial_integral(a, b, c, area):

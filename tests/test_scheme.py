@@ -7,11 +7,12 @@ from fvproj import reference, scheme
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, l2_norm,
                            p1nc_mass)
 from fvproj.linalg import SolverError, Tolerance
-from fvproj.mesh import single_triangle, unit_square_acute
+from fvproj.mesh import unit_square_acute
 from fvproj.operators import divergence, gradient, pressure_stiffness
 from fvproj.scheme import (RunConfig, SchemeError, _Workspace, advance,
                            correction_step, initialize, make_case,
                            momentum_step, pressure_step, run)
+from fixture_meshes import single_triangle, square_two_triangles
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +82,8 @@ class TestCases:
 class TestConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
-        assert cfg.momentum.method == "bicgstab"
-        # the factored pressure solve reads its tolerances and nothing else
+        # both solves read their tolerances and nothing else
+        assert cfg.momentum == Tolerance(rtol=1e-12)
         assert cfg.pressure == Tolerance(rtol=1e-13)
 
     def test_validation(self):
@@ -428,7 +429,6 @@ class TestRunDriver:
     def test_run_requires_admissible_mesh(self):
         from fvproj.mesh import MeshTopologyError
         cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=3)
-        from fvproj.mesh import square_two_triangles
         with pytest.raises(MeshTopologyError):
             run(cfg, mesh=square_two_triangles())
 
