@@ -1,11 +1,13 @@
 """Sparse linear algebra: tagged CSR operators and the two solves the
 scheme needs.
 
-``solve`` runs Jacobi-preconditioned BiCGStab on the nonsymmetric momentum
-system.  ``FactoredSolver`` factors a fixed symmetric matrix once with
-SuperLU, so each later solve with it is two triangular solves: the
-pressure Laplacian on its zero-mean subspace, and the discrete H1 Gram
-matrix of the dual norm and the verification suite.
+``solve`` runs preconditioned BiCGStab on the nonsymmetric momentum
+system: with the preconditioner its ``SparseOperator`` carries (the scheme
+passes a lagged factor of the momentum matrix), else with Jacobi.
+``FactoredSolver`` factors a fixed matrix once with SuperLU, so each later
+solve with it is two triangular solves: the pressure Laplacian on its
+zero-mean subspace, the discrete H1 Gram matrix of the dual norm and the
+verification suite, and the momentum matrix of that preconditioner.
 """
 from __future__ import annotations
 
@@ -21,16 +23,22 @@ class SolverError(RuntimeError):
 
 
 class SparseOperator:
-    """Compressed-row matrix tagged with its domain and codomain spaces."""
+    """Compressed-row matrix tagged with its domain and codomain spaces.
 
-    __slots__ = ("matrix", "domain", "codomain")
+    ``preconditioner``, when given, is a callable v -> P^{-1} v with P
+    close to the matrix; ``solve`` uses it in place of Jacobi.
+    """
 
-    def __init__(self, matrix, domain: str = "", codomain: str = ""):
+    __slots__ = ("matrix", "domain", "codomain", "preconditioner")
+
+    def __init__(self, matrix, domain: str = "", codomain: str = "",
+                 preconditioner=None):
         m = sp.csr_matrix(matrix)
         m.sum_duplicates()
         self.matrix = m
         self.domain = domain
         self.codomain = codomain
+        self.preconditioner = preconditioner
 
     @property
     def shape(self):
@@ -38,11 +46,6 @@ class SparseOperator:
 
     def __matmul__(self, x):
         return self.matrix @ x
-
-    @property
-    def T(self):
-        return SparseOperator(self.matrix.T.tocsr(),
-                              domain=self.codomain, codomain=self.domain)
 
     def toarray(self):
         return self.matrix.toarray()
@@ -80,6 +83,8 @@ class SolveInfo:
 
 # BiCGStab iteration cap, per unknown
 _MAXITER_PER_UNKNOWN = 10
+# BiCGStab gives up once its residual exceeds this multiple of |b|
+_DIVERGENCE_FACTOR = 1e10
 
 
 def _as_csr(A):
@@ -91,13 +96,16 @@ def _require_finite(b):
         raise SolverError("right-hand side has NaN or Inf entries")
 
 
-def _bicgstab(A, b, config: Tolerance, jacobi):
-    """Jacobi-preconditioned BiCGStab with up to two restarts so the
-    reported (true) residual, not the recursion, meets the tolerance."""
+def _bicgstab(A, b, config: Tolerance, precondition):
+    """Right-preconditioned BiCGStab (``precondition(v)`` ~ A^{-1} v) with
+    up to two restarts so the reported (true) residual, not the recursion,
+    meets the tolerance.  A residual that is not finite or exceeds
+    _DIVERGENCE_FACTOR |b| ends the solve as not converged."""
     n = len(b)
     maxiter = _MAXITER_PER_UNKNOWN * n
     tol = max(config.rtol * np.linalg.norm(b), config.atol)
     scale = max(np.linalg.norm(b), 1e-300)
+    diverged = lambda res: not res <= _DIVERGENCE_FACTOR * scale
     x = np.zeros(n)
     it = 0
     for _ in range(3):
@@ -113,7 +121,7 @@ def _bicgstab(A, b, config: Tolerance, jacobi):
             if abs(rho_new) < 1e-30 * scale * scale:
                 break  # breakdown
             p = r + (rho_new / rho) * (alpha / omega) * (p - omega * v)
-            phat = jacobi * p
+            phat = precondition(p)
             v = A @ phat
             alpha = rho_new / (r0 @ v)
             s = r - alpha * v
@@ -121,7 +129,7 @@ def _bicgstab(A, b, config: Tolerance, jacobi):
                 x = x + alpha * phat
                 it += 1
                 break
-            shat = jacobi * s
+            shat = precondition(s)
             t = A @ shat
             tt = t @ t
             if tt == 0.0:
@@ -132,15 +140,18 @@ def _bicgstab(A, b, config: Tolerance, jacobi):
             rho = rho_new
             res = np.linalg.norm(r)
             it += 1
+            if diverged(res):
+                break
         res = np.linalg.norm(b - A @ x)
-        if res <= tol:
+        if res <= tol or diverged(res):
             break
     return x, SolveInfo(res <= tol, it, float(res), "bicgstab")
 
 
 def solve(A, b, tol: Tolerance, zero_mean_weights=None):
-    """Solve A x = b by Jacobi-preconditioned BiCGStab, capped at 10 n
-    iterations; returns (x, SolveInfo), and the caller judges
+    """Solve A x = b by BiCGStab, capped at 10 n iterations, preconditioned
+    by ``A.preconditioner`` when A is a SparseOperator that carries one and
+    by Jacobi otherwise; returns (x, SolveInfo), and the caller judges
     ``SolveInfo.converged``.  With ``zero_mean_weights`` (the diagonal mass
     of the pressure space), returns the solution of zero weighted mean from
     a ``FactoredSolver`` of A, which raises SolverError on failure."""
@@ -155,16 +166,22 @@ def solve(A, b, tol: Tolerance, zero_mean_weights=None):
     if not np.linalg.norm(b):
         return np.zeros(n), SolveInfo(True, 0, 0.0, "bicgstab")
 
-    diag = A_csr.diagonal()
-    jacobi = np.where(np.abs(diag) > 0, 1.0 / np.where(diag != 0, diag, 1.0), 1.0)
-    return _bicgstab(A_csr, b, tol, jacobi)
+    precondition = getattr(A, "preconditioner", None)
+    if precondition is None:
+        diag = A_csr.diagonal()
+        jacobi = np.where(np.abs(diag) > 0, 1.0 / np.where(diag != 0, diag, 1.0), 1.0)
+        precondition = lambda v: jacobi * v
+    return _bicgstab(A_csr, b, tol, precondition)
 
 
 class FactoredSolver:
-    """Direct solver of A x = b for a fixed symmetric A, factored once by
-    SuperLU with a minimum-degree ordering of its symmetric pattern (the
-    default COLAMD ordering fills about twice as much on the pressure
-    Laplacian).
+    """Direct solver of A x = b for a fixed A, factored once by SuperLU
+    with a minimum-degree ordering of its symmetric pattern (the default
+    COLAMD ordering fills about twice as much on the pressure Laplacian)
+    and diagonal pivots preferred.  That suits the symmetric pressure and
+    H1 matrices and the nonsymmetric momentum matrix, which is structurally
+    symmetric and column diagonally dominant (SuperLU keeps its diagonal
+    pivots on acute:3 and acute:5).
 
     Without weights A must be nonsingular.  With weights w, A is positive
     semidefinite with the constants as kernel, and the solve is on the
@@ -215,3 +232,8 @@ class FactoredSolver:
                 f"{where}: factored solve failed: {info}, backward error "
                 f"{np.max(r_inf / scale):.3e} > rtol {tol.rtol:.1e}")
         return x, info
+
+    def apply(self, b):
+        """The triangular solves alone, with no gate: an approximate
+        inverse for a preconditioner (plain factor only)."""
+        return self._lu.solve(b)

@@ -64,7 +64,7 @@ def triangle_points(vertices: np.ndarray, bary: np.ndarray) -> np.ndarray:
     bary: (nq, 3) barycentric points.
     Returns (nt, nq, 2).
     """
-    return np.einsum("qj,tjd->tqd", bary, vertices)
+    return bary @ vertices
 
 
 def segment_rule(npoints: int = 3):

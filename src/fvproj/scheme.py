@@ -14,6 +14,11 @@ which leaves u^{n+1} divergence free up to the pressure-solve residual.
 Leray projection of the cell-averaged data, and u^1 comes from the same
 step out of (u^{-1}, u^0, p^0) = (u^0, u^0, 0) with the BDF1 coefficients
 (1, -1, 0): semi-implicit Euler, advected by 2 u^0 - u^0 = u^0.
+
+The predictor system is solved by BiCGStab preconditioned with a lagged
+SuperLU factor of the BDF2 momentum matrix 3/(2k) M + H/Re + C(u*): built
+at the first solve (the start-up step, whose a0 = 1 it does not match)
+and rebuilt only after a solve needs more than REFACTOR_ITERS iterations.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import scipy.sparse as sp
 from . import vtkio
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm, l2_inner,
                      l2_norm, mean_zero, p1nc_mass, project_p0)
-from .linalg import SolverError, Tolerance, solve
+from .linalg import FactoredSolver, SolverError, SparseOperator, Tolerance, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
 from .operators import (convection_matrix, divergence, gradient,
                         leray_project, pressure_solver, trilinear_form,
@@ -41,6 +46,10 @@ class SchemeError(RuntimeError):
 # Divergence certificate |div u| <= CERT_TOL max(|u|, removed divergence) of
 # a projected field; the pressure solve has its own (backward-error) gate.
 CERT_TOL = 1e-12
+
+# A momentum solve of more BiCGStab iterations than this rebuilds the
+# preconditioner's factor at the next step; a fresh factor needs about 3.
+REFACTOR_ITERS = 20
 
 
 # -- built-in data cases ----------------------------------------------------------
@@ -89,16 +98,16 @@ def _forcing_a(x, y, re):
 class DataCase:
     name: str
     u0: callable            # u0(x, y) -> (..., 2)
-    forcing: callable        # forcing(x, y, t) -> (..., 2)
+    forcing: callable        # steady forcing(x, y) -> (..., 2)
 
 
 def make_case(name: str, re: float) -> DataCase:
     if name == "zero":
         zero = lambda x, y: np.zeros(np.shape(x) + (2,))
-        return DataCase("zero", zero, lambda x, y, t: zero(x, y))
+        return DataCase("zero", zero, zero)
     if name == "manufactured-A":
         return DataCase("manufactured-A", _velocity_a,
-                        lambda x, y, t: _forcing_a(x, y, re))
+                        lambda x, y: _forcing_a(x, y, re))
     raise ValueError(f"unknown case {name!r} (choose zero or manufactured-A)")
 
 
@@ -196,6 +205,8 @@ class StepRecord:
     orth_residual: float
     pyth_residual: float
     energy_residual: float
+    mom_iters: int = 0          # BiCGStab iterations of both components
+    mom_refactor: int = 0       # 1 if the step rebuilt the momentum factor
 
 
 @dataclass
@@ -209,7 +220,8 @@ class Trajectory:
 
     def monitor_rows(self):
         names = ("step", "t", "u_l2", "ut_hnorm", "p_l2", "div_residual",
-                 "increment", "orth_residual", "pyth_residual", "energy_residual")
+                 "increment", "orth_residual", "pyth_residual", "energy_residual",
+                 "mom_iters", "mom_refactor")
         return names, [[getattr(r, n) for n in names] for r in self.records]
 
     def write_monitors(self, path) -> None:
@@ -217,12 +229,14 @@ class Trajectory:
         with open(path, "w") as f:
             f.write(",".join(names) + "\n")
             for row in rows:
-                f.write(f"{row[0]:d}," + ",".join(f"{v:.16e}" for v in row[1:]) + "\n")
+                f.write(",".join(f"{v:d}" if isinstance(v, int) else f"{v:.16e}"
+                                 for v in row) + "\n")
 
 
 class _Workspace:
-    """Once-per-run assembled pieces: masses, stiffness, the factored
-    pressure operator, forcing sampler."""
+    """Once-per-run pieces: masses, stiffness, the factored pressure
+    operator, the projected (steady) forcing, and the lagged momentum
+    factor with its refactor flag."""
 
     def __init__(self, config: RunConfig, mesh: Mesh):
         self.mesh = mesh
@@ -231,18 +245,11 @@ class _Workspace:
         self.h_stiff = velocity_stiffness(mesh).matrix
         self.p_solver = pressure_solver(mesh)
         self.p_mass = p1nc_mass(mesh)
-        self.quad_order = config.quad_order
         self.cert_tol = CERT_TOL
-        self._forcing = (None, None)
-
-    def forcing_at(self, t: float) -> VectorP0:
-        """Cell averages of the forcing at time t; the last one is kept,
-        since a step needs f(t^{n+1}) for both the predictor and the
-        energy monitor."""
-        if self._forcing[0] != t:
-            self._forcing = (t, project_p0(lambda x, y: self.case.forcing(x, y, t),
-                                           self.mesh, self.quad_order))
-        return self._forcing[1]
+        self.forcing = project_p0(self.case.forcing, mesh, config.quad_order)
+        self.mom_factor = None
+        self.refactor_due = True
+        self.mom_iters = self.mom_refactor = 0
 
     def certify(self, v: VectorP0, where: str, div_scale: float = 0.0) -> SolenoidalP0:
         """Gate a projected field on its remaining divergence.
@@ -274,23 +281,35 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     """Solve the predictor system; one matrix, two right-hand sides.
 
     ``grad_p`` is gradient(state.p_curr) when the caller already has it.
+    Leaves the step's BiCGStab iterations (both solves) in
+    ``ws.mom_iters`` and whether it rebuilt the factor in
+    ``ws.mom_refactor``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
     u_star = SolenoidalP0.trusted(
         2.0 * state.u_curr.field - state.u_prev.field)
-    A = (sp.diags(a0 / k * ws.mass) + (1.0 / config.re) * ws.h_stiff
-         + convection_matrix(u_star, weighted=True).matrix).tocsr()
-    f = ws.forcing_at(state.t + k)
+    A = ((1.0 / config.re) * ws.h_stiff
+         + convection_matrix(u_star, weighted=True).matrix)
+    refactor = ws.refactor_due
+    if refactor:
+        ws.mom_factor = None  # free the old factor before building the new
+        ws.mom_factor = FactoredSolver(A + sp.diags(1.5 / k * ws.mass))
+    A = SparseOperator(A + sp.diags(a0 / k * ws.mass), "p0", "p0",
+                       preconditioner=ws.mom_factor.apply)
     gp = gradient(state.p_curr) if grad_p is None else grad_p
-    rhs_common = (f.values
+    rhs_common = (ws.forcing.values
                   - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
                   - gp.values) * ws.mass[:, None]
     out = np.empty_like(rhs_common)
+    iters = []
     for c in range(2):
         out[:, c], info = solve(A, rhs_common[:, c], config.momentum)
         if not info.converged:
             raise SolverError(f"momentum solve (component {c}) failed: {info}")
+        iters.append(info.iterations)
+    ws.refactor_due = max(iters) > REFACTOR_ITERS
+    ws.mom_iters, ws.mom_refactor = sum(iters), int(refactor)
     return VectorP0(state.u_curr.mesh, out)
 
 
@@ -349,7 +368,7 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
         4.0 * k / config.re * h_norm(u_tilde) ** 2,
         4.0 * k * trilinear_form(u_star, u_tilde, u_tilde),
         4.0 * k * l2_inner(gp_n, u_tilde),
-        -4.0 * k * l2_inner(ws.forcing_at(new.t), u_tilde),
+        -4.0 * k * l2_inner(ws.forcing, u_tilde),
     ]
     energy = abs(sum(terms)) / max(max(abs(v) for v in terms), tiny)
 
@@ -363,6 +382,8 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
         orth_residual=orth,
         pyth_residual=pyth,
         energy_residual=energy,
+        mom_iters=ws.mom_iters,
+        mom_refactor=ws.mom_refactor,
     )
     return new, rec
 

@@ -270,5 +270,4 @@ def test_operator_tags():
     mesh = unit_square_acute(0)
     A = pressure_stiffness(mesh)
     assert A.domain == "p1nc" and A.codomain == "p1nc"
-    assert A.T.domain == "p1nc"
     assert "SparseOperator" in repr(A)

@@ -39,6 +39,21 @@ def test_triangle_points_mapping():
     assert np.allclose(pts[0, 1], [2 / 3, 2 / 3])
 
 
+def test_triangle_points_match_loop_on_a_mesh():
+    # the broadcast product against an explicit loop over triangles and
+    # points; three products summed, so equal to a few units in the last place
+    from fvproj.mesh import unit_square_acute
+    mesh = unit_square_acute(2)
+    verts = mesh.vertices[mesh.triangles]
+    bary, _ = quadrature.triangle_rule(5)
+    pts = quadrature.triangle_points(verts, bary)
+    assert pts.shape == (mesh.num_triangles, len(bary), 2)
+    for t in range(mesh.num_triangles):
+        for q in range(len(bary)):
+            exact = sum(bary[q, j] * verts[t, j] for j in range(3))
+            assert np.abs(pts[t, q] - exact).max() <= 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("n,deg", [(1, 1), (2, 3), (3, 5)])
 def test_segment_rule_exactness(n, deg):
     t, w = quadrature.segment_rule(n)

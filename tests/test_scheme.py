@@ -27,7 +27,7 @@ class TestCases:
         case = make_case("zero", 50.0)
         x = np.linspace(0, 1, 5)
         assert np.all(case.u0(x, x) == 0)
-        assert np.all(case.forcing(x, x, 0.3) == 0)
+        assert np.all(case.forcing(x, x) == 0)
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ class TestCases:
 
         def residual_field(x, y):
             # f - convection + viscous term, evaluated via the case pieces
-            f = case.forcing(x, y, 0.0)
+            f = case.forcing(x, y)
             u = case.u0(x, y)
             dux = (case.u0(x + eps, y) - case.u0(x - eps, y)) / (2 * eps)
             duy = (case.u0(x, y + eps) - case.u0(x, y - eps)) / (2 * eps)
@@ -218,7 +218,7 @@ class TestSingleCellMomentum:
 
         k, re = cfg.k, cfg.re
         area = mesh.tri_area[0]
-        f = ws.forcing_at(state.t + k).values[0]
+        f = ws.forcing.values[0]
         gp = gradient(p_n).values[0]
         diag = 1.5 / k + np.sum(mesh.edge_tau) / (re * area)
         rhs = f + (4 * u_n.values[0] - u_nm1.values[0]) / (2 * k) - gp
@@ -234,7 +234,7 @@ class TestSingleCellMomentum:
         ut = momentum_step(state, cfg, ws)
 
         k, re = cfg.k, cfg.re
-        f = ws.forcing_at(k).values[0]
+        f = ws.forcing.values[0]
         gp = gradient(p_n).values[0]
         diag = 1.0 / k + np.sum(mesh.edge_tau) / (re * mesh.tri_area[0])
         expected = (f + u_n.values[0] / k - gp) / diag
@@ -298,20 +298,23 @@ class TestStepProperties:
         with pytest.raises(SolverError, match="^pressure step 2: "):
             pressure_step(state, ut, strict, ws)
 
-    def test_forcing_projected_once_per_step(self, monkeypatch):
-        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
-        state, _, ws = initialize(cfg, unit_square_acute(1))
+    def test_forcing_projected_once_per_run(self, monkeypatch):
+        # the forcing is steady: one projection of it and one of the
+        # initial data, however many steps the run takes
         calls = []
         project = scheme.project_p0
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return project(*args, **kwargs)
+        def counting(fn, *args, **kwargs):
+            calls.append(fn)
+            return project(fn, *args, **kwargs)
 
         monkeypatch.setattr(scheme, "project_p0", counting)
-        for _ in range(2):
-            state, _ = advance(state, cfg, ws)
+        traj = run(RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=5))
+        case = make_case("manufactured-A", traj.config.re)
         assert len(calls) == 2
+        x = np.linspace(0.1, 0.9, 7)
+        assert np.array_equal(calls[0](x, x), case.forcing(x, x))
+        assert np.array_equal(calls[1](x, x), case.u0(x, x))
 
     def test_orthogonality_and_pythagoras_along_run(self, short_run):
         for rec in short_run.records:
@@ -355,6 +358,61 @@ class TestMomentumSolveResidual:
         assert max(residuals) <= cfg.momentum.rtol
 
 
+class TestMomentumPreconditioner:
+    """BiCGStab on the momentum system is preconditioned by a lagged
+    SuperLU factor of the BDF2 momentum matrix."""
+
+    def _counted_run(self, monkeypatch, n_steps):
+        from fvproj import linalg
+        factors, solves = [], []
+        factor = scheme.FactoredSolver
+
+        def counting_factor(*args, **kwargs):
+            factors.append(1)
+            return factor(*args, **kwargs)
+
+        def recording_solve(A, b, config=None, **kwargs):
+            x, info = linalg.solve(A, b, config, **kwargs)
+            solves.append((info.iterations,
+                           np.linalg.norm(b - A @ x) / np.linalg.norm(b)))
+            return x, info
+
+        monkeypatch.setattr(scheme, "FactoredSolver", counting_factor)
+        monkeypatch.setattr(scheme, "solve", recording_solve)
+        cfg = RunConfig(mesh_spec="acute:3", k=0.01, n_steps=n_steps, re=1.0,
+                        case="manufactured-A")
+        return run(cfg), factors, solves
+
+    def test_one_factor_and_few_iterations(self, monkeypatch):
+        traj, factors, solves = self._counted_run(monkeypatch, 20)
+        assert len(factors) == 1
+        assert len(solves) == 40
+        # Jacobi needs about 80 iterations per solve here
+        assert max(it for it, _ in solves) <= 10
+        assert max(res for _, res in solves) <= traj.config.momentum.rtol
+        assert [r.mom_iters for r in traj.records] == [
+            solves[i][0] + solves[i + 1][0] for i in range(2, 40, 2)]
+        assert [r.mom_refactor for r in traj.records] == [0] * 19
+
+    def test_refactor_each_step_still_meets_rtol(self, monkeypatch):
+        monkeypatch.setattr(scheme, "REFACTOR_ITERS", 0)
+        traj, factors, solves = self._counted_run(monkeypatch, 6)
+        assert len(factors) == 6
+        assert [r.mom_refactor for r in traj.records] == [1] * 5
+        assert max(res for _, res in solves) <= traj.config.momentum.rtol
+
+    def test_rebuilt_only_when_flagged(self):
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
+        state, _, ws = initialize(cfg, unit_square_acute(1))
+        first = ws.mom_factor
+        state, rec = advance(state, cfg, ws)
+        assert ws.mom_factor is first and rec.mom_refactor == 0
+        ws.refactor_due = True
+        state, rec = advance(state, cfg, ws)
+        assert ws.mom_factor is not first and rec.mom_refactor == 1
+        assert not ws.refactor_due
+
+
 class TestExtrapolatedAdvection:
     def test_momentum_uses_two_un_minus_unm1(self):
         # regression: the advecting field is the BDF2 extrapolation, not
@@ -373,7 +431,7 @@ class TestExtrapolatedAdvection:
         def assemble_with(advecting):
             A = (sp.diags(1.5 / k * ws.mass) + (1.0 / cfg.re) * ws.h_stiff
                  + convection_matrix(advecting, weighted=True).matrix).tocsr()
-            f = ws.forcing_at(state.t + k)
+            f = ws.forcing
             gp = gradient(state.p_curr)
             rhs = (f.values + (4 * state.u_curr.values - state.u_prev.values)
                    / (2 * k) - gp.values) * ws.mass[:, None]
@@ -417,6 +475,7 @@ class TestRunDriver:
         assert monitors.exists()
         lines = monitors.read_text().splitlines()
         assert lines[0].startswith("step,t,u_l2,ut_hnorm,p_l2,div_residual")
+        assert "mom_iters" in lines[0].split(",")
         assert len(lines) == 1 + len(traj.records)
         snaps = sorted(out.glob("state_*.vtk"))
         assert len(snaps) == 3  # steps 2, 4, 6
