@@ -5,9 +5,10 @@ scheme needs.
 system: with the preconditioner its ``SparseOperator`` carries (the scheme
 passes a lagged factor of the momentum matrix), else with Jacobi.
 ``FactoredSolver`` factors a fixed matrix once with SuperLU, so each later
-solve with it is two triangular solves: the pressure Laplacian on its
-zero-mean subspace, the discrete H1 Gram matrix of the dual norm and the
-verification suite, and the momentum matrix of that preconditioner.
+solve with it is two triangular solves (four for a zero-mean solve, which
+refines once): the pressure Laplacian on its zero-mean subspace, grounded
+at one unknown; the discrete H1 Gram matrix of the dual norm and the
+verification suite; and the momentum matrix of that preconditioner.
 """
 from __future__ import annotations
 
@@ -75,6 +76,8 @@ class SolveInfo:
     method: str
     # always empty: nothing falls back; perfbench/job.py still reads it
     fallbacks: list = field(default_factory=list)
+    # normwise backward error of a factored solve (the largest over columns)
+    backward_error: float | None = None
 
     def __str__(self):
         return (f"{self.method}: converged={self.converged} "
@@ -183,17 +186,23 @@ class FactoredSolver:
     symmetric and column diagonally dominant (SuperLU keeps its diagonal
     pivots on acute:3 and acute:5).
 
-    Without weights A must be nonsingular.  With weights w, A is positive
-    semidefinite with the constants as kernel, and the solve is on the
-    subspace w . x = 0 through the nonsingular bordered system
-    [[A, w], [w', 0]] [x; lam] = [b; 0]; an incompatible right-hand side
-    (sum b != 0) leaves a residual that fails the gate.
+    Without weights A must be nonsingular.  With weights w, A is symmetric
+    positive semidefinite with the constants as kernel, and the solve is on
+    the subspace w . x = 0.  Unknown 0 is grounded: the factor is of A with
+    its row and column 0 deleted (Bochev and Lehoucq, SIAM Review 47(1),
+    2005), which keeps the sparsity that a dense border [[A, w], [w', 0]]
+    would spoil.  A solve takes x0 = [0; A_00^{-1} b_0], shifts it to zero
+    weighted mean, and refines it once (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 12) by the same solve of r - w sum(r) / sum(w),
+    r = b - A x0: the grounded solve leaves the rounding of every row in row
+    0, and the correction spreads it along w.  An incompatible right-hand
+    side (sum b != 0) keeps its sum in row 0 and fails the gate.
 
     Each solve is gated, column by column, on its normwise backward error
     |b - A x| <= max(rtol (|A| |x| + |b|), atol) in the infinity norm
-    (Rigal and Gaches, J. ACM 14(3), 1967; Higham, Accuracy and Stability
-    of Numerical Algorithms, section 7.1), which a backward-stable factor
-    meets however large |A| |x| / |b| grows on fine meshes.
+    (Rigal and Gaches, J. ACM 14(3), 1967; Higham, section 7.1), which a
+    backward-stable factor meets however large |A| |x| / |b| grows on fine
+    meshes.
     """
 
     def __init__(self, A, weights=None):
@@ -202,35 +211,47 @@ class FactoredSolver:
         w = None if weights is None else np.asarray(weights, dtype=float)
         if A.shape != (n, n) or (w is not None and w.shape != (n,)):
             raise ValueError("need a square matrix and one weight per unknown")
-        system = A.tocsc()
-        if w is not None:
-            col = sp.csr_matrix(w[:, None])
-            system = sp.bmat([[A, col], [col.T, None]], format="csc")
         self.matrix = A
+        self.weights = w
         self.norm_inf = float(spla.norm(A, np.inf))
-        self._lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A",
+        self._lu = spla.splu((A if w is None else A[1:, 1:]).tocsc(),
+                             permc_spec="MMD_AT_PLUS_A",
                              options={"SymmetricMode": True})
+
+    def _grounded(self, b):
+        """[0; A_00^{-1} b_0] shifted to zero weighted mean."""
+        x = np.zeros_like(b)
+        x[1:] = self._lu.solve(b[1:])
+        return x - (self.weights @ x) / self.weights.sum()
 
     def solve(self, b, tol: Tolerance, where: str = "FactoredSolver"):
         """Solve for one right-hand side (n,) or several (n, m).  Returns
-        (x, SolveInfo) with the 2-norm of the true residual; raises
-        SolverError, naming ``where``, when the backward-error gate fails."""
+        (x, SolveInfo) with the 2-norm of the true residual and the largest
+        normwise backward error; raises SolverError, naming ``where``, when
+        the backward-error gate fails."""
         b = np.asarray(b, dtype=float)
         n = self.matrix.shape[0]
         if b.ndim not in (1, 2) or b.shape[0] != n:
             raise ValueError(f"rhs of shape {b.shape} does not match a system of size {n}")
         _require_finite(b)
-        border = np.zeros((self._lu.shape[0] - n,) + b.shape[1:])
-        x = self._lu.solve(np.concatenate([b, border]))[:n]
+        if self.weights is None:
+            x = self._lu.solve(b)
+        else:
+            x = self._grounded(b)
+            r = b - self.matrix @ x
+            spread = np.multiply.outer(self.weights, r.sum(axis=0) / self.weights.sum())
+            x = x + self._grounded(r - spread)
         r = b - self.matrix @ x
         r_inf = np.abs(r).max(axis=0)
         scale = self.norm_inf * np.abs(x).max(axis=0) + np.abs(b).max(axis=0)
+        backward = float(np.max(r_inf / np.maximum(scale, 1e-300)))
         info = SolveInfo(bool(np.all(r_inf <= np.maximum(tol.rtol * scale, tol.atol))),
-                         1, float(np.linalg.norm(r)), "lu")
+                         1 if self.weights is None else 2,
+                         float(np.linalg.norm(r)), "lu", backward_error=backward)
         if not info.converged:
             raise SolverError(
                 f"{where}: factored solve failed: {info}, backward error "
-                f"{np.max(r_inf / scale):.3e} > rtol {tol.rtol:.1e}")
+                f"{backward:.3e} > rtol {tol.rtol:.1e}")
         return x, info
 
     def apply(self, b):

@@ -104,7 +104,8 @@ def pressure_stiffness(mesh: Mesh) -> SparseOperator:
 
 def pressure_solver(mesh: Mesh) -> FactoredSolver:
     """The factored pressure Laplacian on the mass-weighted zero-mean
-    subspace; built on first use and kept for the life of the mesh."""
+    subspace (grounded at edge 0, see ``FactoredSolver``); built on first
+    use and kept for the life of the mesh."""
     cached = mesh._cache.get("pressure_solver")
     if cached is None:
         cached = FactoredSolver(pressure_stiffness(mesh).matrix, p1nc_mass(mesh))
@@ -185,7 +186,10 @@ def upwind_convection(u, v: VectorP0) -> VectorP0:
 
 
 def trilinear_form(u, v: VectorP0, w: VectorP0) -> float:
-    """Cell-mass pairing of w with the upwind transport of v by u."""
-    W = convection_matrix(u, weighted=True).matrix
+    """Cell-mass pairing of w with the upwind transport of v by u; u is the
+    advecting field, or its weighted ``convection_matrix`` when the caller
+    has built it already."""
+    W = (u if isinstance(u, SparseOperator)
+         else convection_matrix(u, weighted=True)).matrix
     return float(np.einsum("td,td->", w.values,
                            np.stack([W @ v.values[:, 0], W @ v.values[:, 1]], axis=1)))

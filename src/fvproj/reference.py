@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 
 # -- local geometry (recomputed from scratch) -----------------------------------
@@ -197,6 +196,8 @@ def adjointness_sides_direct(mesh, vvals, qvals):
 def brute_force_dual_norm(mesh, vvals, seed: int = 0, starts: int = 8) -> float:
     """Maximize (v, psi) / ||psi||_h over cellwise psi by quasi-Newton ascent
     from several seeded starts (no closed-form solve)."""
+    import scipy.optimize  # here, so that importing fvproj does not load it
+
     H = h_gram_direct(mesh)
     nt = mesh.num_triangles
     area = np.array([_area(mesh, k) for k in range(nt)])
@@ -234,6 +235,8 @@ def infsup_sup_over_velocities(mesh, qvals, seed: int = 0, starts: int = 8) -> f
     The pairing is linear in v; its coefficients are assembled here by
     direct edge enumeration.
     """
+    import scipy.optimize  # here, so that importing fvproj does not load it
+
     ne = mesh.num_edges
     nt = mesh.num_triangles
     H = h_gram_direct(mesh)

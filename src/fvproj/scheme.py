@@ -207,6 +207,7 @@ class StepRecord:
     energy_residual: float
     mom_iters: int = 0          # BiCGStab iterations of both components
     mom_refactor: int = 0       # 1 if the step rebuilt the momentum factor
+    p_backward_error: float = 0.0   # normwise backward error of the pressure solve
 
 
 @dataclass
@@ -221,7 +222,7 @@ class Trajectory:
     def monitor_rows(self):
         names = ("step", "t", "u_l2", "ut_hnorm", "p_l2", "div_residual",
                  "increment", "orth_residual", "pyth_residual", "energy_residual",
-                 "mom_iters", "mom_refactor")
+                 "mom_iters", "mom_refactor", "p_backward_error")
         return names, [[getattr(r, n) for n in names] for r in self.records]
 
     def write_monitors(self, path) -> None:
@@ -236,7 +237,8 @@ class Trajectory:
 class _Workspace:
     """Once-per-run pieces: masses, stiffness, the factored pressure
     operator, the projected (steady) forcing, and the lagged momentum
-    factor with its refactor flag."""
+    factor with its refactor flag; and what the last substeps leave for
+    the step record."""
 
     def __init__(self, config: RunConfig, mesh: Mesh):
         self.mesh = mesh
@@ -250,6 +252,8 @@ class _Workspace:
         self.mom_factor = None
         self.refactor_due = True
         self.mom_iters = self.mom_refactor = 0
+        self.convection = None      # weighted C(u*) of the last momentum step
+        self.p_backward_error = 0.0
 
     def certify(self, v: VectorP0, where: str, div_scale: float = 0.0) -> SolenoidalP0:
         """Gate a projected field on its remaining divergence.
@@ -281,16 +285,16 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     """Solve the predictor system; one matrix, two right-hand sides.
 
     ``grad_p`` is gradient(state.p_curr) when the caller already has it.
-    Leaves the step's BiCGStab iterations (both solves) in
-    ``ws.mom_iters`` and whether it rebuilt the factor in
-    ``ws.mom_refactor``.
+    Leaves the weighted convection matrix C(u*) in ``ws.convection``, the
+    step's BiCGStab iterations (both solves) in ``ws.mom_iters`` and
+    whether it rebuilt the factor in ``ws.mom_refactor``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
     u_star = SolenoidalP0.trusted(
         2.0 * state.u_curr.field - state.u_prev.field)
-    A = ((1.0 / config.re) * ws.h_stiff
-         + convection_matrix(u_star, weighted=True).matrix)
+    ws.convection = convection_matrix(u_star, weighted=True)
+    A = (1.0 / config.re) * ws.h_stiff + ws.convection.matrix
     refactor = ws.refactor_due
     if refactor:
         ws.mom_factor = None  # free the old factor before building the new
@@ -315,7 +319,8 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
 
 def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
                   ws: _Workspace):
-    """Solve for the pressure increment; returns (p_next, dp)."""
+    """Solve for the pressure increment; returns (p_next, dp) and leaves
+    the solve's normwise backward error in ``ws.p_backward_error``."""
     d = divergence(u_tilde)
     weighted = ws.p_mass * d.values
     compat = abs(float(weighted.sum()))
@@ -324,8 +329,9 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
         raise SchemeError(
             f"pressure right-hand side incompatible: (div u, 1) = {compat:.3e}")
     rhs = -_bdf_coefficients(state)[0] / config.k * weighted
-    dp_vals, _ = ws.p_solver.solve(rhs, config.pressure,
-                                   f"pressure step {state.n + 1}")
+    dp_vals, info = ws.p_solver.solve(rhs, config.pressure,
+                                      f"pressure step {state.n + 1}")
+    ws.p_backward_error = info.backward_error
     dp = ScalarP1NC(u_tilde.mesh, dp_vals)
     p_next = mean_zero(state.p_curr + dp)
     return p_next, dp
@@ -359,14 +365,13 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     pyth_num = u_np1_l2 ** 2 - u_tilde_l2 ** 2 + jump_l2 ** 2
     pyth = abs(pyth_num) / max(u_tilde_l2 ** 2, tiny)
 
-    u_star = SolenoidalP0.trusted(2.0 * u_n - u_nm1)
     terms = [
         u_np1_l2 ** 2 - l2_norm(u_n) ** 2,
         l2_norm(2.0 * u_np1 - u_n) ** 2 - l2_norm(2.0 * u_n - u_nm1) ** 2,
         l2_norm(u_np1 - 2.0 * u_n + u_nm1) ** 2,
         6.0 * jump_l2 ** 2,
         4.0 * k / config.re * h_norm(u_tilde) ** 2,
-        4.0 * k * trilinear_form(u_star, u_tilde, u_tilde),
+        4.0 * k * trilinear_form(ws.convection, u_tilde, u_tilde),
         4.0 * k * l2_inner(gp_n, u_tilde),
         -4.0 * k * l2_inner(ws.forcing, u_tilde),
     ]
@@ -384,6 +389,7 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
         energy_residual=energy,
         mom_iters=ws.mom_iters,
         mom_refactor=ws.mom_refactor,
+        p_backward_error=ws.p_backward_error,
     )
     return new, rec
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fvproj
 from fvproj.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main)
 from fvproj.mesh import save_mesh, unit_square_acute
 from fixture_meshes import square_two_triangles
@@ -100,3 +106,16 @@ class TestVerifyAndFriends:
 def test_usage_errors():
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_import_leaves_out_scipy_optimize():
+    # only the two BFGS oracles of reference need it, and they import it
+    src = str(Path(fvproj.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fvproj.cli, fvproj.scheme, fvproj.reference; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -184,6 +184,16 @@ def _compatible_rhs(mesh, seed=3):
     return mass, mass * mean_zero(ScalarP1NC(mesh, rng.standard_normal(mesh.num_edges))).values
 
 
+def _lowest_mode_rhs(mesh):
+    """b = M q for the lowest non-constant pressure mode q, made exactly
+    compatible."""
+    A, mass = pressure_stiffness(mesh).matrix, p1nc_mass(mesh)
+    vals, vecs = spla.eigsh(A, k=2, M=sp.diags(mass), sigma=-1e-2,
+                            v0=np.linspace(1.0, 2.0, mesh.num_edges))
+    q = vecs[:, np.argmax(vals)]
+    return mass * (q - (mass @ q) / mass.sum())
+
+
 class TestZeroMeanSolver:
     @pytest.mark.parametrize("mesh", [equilateral_pair()] + [
         unit_square_acute(level) for level in range(3)])
@@ -198,6 +208,38 @@ class TestZeroMeanSolver:
         assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
         assert info.residual == pytest.approx(np.linalg.norm(b - A @ x))
 
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_grounded_solve_is_backward_stable(self, level):
+        # the grounded factor leaves the rounding of every row in row 0;
+        # the one correction solve spreads it along w, so the backward error
+        # stays at the bordered factor's (without it: up to 1.2e-14)
+        mesh = unit_square_acute(level)
+        A, mass = pressure_stiffness(mesh).matrix, p1nc_mass(mesh)
+        solver = pressure_solver(mesh)
+        rhs = [_lowest_mode_rhs(mesh)] + [
+            _compatible_rhs(mesh, seed)[1] for seed in (1, 2, 3)]
+        for b in rhs:
+            x, info = solver.solve(b, Tolerance(rtol=1e-13))
+            backward = (np.abs(b - A @ x).max()
+                        / (spla.norm(A, np.inf) * np.abs(x).max() + np.abs(b).max()))
+            assert backward <= 1e-15
+            assert info.backward_error == pytest.approx(backward, rel=1e-12)
+            assert abs(mass @ x) <= 1e-13 * np.abs(x).max()
+        with pytest.raises(SolverError, match="backward error"):
+            solver.solve(np.ones(mesh.num_edges), Tolerance(rtol=1e-13))
+        # several right-hand sides at once give the columns' solves
+        X, info = solver.solve(np.stack(rhs, axis=1), Tolerance(rtol=1e-13))
+        assert info.backward_error <= 1e-15
+        for c, b in enumerate(rhs):
+            x, _ = solver.solve(b, Tolerance(rtol=1e-13))
+            assert np.linalg.norm(X[:, c] - x) <= 1e-13 * np.linalg.norm(x)
+
+    def test_plain_factor_reports_backward_error(self):
+        mesh = unit_square_acute(1)
+        b = np.random.default_rng(5).standard_normal(mesh.num_triangles)
+        _, info = h_solver(mesh).solve(b, Tolerance(rtol=1e-13))
+        assert 0.0 <= info.backward_error <= 1e-15
+
     def test_constant_rhs_raises(self, pressure_system):
         mesh, A, mass, _ = pressure_system
         with pytest.raises(SolverError):
@@ -209,11 +251,8 @@ class TestZeroMeanSolver:
         # backward-stable solve leaves |b - A x| above rtol |b| at the
         # production rtol, and only a backward-error gate accepts it
         mesh = unit_square_acute(3)
-        A, mass = pressure_stiffness(mesh).matrix, p1nc_mass(mesh)
-        vals, vecs = spla.eigsh(A, k=2, M=sp.diags(mass), sigma=-1e-2,
-                                v0=np.linspace(1.0, 2.0, mesh.num_edges))
-        q = vecs[:, np.argmax(vals)]
-        b = mass * (q - (mass @ q) / mass.sum())
+        A = pressure_stiffness(mesh).matrix
+        b = _lowest_mode_rhs(mesh)
         solver, tol = pressure_solver(mesh), Tolerance(rtol=1e-13)
         x, info = solver.solve(b, tol)
         r = b - A @ x

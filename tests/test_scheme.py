@@ -413,6 +413,50 @@ class TestMomentumPreconditioner:
         assert not ws.refactor_due
 
 
+class TestStepRecordTelemetry:
+    def test_pressure_backward_error_column(self, tmp_path):
+        cfg = RunConfig(mesh_spec="acute:2", k=1e-2, n_steps=6,
+                        case="manufactured-A", out_dir=str(tmp_path))
+        traj = run(cfg)
+        lines = (tmp_path / "monitors.csv").read_text().splitlines()
+        names = lines[0].split(",")
+        assert names[-2:] == ["mom_refactor", "p_backward_error"]
+        col = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert col == [r.p_backward_error for r in traj.records]
+        assert all(0.0 < v <= cfg.pressure.rtol for v in col)
+        # deterministic, so the file stays byte-stable from run to run
+        run(replace(cfg, out_dir=str(tmp_path / "again")))
+        assert ((tmp_path / "again" / "monitors.csv").read_bytes()
+                == (tmp_path / "monitors.csv").read_bytes())
+
+    def test_convection_built_once_per_step(self, monkeypatch):
+        # the energy monitor pairs with the C(u*) that the momentum step
+        # built, and gets the value a rebuild from u* = 2 u^n - u^{n-1} gives
+        from fvproj import operators
+        built, pairings = [], []
+        build = operators.convection_matrix
+
+        def counting(u, weighted=False):
+            built.append((u, build(u, weighted)))
+            return built[-1][1]
+
+        def checking(W, v, w):
+            u, C = built[-1]
+            assert W is C
+            value = operators.trilinear_form(W, v, w)
+            assert value == operators.trilinear_form(build(u, weighted=True), v, w)
+            pairings.append(value)
+            return value
+
+        monkeypatch.setattr(scheme, "convection_matrix", counting)
+        monkeypatch.setattr(operators, "convection_matrix", counting)
+        monkeypatch.setattr(scheme, "trilinear_form", checking)
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=5)
+        traj = run(cfg)
+        # the start-up step and four BDF2 steps, each one build of C(u*)
+        assert len(built) == 5 and len(pairings) == len(traj.records) == 4
+
+
 class TestExtrapolatedAdvection:
     def test_momentum_uses_two_un_minus_unm1(self):
         # regression: the advecting field is the BDF2 extrapolation, not
