@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import reference
@@ -237,15 +236,40 @@ class InfSupResult:
     q_min: np.ndarray
 
 
+# The shift that turns the smallest eigenvalue of S q = lambda M q into the
+# largest of SIGMA - M^-1 S.  (S q, q) = sup_v (q, div v)_M^2 / |v|_h^2, and
+# edge by edge |div v|_M^2 <= 3 |e| d_e / (|K| + |L|) |v|_h^2.  On an
+# admissible mesh each circumcenter is closer to an edge than the opposite
+# vertex is, so |K| > |e| d_K / 2 and the factor is below 6: every
+# eigenvalue lies in [0, 6), and SIGMA - lambda_min has the largest magnitude.
+SIGMA = 6.0
+
+
 def estimate_infsup(mesh: Mesh) -> InfSupResult:
     """Smallest inf-sup ratio over mean-zero pressures.
 
-    Computed as the square root of the smallest eigenvalue of the pressure
-    Schur complement in the pressure-mass inner product; the supremum over
-    velocities is realized through one SPD solve per gradient column.
+    beta^2 is the smallest eigenvalue of the pressure Schur complement S in
+    the pressure-mass inner product M, on the M-weighted mean-zero
+    pressures, S = sum_d G_d' |K| H^-1 |K| G_d; the supremum over
+    velocities is realized through one SPD solve per product of S.
+    ``_power_iteration`` finds it on the shifted operator SIGMA - M^-1 S,
+    as the Rayleigh quotient (S q, q) / (M q, q).
     """
     mass_p = p1nc_mass(mesh)
-    lam, q_min = _schur_smallest(mesh, mass_p)
+    Gx, Gy = gradient_matrices(mesh)
+    area = p0_mass(mesh)[:, None]
+    h_inv = _h_inverse(mesh, "inf-sup Schur complement")
+
+    def schur(q):
+        w = area * h_inv(area * np.stack([Gx @ q, Gy @ q], axis=1))
+        return Gx.T @ w[:, 0] + Gy.T @ w[:, 1]
+
+    lam, q_min = _power_iteration(
+        lambda x: SIGMA * x - schur(x) / mass_p,
+        b_product=lambda x: x @ (mass_p * x),
+        a_product=lambda x: x @ schur(x),
+        x0=np.random.default_rng(0).standard_normal(mesh.num_edges),
+        tol=1e-12, kernel=mass_p, where="inf-sup Schur complement")
     beta = float(np.sqrt(max(lam, 0.0)))
 
     q = ScalarP1NC(mesh, q_min)
@@ -256,43 +280,6 @@ def estimate_infsup(mesh: Mesh) -> InfSupResult:
     return InfSupResult(beta=beta, candidate_ratio=float(candidate),
                         lemma_constant=float(candidate / lemma_scale),
                         q_min=q_min)
-
-
-# LOBPCG needs this many dimensions per block vector outside the
-# constraints; below, the Schur complement is densified instead
-_LOBPCG_MIN_DIM = 5
-
-
-def _schur_smallest(mesh: Mesh, mass_p, tol=1e-10, maxiter=300):
-    """Smallest eigenpair of S q = lambda M q on the mass-weighted
-    mean-zero pressures, S = sum_d G_d' |K| H^-1 |K| G_d the Schur
-    complement; LOBPCG on the action of S, or eigh of S applied to the
-    identity on meshes too small for LOBPCG."""
-    Gx, Gy = gradient_matrices(mesh)
-    area = p0_mass(mesh)
-    h_inv = _h_inverse(mesh, "inf-sup Schur complement")
-
-    def s_matvec(q):
-        q = np.asarray(q, dtype=float).ravel()
-        w = area[:, None] * h_inv(area[:, None] * np.stack([Gx @ q, Gy @ q], axis=1))
-        return Gx.T @ w[:, 0] + Gy.T @ w[:, 1]
-
-    ne = mesh.num_edges
-    S_op = spla.LinearOperator((ne, ne), matvec=s_matvec, dtype=np.float64)
-    if ne - 1 < _LOBPCG_MIN_DIM:
-        basis = scipy.linalg.null_space(mass_p[None, :])
-        vals, vecs = scipy.linalg.eigh(basis.T @ S_op.matmat(np.eye(ne)) @ basis,
-                                       basis.T @ (mass_p[:, None] * basis))
-        return float(vals[0]), basis @ vecs[:, 0]
-
-    rng = np.random.default_rng(0)
-    x0 = rng.standard_normal((ne, 1))
-    x0 -= (mass_p @ x0) / mass_p.sum()
-    # deflate the constant kernel: keep iterates B-orthogonal to it
-    constants = np.ones((ne, 1))
-    vals, vecs = spla.lobpcg(S_op, x0, B=sp.diags(mass_p), Y=constants,
-                             largest=False, tol=tol, maxiter=maxiter)
-    return float(vals[0]), vecs[:, 0]
 
 
 def infsup_sweep(levels, report: VerificationReport | None = None) -> VerificationReport:
@@ -410,18 +397,22 @@ def consistency_rate(levels=(1, 2, 3), pair=None) -> RateResult:
 
 def _power_iteration(apply_op, b_product, a_product, x0, tol, kernel=None, *,
                      where):
-    """Largest lambda of A x = lambda B x, given x -> B^-1 A x.
+    """Rayleigh quotient a_product(y) / b_product(y) at the eigenvector y of
+    the largest-magnitude eigenvalue of ``apply_op``.  With apply_op
+    x -> B^-1 A x that is the largest lambda of A x = lambda B x; with a
+    shifted apply_op x -> sigma x - B^-1 A x and the unshifted products it
+    is the smallest, so one helper serves both ends of the spectrum.
 
     ARPACK's implicitly restarted Arnoldi method (scipy ``eigs``, k=1,
     which="LM") runs on a LinearOperator whose every product is one call
     of ``apply_op``, started from the seeded ``x0`` so that the result
     repeats bit for bit.  With ``kernel`` (weights m), every vector is
     first projected to x - (m.x)/sum(m), the m-weighted mean-zero
-    subspace: ARPACK's Krylov vectors drift out of it, and a solve with a
-    drifted right-hand side fails the zero-mean solver's backward-error
-    gate.  Returns the Rayleigh quotient a_product(y)/b_product(y) of
-    ARPACK's eigenvector y, and y; raises SolverError, naming ``where``,
-    when ARPACK does not converge.
+    subspace: that drops the constants (a shifted operator's top
+    eigenvector), and ARPACK's Krylov vectors drift out of it, while a
+    solve with a drifted right-hand side fails the zero-mean solver's
+    backward-error gate.  Returns the Rayleigh quotient and y; raises
+    SolverError, naming ``where``, when ARPACK does not converge.
 
     The name is older than the method: perfbench/job.py binds
     ``analysis._power_iteration`` and counts the ``apply_op`` calls as its

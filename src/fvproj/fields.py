@@ -94,13 +94,6 @@ class ScalarP1NC(_Field):
     def _shape(mesh):
         return (mesh.num_edges,)
 
-    def cell_values(self, bary: np.ndarray) -> np.ndarray:
-        """Evaluate the per-cell affine reconstruction at barycentric
-        points; returns (nt, nq)."""
-        basis = 1.0 - 2.0 * np.asarray(bary)  # phi_j = 1 - 2*lambda_j
-        dofs = self.values[self.mesh.tri_edges]  # (nt, 3)
-        return dofs @ basis.T
-
 
 class VectorRT0(_Field):
     """Lowest-order flux vector: constant normal flux per edge (owner
@@ -117,25 +110,6 @@ class VectorRT0(_Field):
 
     def edge_normal_fluxes(self) -> np.ndarray:
         return self.values
-
-    def cell_reconstruction(self, bary: np.ndarray) -> np.ndarray:
-        """Evaluate the a + b*x reconstruction at barycentric points.
-
-        Returns (nt, nq, 2).  Basis for edge j (opposite vertex j):
-        |e_j| / (2|K|) * (x - p_j), with the owner-sign flip applied.
-        """
-        mesh = self.mesh
-        pts = quadrature.triangle_points(mesh.vertices[mesh.triangles], np.asarray(bary))
-        out = np.zeros_like(pts)
-        sign = np.where(mesh.edge_owner[mesh.tri_edges]
-                        == np.arange(mesh.num_triangles)[:, None], 1.0, -1.0)
-        for j in range(3):
-            e = mesh.tri_edges[:, j]
-            coef = (self.values[e] * sign[:, j] * mesh.edge_length[e]
-                    / (2.0 * mesh.tri_area))
-            p = mesh.vertices[mesh.triangles[:, j]]
-            out += coef[:, None, None] * (pts - p[:, None, :])
-        return out
 
 
 def max_normal_jump(v: VectorP0) -> float:
@@ -239,15 +213,6 @@ def collocate_p0(f, mesh: Mesh):
     if vals.ndim == 1:
         return ScalarP0(mesh, vals)
     return VectorP0(mesh, vals)
-
-
-def project_p1nc(f, mesh: Mesh, npoints: int = 3) -> ScalarP1NC:
-    """Edge means by Gauss quadrature; the midpoint dof of the affine
-    reconstruction equals the edge mean."""
-    t, w = quadrature.segment_rule(npoints)
-    pts = quadrature.segment_points(mesh.vertices[mesh.edges[:, 0]],
-                                    mesh.vertices[mesh.edges[:, 1]], t)
-    return ScalarP1NC(mesh, _as_points(f, pts) @ w)
 
 
 def project_rt0(f, mesh: Mesh, npoints: int = 3) -> VectorRT0:

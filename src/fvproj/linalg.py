@@ -126,7 +126,10 @@ def _bicgstab(A, b, config: Tolerance, precondition):
             p = r + (rho_new / rho) * (alpha / omega) * (p - omega * v)
             phat = precondition(p)
             v = A @ phat
-            alpha = rho_new / (r0 @ v)
+            r0v = r0 @ v
+            if abs(r0v) < 1e-30 * scale * scale:
+                break  # breakdown
+            alpha = rho_new / r0v
             s = r - alpha * v
             if np.linalg.norm(s) <= tol:
                 x = x + alpha * phat

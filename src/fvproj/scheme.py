@@ -18,7 +18,8 @@ step out of (u^{-1}, u^0, p^0) = (u^0, u^0, 0) with the BDF1 coefficients
 The predictor system is solved by BiCGStab preconditioned with a lagged
 SuperLU factor of the BDF2 momentum matrix 3/(2k) M + H/Re + C(u*): built
 at the first solve (the start-up step, whose a0 = 1 it does not match)
-and rebuilt only after a solve needs more than REFACTOR_ITERS iterations.
+and rebuilt after a solve needs more than REFACTOR_ITERS iterations, or
+within the step when a solve with it does not converge.
 """
 from __future__ import annotations
 
@@ -206,7 +207,7 @@ class StepRecord:
     pyth_residual: float
     energy_residual: float
     mom_iters: int = 0          # BiCGStab iterations of both components
-    mom_refactor: int = 0       # 1 if the step rebuilt the momentum factor
+    mom_refactor: int = 0       # momentum factors the step built (0 to 2)
     p_backward_error: float = 0.0   # normwise backward error of the pressure solve
 
 
@@ -285,9 +286,12 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     """Solve the predictor system; one matrix, two right-hand sides.
 
     ``grad_p`` is gradient(state.p_curr) when the caller already has it.
-    Leaves the weighted convection matrix C(u*) in ``ws.convection``, the
-    step's BiCGStab iterations (both solves) in ``ws.mom_iters`` and
-    whether it rebuilt the factor in ``ws.mom_refactor``.
+    A solve that the lagged factor does not bring to convergence is
+    repeated with a fresh factor of this step's matrix; only a failure of
+    that one raises SolverError.  Leaves the weighted convection matrix
+    C(u*) in ``ws.convection``, the step's BiCGStab iterations (every
+    solve) in ``ws.mom_iters`` and the number of factors it built in
+    ``ws.mom_refactor``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
@@ -295,25 +299,36 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
         2.0 * state.u_curr.field - state.u_prev.field)
     ws.convection = convection_matrix(u_star, weighted=True)
     A = (1.0 / config.re) * ws.h_stiff + ws.convection.matrix
-    refactor = ws.refactor_due
-    if refactor:
+    builds = int(ws.refactor_due)
+    if builds:
         ws.mom_factor = None  # free the old factor before building the new
         ws.mom_factor = FactoredSolver(A + sp.diags(1.5 / k * ws.mass))
     A = SparseOperator(A + sp.diags(a0 / k * ws.mass), "p0", "p0",
                        preconditioner=ws.mom_factor.apply)
+    exact = bool(builds) and a0 == 1.5  # the factor is of this step's matrix
     gp = gradient(state.p_curr) if grad_p is None else grad_p
     rhs_common = (ws.forcing.values
                   - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
                   - gp.values) * ws.mass[:, None]
     out = np.empty_like(rhs_common)
     iters = []
+    ws.mom_iters = 0
     for c in range(2):
-        out[:, c], info = solve(A, rhs_common[:, c], config.momentum)
+        while True:
+            out[:, c], info = solve(A, rhs_common[:, c], config.momentum)
+            ws.mom_iters += info.iterations
+            if info.converged or exact:
+                break
+            # u* has moved too far from the factor's: factor this matrix
+            A.preconditioner = ws.mom_factor = None
+            ws.mom_factor = FactoredSolver(A)
+            A.preconditioner = ws.mom_factor.apply
+            exact, builds = True, builds + 1
         if not info.converged:
             raise SolverError(f"momentum solve (component {c}) failed: {info}")
         iters.append(info.iterations)
     ws.refactor_due = max(iters) > REFACTOR_ITERS
-    ws.mom_iters, ws.mom_refactor = sum(iters), int(refactor)
+    ws.mom_refactor = builds
     return VectorP0(state.u_curr.mesh, out)
 
 

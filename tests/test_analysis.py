@@ -74,25 +74,40 @@ class TestInfSup:
         report = analysis.infsup_oracle_check()
         assert report.ok, report.to_text()
 
-    def test_iterative_mode_matches_dense(self):
-        # LOBPCG against the dense Schur complement, assembled here
-        import scipy.linalg
-        from fvproj.fields import h_gram, p0_mass, p1nc_mass
-        from fvproj.operators import gradient_matrices
+    def test_arpack_matches_dense(self):
         mesh = unit_square_acute(1)
-        H = h_gram(mesh).toarray()
-        area = p0_mass(mesh)
-        S = np.zeros((mesh.num_edges, mesh.num_edges))
-        for G in gradient_matrices(mesh):
-            MG = area[:, None] * G.toarray()
-            S += MG.T @ np.linalg.solve(H, MG)
-        mass = p1nc_mass(mesh)
-        basis = scipy.linalg.null_space(mass[None, :])
-        lam = scipy.linalg.eigh(basis.T @ S @ basis,
-                                basis.T @ (mass[:, None] * basis),
-                                eigvals_only=True)[0]
+        lam = _dense_schur_extremes(mesh)[0]
         beta = analysis.estimate_infsup(mesh).beta
-        assert abs(np.sqrt(lam) - beta) < 1e-5 * np.sqrt(lam)
+        assert abs(np.sqrt(lam) - beta) < 1e-10 * np.sqrt(lam)
+
+    @pytest.mark.parametrize("level", [None, 0, 1, 2],
+                             ids=["pair", "level0", "level1", "level2"])
+    def test_shift_exceeds_largest_eigenvalue(self, level):
+        # the shifted operator's top eigenvalue is SIGMA - lambda_min only
+        # while the whole spectrum of S q = lambda M q lies below SIGMA
+        mesh = equilateral_pair() if level is None else unit_square_acute(level)
+        lam_min, lam_max = _dense_schur_extremes(mesh)
+        assert 0 < lam_min <= lam_max < analysis.SIGMA
+
+
+def _dense_schur_extremes(mesh):
+    """Extreme eigenvalues of S q = lambda M q on the mass-weighted
+    mean-zero pressures, the Schur complement assembled densely here."""
+    import scipy.linalg
+    from fvproj.fields import h_gram, p0_mass, p1nc_mass
+    from fvproj.operators import gradient_matrices
+    H = h_gram(mesh).toarray()
+    area = p0_mass(mesh)
+    S = np.zeros((mesh.num_edges, mesh.num_edges))
+    for G in gradient_matrices(mesh):
+        MG = area[:, None] * G.toarray()
+        S += MG.T @ np.linalg.solve(H, MG)
+    mass = p1nc_mass(mesh)
+    basis = scipy.linalg.null_space(mass[None, :])
+    lam = scipy.linalg.eigh(basis.T @ S @ basis,
+                            basis.T @ (mass[:, None] * basis),
+                            eigvals_only=True)
+    return lam[0], lam[-1]
 
 
 class TestConsistencyRate:

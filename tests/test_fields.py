@@ -6,10 +6,11 @@ from fvproj.fields import (FluxContinuityError, ScalarP0, ScalarP1NC,
                            SolenoidalP0, SpaceMismatchError, VectorP0,
                            VectorRT0, collocate_p0, dual_norm, h_norm,
                            l2_inner, l2_norm, max_normal_jump, mean_zero,
-                           norm_1h, p1nc_mass, project_p0, project_p1nc,
-                           project_rt0)
+                           norm_1h, p1nc_mass, project_p0, project_rt0)
 from fvproj.mesh import refine_uniform, unit_square_acute
 from fvproj.operators import gradient, laplacian_p0
+from field_helpers import (p1nc_cell_values, project_p1nc,
+                           rt0_cell_reconstruction)
 
 
 def stream_velocity(x, y):
@@ -105,7 +106,7 @@ class TestEdgeProjection:
             qi = project_p1nc(q, mesh)
             bary, w = quadrature.triangle_rule(5)
             pts = quadrature.triangle_points(mesh.vertices[mesh.triangles], bary)
-            diff = q(pts[..., 0], pts[..., 1]) - qi.cell_values(bary)
+            diff = q(pts[..., 0], pts[..., 1]) - p1nc_cell_values(qi, bary)
             err = np.sqrt(np.sum(mesh.tri_area * np.einsum("tq,tq,q->t",
                                                            diff, diff, w)))
             errs.append(err)
@@ -156,7 +157,7 @@ class TestFluxProjection:
         vals[pair.boundary_edges] = 0.0
         u = VectorRT0(pair, vals)
         mid_bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        rec = u.cell_reconstruction(mid_bary)
+        rec = rt0_cell_reconstruction(u, mid_bary)
         # normal trace at each edge midpoint, taken with the cell's own
         # outward normal, must equal the flux relative to that normal
         for k in range(pair.num_triangles):

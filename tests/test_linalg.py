@@ -106,6 +106,18 @@ def test_momentum_like_bicgstab():
     assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
+def test_breakdown_ends_unconverged_without_warning():
+    # with r0 = b the first direction v = A p is orthogonal to r0, so
+    # alpha = rho / (r0 . v) would divide by zero
+    import warnings
+    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, info = solve(A, np.array([1.0, 0.0]), Tolerance())
+    assert not info.converged
+    assert np.isfinite(info.residual) and np.all(np.isfinite(x))
+
+
 class TestFactorPreconditioner:
     """``solve`` uses the preconditioner a SparseOperator carries."""
 

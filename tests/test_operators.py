@@ -3,8 +3,7 @@ import pytest
 
 from fvproj import reference
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
-                           h_norm, l2_inner, l2_norm, mean_zero, p1nc_mass,
-                           project_p1nc)
+                           h_norm, l2_inner, l2_norm, mean_zero, p1nc_mass)
 from fvproj.linalg import Tolerance, solve
 from fvproj.mesh import unit_square_acute
 from fvproj.operators import (convection_matrix, divergence,
@@ -12,6 +11,7 @@ from fvproj.operators import (convection_matrix, divergence,
                               gradient_matrices, laplacian_p0, leray_project,
                               pressure_stiffness, trilinear_form,
                               upwind_convection, velocity_stiffness)
+from field_helpers import project_p1nc
 from fixture_meshes import single_triangle
 
 

@@ -413,6 +413,68 @@ class TestMomentumPreconditioner:
         assert not ws.refactor_due
 
 
+class TestMomentumRetry:
+    """A momentum solve that the lagged factor does not bring to
+    convergence is repeated with a fresh factor of the step's matrix."""
+
+    @pytest.mark.parametrize("mesh_spec, re, k, n_steps",
+                             [("acute:2", 1e6, 1.0, 10),
+                              ("acute:3", 1e5, 0.5, 4)])
+    def test_failed_solve_is_retried(self, monkeypatch, mesh_spec, re, k,
+                                     n_steps):
+        # both runs raised SolverError when only a slow solve refactored,
+        # and only at the next step
+        from fvproj import linalg
+        solves = []
+
+        def recording_solve(A, b, config=None, **kwargs):
+            x, info = linalg.solve(A, b, config, **kwargs)
+            solves.append((info.converged, b,
+                           np.linalg.norm(b - A @ x) / np.linalg.norm(b)))
+            return x, info
+
+        monkeypatch.setattr(scheme, "solve", recording_solve)
+        cfg = RunConfig(mesh_spec=mesh_spec, k=k, n_steps=n_steps, re=re,
+                        case="manufactured-A")
+        traj = run(cfg)
+        failed = [i for i, (ok, _, _) in enumerate(solves) if not ok]
+        assert failed
+        for i in failed:
+            ok, b, res = solves[i + 1]
+            assert ok and np.array_equal(b, solves[i][1])
+            assert res <= cfg.momentum.rtol
+        assert sum(r.mom_refactor for r in traj.records) >= len(failed)
+        assert max(r.energy_residual for r in traj.records) <= 1e-10
+
+    def test_fresh_factor_failure_raises(self, monkeypatch):
+        # no solve meets rtol 1e-30: the lagged factor fails, one fresh
+        # factor is built, and its failure is raised
+        cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=3)
+        state, _, ws = initialize(cfg, unit_square_acute(0))
+        factors = []
+        factor = scheme.FactoredSolver
+
+        def counting_factor(*args, **kwargs):
+            factors.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "FactoredSolver", counting_factor)
+        strict = replace(cfg, momentum=Tolerance(rtol=1e-30, atol=1e-300))
+        with pytest.raises(SolverError, match=r"^momentum solve \(component 0\)"):
+            momentum_step(state, strict, ws)
+        assert len(factors) == 1
+
+    @pytest.mark.parametrize("re", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("k", [0.01, 0.1, 0.5, 1.0])
+    def test_stable_across_re_and_k(self, re, k):
+        from fvproj.analysis import stability_monitors
+        cfg = RunConfig(mesh_spec="acute:2", k=k, n_steps=10, re=re,
+                        case="manufactured-A")
+        traj = run(cfg)
+        assert max(r.energy_residual for r in traj.records) <= 1e-10
+        assert stability_monitors(traj.records, traj.init_diagnostics, k=k).ok
+
+
 class TestStepRecordTelemetry:
     def test_pressure_backward_error_column(self, tmp_path):
         cfg = RunConfig(mesh_spec="acute:2", k=1e-2, n_steps=6,
