@@ -11,7 +11,8 @@ Conventions
   owner triangle's outward normal; boundary fluxes are identically zero.
 * The edge-midpoint quadrature makes the nonconforming mass matrix
   diagonal: (|K|+|L|)/3 on interior edges, |K|/3 on boundary edges.
-  It is exact for products of affine functions.
+  It is exact for products of affine functions.  Its diagonal is built once
+  per mesh and cached read-only, as the H1 Gram matrix is.
 """
 from __future__ import annotations
 
@@ -234,11 +235,16 @@ def p0_mass(mesh: Mesh) -> np.ndarray:
 
 
 def p1nc_mass(mesh: Mesh) -> np.ndarray:
-    """Diagonal edge-midpoint-rule mass; exact on the nonconforming space."""
-    m = np.zeros(mesh.num_edges)
-    np.add.at(m, mesh.tri_edges.ravel(),
-              np.repeat(mesh.tri_area / 3.0, 3))
-    return m
+    """Diagonal edge-midpoint-rule mass; exact on the nonconforming space.
+    Built once per mesh and cached read-only."""
+    cached = mesh._cache.get("p1nc_mass")
+    if cached is None:
+        cached = np.zeros(mesh.num_edges)
+        np.add.at(cached, mesh.tri_edges.ravel(),
+                  np.repeat(mesh.tri_area / 3.0, 3))
+        cached.flags.writeable = False
+        mesh._cache["p1nc_mass"] = cached
+    return cached
 
 
 def l2_inner(a, b) -> float:

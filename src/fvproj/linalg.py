@@ -2,7 +2,8 @@
 scheme needs.
 
 ``solve`` runs preconditioned BiCGStab on the nonsymmetric momentum
-system: with the preconditioner its ``SparseOperator`` carries (the scheme
+system, all right-hand sides (the two velocity components) in one lockstep
+solve: with the preconditioner its ``SparseOperator`` carries (the scheme
 passes a lagged factor of the momentum matrix), else with Jacobi.
 ``FactoredSolver`` factors a fixed matrix once with SuperLU, so each later
 solve with it is two triangular solves (four for a zero-mean solve, which
@@ -27,7 +28,8 @@ class SparseOperator:
     """Compressed-row matrix tagged with its domain and codomain spaces.
 
     ``preconditioner``, when given, is a callable v -> P^{-1} v with P
-    close to the matrix; ``solve`` uses it in place of Jacobi.
+    close to the matrix, for v of shape (n,) or (n, m); ``solve`` uses it
+    in place of Jacobi.
     """
 
     __slots__ = ("matrix", "domain", "codomain", "preconditioner")
@@ -59,13 +61,17 @@ class SparseOperator:
 
 @dataclass
 class Tolerance:
-    """The tolerances of a solve."""
+    """The tolerances of a solve, and the BiCGStab iteration cap per
+    right-hand side (None: 10 n)."""
     rtol: float = 1e-10
     atol: float = 1e-14
+    maxiter: int | None = None
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.maxiter is not None and self.maxiter < 1:
+            raise ValueError("the iteration cap must be at least 1")
 
 
 @dataclass
@@ -78,6 +84,9 @@ class SolveInfo:
     fallbacks: list = field(default_factory=list)
     # normwise backward error of a factored solve (the largest over columns)
     backward_error: float | None = None
+    # one SolveInfo per column of a BiCGStab solve of several right-hand
+    # sides, whose ``iterations`` is their sum; empty for one right-hand side
+    columns: tuple = ()
 
     def __str__(self):
         return (f"{self.method}: converged={self.converged} "
@@ -99,13 +108,16 @@ def _require_finite(b):
         raise SolverError("right-hand side has NaN or Inf entries")
 
 
-def _bicgstab(A, b, config: Tolerance, precondition):
-    """Right-preconditioned BiCGStab (``precondition(v)`` ~ A^{-1} v) with
-    up to two restarts so the reported (true) residual, not the recursion,
-    meets the tolerance.  A residual that is not finite or exceeds
-    _DIVERGENCE_FACTOR |b| ends the solve as not converged."""
+def _bicgstab_column(A, b, config: Tolerance, maxiter: int):
+    """Right-preconditioned BiCGStab for one right-hand side, with up to two
+    restarts so the reported (true) residual, not the recursion, meets the
+    tolerance.  A residual that is not finite or exceeds
+    _DIVERGENCE_FACTOR |b| ends the solve as not converged.
+
+    A generator: it yields each vector v to precondition and is sent back
+    P^{-1} v, so that ``_bicgstab`` serves several columns with one
+    preconditioner call; it returns (x, SolveInfo)."""
     n = len(b)
-    maxiter = _MAXITER_PER_UNKNOWN * n
     tol = max(config.rtol * np.linalg.norm(b), config.atol)
     scale = max(np.linalg.norm(b), 1e-300)
     diverged = lambda res: not res <= _DIVERGENCE_FACTOR * scale
@@ -124,7 +136,7 @@ def _bicgstab(A, b, config: Tolerance, precondition):
             if abs(rho_new) < 1e-30 * scale * scale:
                 break  # breakdown
             p = r + (rho_new / rho) * (alpha / omega) * (p - omega * v)
-            phat = precondition(p)
+            phat = yield p
             v = A @ phat
             r0v = r0 @ v
             if abs(r0v) < 1e-30 * scale * scale:
@@ -135,7 +147,7 @@ def _bicgstab(A, b, config: Tolerance, precondition):
                 x = x + alpha * phat
                 it += 1
                 break
-            shat = precondition(s)
+            shat = yield s
             t = A @ shat
             tt = t @ t
             if tt == 0.0:
@@ -154,30 +166,70 @@ def _bicgstab(A, b, config: Tolerance, precondition):
     return x, SolveInfo(res <= tol, it, float(res), "bicgstab")
 
 
+def _bicgstab(A, B, config: Tolerance, precondition):
+    """BiCGStab on the m rows of B (m, n) in lockstep: each row runs its own
+    ``_bicgstab_column`` (its own scalars, breakdown and divergence guards,
+    true-residual gate, iteration cap and restarts, so its iterates are
+    those of a solve of that row alone).  The k rows still running each
+    request one vector per half-step; one ``precondition`` call on their
+    stack, transposed to (n, k) in Fortran order as SuperLU takes it,
+    serves them all.  Returns (X, one SolveInfo per row)."""
+    maxiter = (_MAXITER_PER_UNKNOWN * B.shape[1] if config.maxiter is None
+               else config.maxiter)
+    columns = [_bicgstab_column(A, b, config, maxiter) for b in B]
+    results = [None] * len(columns)
+    requests = {}
+
+    def resume(j, value):
+        try:
+            requests[j] = columns[j].send(value)
+        except StopIteration as done:
+            results[j] = done.value
+
+    for j in range(len(columns)):
+        resume(j, None)
+    while requests:
+        rows = list(requests)
+        block = precondition(np.array([requests.pop(j) for j in rows]).T)
+        for i, j in enumerate(rows):
+            resume(j, block[:, i])
+    return np.array([x for x, _ in results]), [info for _, info in results]
+
+
 def solve(A, b, tol: Tolerance, zero_mean_weights=None):
-    """Solve A x = b by BiCGStab, capped at 10 n iterations, preconditioned
-    by ``A.preconditioner`` when A is a SparseOperator that carries one and
-    by Jacobi otherwise; returns (x, SolveInfo), and the caller judges
-    ``SolveInfo.converged``.  With ``zero_mean_weights`` (the diagonal mass
-    of the pressure space), returns the solution of zero weighted mean from
-    a ``FactoredSolver`` of A, which raises SolverError on failure."""
+    """Solve A x = b for one right-hand side (n,) or several (n, m) by
+    BiCGStab, capped at ``tol.maxiter`` (default 10 n) iterations per
+    column, preconditioned by ``A.preconditioner`` when A is a
+    SparseOperator that carries one and by Jacobi otherwise; returns
+    (x, SolveInfo), and the caller judges ``SolveInfo.converged`` (for
+    several columns: all of them converged; ``iterations`` is their sum and
+    ``columns`` holds each one's SolveInfo).  With ``zero_mean_weights``
+    (the diagonal mass of the pressure space), returns the solution of
+    zero weighted mean from a ``FactoredSolver`` of A, which raises
+    SolverError on failure."""
     if zero_mean_weights is not None:
         return FactoredSolver(A, zero_mean_weights).solve(b, tol)
     A_csr = _as_csr(A)
     b = np.asarray(b, dtype=float)
-    n = len(b)
-    if A_csr.shape != (n, n):
-        raise ValueError(f"matrix shape {A_csr.shape} does not match rhs of size {n}")
+    n = b.shape[0]
+    if b.ndim not in (1, 2) or A_csr.shape != (n, n):
+        raise ValueError(f"matrix shape {A_csr.shape} does not match rhs of shape {b.shape}")
     _require_finite(b)
-    if not np.linalg.norm(b):
-        return np.zeros(n), SolveInfo(True, 0, 0.0, "bicgstab")
 
     precondition = getattr(A, "preconditioner", None)
     if precondition is None:
         diag = A_csr.diagonal()
         jacobi = np.where(np.abs(diag) > 0, 1.0 / np.where(diag != 0, diag, 1.0), 1.0)
-        precondition = lambda v: jacobi * v
-    return _bicgstab(A_csr, b, tol, precondition)
+        precondition = lambda v: jacobi[:, None] * v
+    if b.ndim == 1:
+        x, (info,) = _bicgstab(A_csr, b[None, :], tol, precondition)
+        return x[0], info
+    x, infos = _bicgstab(A_csr, np.ascontiguousarray(b.T), tol, precondition)
+    info = SolveInfo(all(c.converged for c in infos),
+                     sum(c.iterations for c in infos),
+                     float(np.linalg.norm([c.residual for c in infos])),
+                     "bicgstab", columns=tuple(infos))
+    return np.ascontiguousarray(x.T), info
 
 
 class FactoredSolver:

@@ -11,7 +11,9 @@ an SPD weak form (grad, grad); the velocity Laplacian is the two-point
 flux operator whose negative mass-weighted matrix is the Gram matrix of
 the discrete H1 norm.  The pressure Laplacian and that Gram matrix are
 each factored once per mesh; the factored pressure Laplacian also gives
-the one discrete Leray projection.
+the one discrete Leray projection.  The upwind convection matrix is filled
+straight into the CSR pattern of that Gram matrix, so that the momentum
+matrix of every step is one data array on it.
 """
 from __future__ import annotations
 
@@ -154,8 +156,31 @@ def _advecting_fluxes(u) -> np.ndarray:
         "(SolenoidalP0 or VectorRT0), got " + type(u).__name__)
 
 
+def _h_positions(mesh: Mesh, rows, cols) -> np.ndarray:
+    """Positions of the entries (rows, cols) in the data array of
+    ``h_gram(mesh)``, whose pattern (the diagonal and the two-point
+    neighbours) holds them: its (row nt + col) keys are sorted."""
+    H = h_gram(mesh)
+    nt = mesh.num_triangles
+    keys = np.repeat(np.arange(nt, dtype=np.int64), np.diff(H.indptr)) * nt + H.indices
+    return np.searchsorted(keys, np.asarray(rows, dtype=np.int64) * nt + cols)
+
+
+def h_diagonal(mesh: Mesh) -> np.ndarray:
+    """Positions of the diagonal in the data array of ``h_gram(mesh)``, and
+    so of every matrix on its pattern; cached per mesh."""
+    cached = mesh._cache.get("h_diagonal")
+    if cached is None:
+        cells = np.arange(mesh.num_triangles)
+        cached = mesh._cache["h_diagonal"] = _h_positions(mesh, cells, cells)
+    return cached
+
+
 def convection_matrix(u, weighted: bool = False) -> SparseOperator:
-    """Upwind transport matrix for the advecting flux field u.
+    """Upwind transport matrix for the advecting flux field u, on the CSR
+    pattern of ``h_gram(mesh)`` (it shares H's index arrays): each interior
+    edge adds to the (K, K), (K, L), (L, L) and (L, K) entries, whose
+    positions in H's data are cached per mesh.
 
     Unweighted rows carry 1/|K| (the operator); weighted rows carry |K|
     times that (the form used in the momentum system).  Boundary edges
@@ -165,17 +190,21 @@ def convection_matrix(u, weighted: bool = False) -> SparseOperator:
     flux = _advecting_fluxes(u)
     ii = mesh.interior_edges
     K, L = mesh.edge_owner[ii], mesh.edge_neighbor[ii]
+    rows = np.concatenate([K, K, L, L])
+    positions = mesh._cache.get("convection_positions")
+    if positions is None:
+        positions = mesh._cache["convection_positions"] = _h_positions(
+            mesh, rows, np.concatenate([K, L, L, K]))
     s = mesh.edge_length[ii]
     f = flux[ii]
     up = s * np.maximum(f, 0.0)
     dn = s * np.minimum(f, 0.0)
-    rows = np.concatenate([K, K, L, L])
-    cols = np.concatenate([K, L, L, K])
     vals = np.concatenate([up, dn, s * np.maximum(-f, 0.0), s * np.minimum(-f, 0.0)])
     if not weighted:
         vals = vals / mesh.tri_area[rows]
-    nt = mesh.num_triangles
-    C = sp.csr_matrix((vals, (rows, cols)), shape=(nt, nt))
+    H = h_gram(mesh)
+    C = sp.csr_matrix((np.bincount(positions, vals, minlength=H.nnz),
+                       H.indices, H.indptr), shape=H.shape)
     return SparseOperator(C, domain="p0", codomain="p0")
 
 

@@ -15,11 +15,14 @@ Leray projection of the cell-averaged data, and u^1 comes from the same
 step out of (u^{-1}, u^0, p^0) = (u^0, u^0, 0) with the BDF1 coefficients
 (1, -1, 0): semi-implicit Euler, advected by 2 u^0 - u^0 = u^0.
 
-The predictor system is solved by BiCGStab preconditioned with a lagged
-SuperLU factor of the BDF2 momentum matrix 3/(2k) M + H/Re + C(u*): built
-at the first solve (the start-up step, whose a0 = 1 it does not match)
-and rebuilt after a solve needs more than REFACTOR_ITERS iterations, or
-within the step when a solve with it does not converge.
+The predictor matrix a0/k M + H/Re + C(u*) has the pattern of H at every
+step, so it is assembled as a data array on H's index arrays; both velocity
+components are solved together by one lockstep BiCGStab, preconditioned
+with a lagged SuperLU factor of the BDF2 momentum matrix
+3/(2k) M + H/Re + C(u*): built at the first solve (the start-up step,
+whose a0 = 1 it does not match) and rebuilt after a component needs more
+than REFACTOR_ITERS iterations, or within the step when a solve with it
+does not converge in LAGGED_MAXITER iterations.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm, l2_inner,
                      l2_norm, mean_zero, p1nc_mass, project_p0)
 from .linalg import FactoredSolver, SolverError, SparseOperator, Tolerance, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
-from .operators import (convection_matrix, divergence, gradient,
+from .operators import (convection_matrix, divergence, gradient, h_diagonal,
                         leray_project, pressure_solver, trilinear_form,
                         velocity_stiffness)
 
@@ -51,6 +54,11 @@ CERT_TOL = 1e-12
 # A momentum solve of more BiCGStab iterations than this rebuilds the
 # preconditioner's factor at the next step; a fresh factor needs about 3.
 REFACTOR_ITERS = 20
+
+# A solve with a factor of another matrix stops at this many iterations per
+# component and is repeated with a fresh factor; uncapped, a failing one ran
+# until BiCGStab diverged (1,381 iterations at acute:3, Re = 1e5, k = 0.5).
+LAGGED_MAXITER = 2 * REFACTOR_ITERS
 
 
 # -- built-in data cases ----------------------------------------------------------
@@ -246,6 +254,7 @@ class _Workspace:
         self.case = make_case(config.case, config.re)
         self.mass = mesh.tri_area
         self.h_stiff = velocity_stiffness(mesh).matrix
+        self.h_diag = h_diagonal(mesh)
         self.p_solver = pressure_solver(mesh)
         self.p_mass = p1nc_mass(mesh)
         self.cert_tol = CERT_TOL
@@ -255,17 +264,19 @@ class _Workspace:
         self.mom_iters = self.mom_refactor = 0
         self.convection = None      # weighted C(u*) of the last momentum step
         self.p_backward_error = 0.0
+        self.div_residual = 0.0     # |div u| of the last certified field
 
     def certify(self, v: VectorP0, where: str, div_scale: float = 0.0) -> SolenoidalP0:
         """Gate a projected field on its remaining divergence.
 
         The projection solve can only reduce the divergence by its relative
         tolerance, so the gate scales with the larger of the field norm and
-        the divergence that was removed.
+        the divergence that was removed.  Leaves |div v| in
+        ``div_residual`` for the step record.
         """
         if not np.all(np.isfinite(v.values)):
             raise SchemeError(f"{where}: field has NaN or Inf entries")
-        div_l2 = l2_norm(divergence(v))
+        div_l2 = self.div_residual = l2_norm(divergence(v))
         scale = max(l2_norm(v), div_scale)
         if div_l2 > self.cert_tol * scale:
             raise SchemeError(
@@ -283,14 +294,18 @@ def _bdf_coefficients(state: SchemeState):
 
 def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
                   grad_p: VectorP0 | None = None) -> VectorP0:
-    """Solve the predictor system; one matrix, two right-hand sides.
+    """Solve the predictor system: one matrix a0/k M + H/Re + C(u*),
+    assembled as a data array on the pattern of H, and one BiCGStab solve
+    for both velocity components.
 
     ``grad_p`` is gradient(state.p_curr) when the caller already has it.
-    A solve that the lagged factor does not bring to convergence is
-    repeated with a fresh factor of this step's matrix; only a failure of
-    that one raises SolverError.  Leaves the weighted convection matrix
-    C(u*) in ``ws.convection``, the step's BiCGStab iterations (every
-    solve) in ``ws.mom_iters`` and the number of factors it built in
+    A solve preconditioned by a factor of another matrix (the lagged one,
+    or the start-up step's) stops at LAGGED_MAXITER iterations per
+    component; one that does not converge is repeated with a fresh factor
+    of this step's matrix, and only a failure of that one raises
+    SolverError.  Leaves the weighted convection matrix C(u*) in
+    ``ws.convection``, the step's BiCGStab iterations (every solve, both
+    components) in ``ws.mom_iters`` and the number of factors it built in
     ``ws.mom_refactor``.
     """
     k = config.k
@@ -298,45 +313,50 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     u_star = SolenoidalP0.trusted(
         2.0 * state.u_curr.field - state.u_prev.field)
     ws.convection = convection_matrix(u_star, weighted=True)
-    A = (1.0 / config.re) * ws.h_stiff + ws.convection.matrix
+    H = ws.h_stiff
+    base = (1.0 / config.re) * H.data + ws.convection.matrix.data
+
+    def with_mass(shift):
+        data = base.copy()
+        data[ws.h_diag] += shift * ws.mass
+        return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape)
+
+    A = with_mass(a0 / k)
     builds = int(ws.refactor_due)
     if builds:
         ws.mom_factor = None  # free the old factor before building the new
-        ws.mom_factor = FactoredSolver(A + sp.diags(1.5 / k * ws.mass))
-    A = SparseOperator(A + sp.diags(a0 / k * ws.mass), "p0", "p0",
-                       preconditioner=ws.mom_factor.apply)
+        ws.mom_factor = FactoredSolver(A if a0 == 1.5 else with_mass(1.5 / k))
+    A = SparseOperator(A, "p0", "p0", preconditioner=ws.mom_factor.apply)
     exact = bool(builds) and a0 == 1.5  # the factor is of this step's matrix
     gp = gradient(state.p_curr) if grad_p is None else grad_p
-    rhs_common = (ws.forcing.values
-                  - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
-                  - gp.values) * ws.mass[:, None]
-    out = np.empty_like(rhs_common)
-    iters = []
-    ws.mom_iters = 0
-    for c in range(2):
-        while True:
-            out[:, c], info = solve(A, rhs_common[:, c], config.momentum)
-            ws.mom_iters += info.iterations
-            if info.converged or exact:
-                break
-            # u* has moved too far from the factor's: factor this matrix
-            A.preconditioner = ws.mom_factor = None
-            ws.mom_factor = FactoredSolver(A)
-            A.preconditioner = ws.mom_factor.apply
-            exact, builds = True, builds + 1
-        if not info.converged:
-            raise SolverError(f"momentum solve (component {c}) failed: {info}")
-        iters.append(info.iterations)
-    ws.refactor_due = max(iters) > REFACTOR_ITERS
+    rhs = (ws.forcing.values
+           - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
+           - gp.values) * ws.mass[:, None]
+    out, info = solve(A, rhs, config.momentum if exact else
+                      replace(config.momentum, maxiter=LAGGED_MAXITER))
+    ws.mom_iters = info.iterations
+    if not info.converged and not exact:
+        # u* has moved too far from the factor's: factor this matrix
+        A.preconditioner = ws.mom_factor = None
+        ws.mom_factor = FactoredSolver(A)
+        A.preconditioner = ws.mom_factor.apply
+        builds += 1
+        out, info = solve(A, rhs, config.momentum)
+        ws.mom_iters += info.iterations
+    if not info.converged:
+        c = next(c for c, col in enumerate(info.columns) if not col.converged)
+        raise SolverError(f"momentum solve (component {c}) failed: {info.columns[c]}")
+    ws.refactor_due = max(col.iterations for col in info.columns) > REFACTOR_ITERS
     ws.mom_refactor = builds
     return VectorP0(state.u_curr.mesh, out)
 
 
 def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
-                  ws: _Workspace):
+                  ws: _Workspace, div_tilde: ScalarP1NC | None = None):
     """Solve for the pressure increment; returns (p_next, dp) and leaves
-    the solve's normwise backward error in ``ws.p_backward_error``."""
-    d = divergence(u_tilde)
+    the solve's normwise backward error in ``ws.p_backward_error``.
+    ``div_tilde`` is divergence(u_tilde) when the caller already has it."""
+    d = divergence(u_tilde) if div_tilde is None else div_tilde
     weighted = ws.p_mass * d.values
     compat = abs(float(weighted.sum()))
     scale = float(np.linalg.norm(weighted))
@@ -353,11 +373,14 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
 
 
 def correction_step(state: SchemeState, u_tilde: VectorP0, p_next: ScalarP1NC,
-                    dp: ScalarP1NC, config: RunConfig, ws: _Workspace) -> SchemeState:
-    """Subtract the increment gradient and rotate the state."""
+                    dp: ScalarP1NC, config: RunConfig, ws: _Workspace,
+                    div_tilde: ScalarP1NC | None = None) -> SchemeState:
+    """Subtract the increment gradient and rotate the state; ``div_tilde``
+    is divergence(u_tilde) when the caller already has it."""
     u_next = u_tilde - (config.k / _bdf_coefficients(state)[0]) * gradient(dp)
+    d = divergence(u_tilde) if div_tilde is None else div_tilde
     cert = ws.certify(u_next, f"correction step {state.n + 1}",
-                      div_scale=l2_norm(divergence(u_tilde)))
+                      div_scale=l2_norm(d))
     return SchemeState(u_prev=state.u_curr, u_curr=cert, p_curr=p_next,
                        t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde)
 
@@ -367,14 +390,16 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     k = config.k
     gp_n = gradient(state.p_curr)
     u_tilde = momentum_step(state, config, ws, grad_p=gp_n)
-    p_next, dp = pressure_step(state, u_tilde, config, ws)
-    new = correction_step(state, u_tilde, p_next, dp, config, ws)
+    div_tilde = divergence(u_tilde)
+    p_next, dp = pressure_step(state, u_tilde, config, ws, div_tilde)
+    new = correction_step(state, u_tilde, p_next, dp, config, ws, div_tilde)
 
     u_np1, u_n, u_nm1 = new.u_curr.field, state.u_curr.field, state.u_prev.field
     tiny = 1e-300
     u_np1_l2 = l2_norm(u_np1)
     u_tilde_l2 = l2_norm(u_tilde)
     jump_l2 = l2_norm(u_np1 - u_tilde)
+    ut_hnorm = h_norm(u_tilde)
     gp_next = gradient(p_next)
     orth = abs(l2_inner(u_np1, gp_next)) / (u_np1_l2 * l2_norm(gp_next) + tiny)
     pyth_num = u_np1_l2 ** 2 - u_tilde_l2 ** 2 + jump_l2 ** 2
@@ -385,7 +410,7 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
         l2_norm(2.0 * u_np1 - u_n) ** 2 - l2_norm(2.0 * u_n - u_nm1) ** 2,
         l2_norm(u_np1 - 2.0 * u_n + u_nm1) ** 2,
         6.0 * jump_l2 ** 2,
-        4.0 * k / config.re * h_norm(u_tilde) ** 2,
+        4.0 * k / config.re * ut_hnorm ** 2,
         4.0 * k * trilinear_form(ws.convection, u_tilde, u_tilde),
         4.0 * k * l2_inner(gp_n, u_tilde),
         -4.0 * k * l2_inner(ws.forcing, u_tilde),
@@ -395,9 +420,9 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     rec = StepRecord(
         step=new.n, t=new.t,
         u_l2=u_np1_l2,
-        ut_hnorm=h_norm(u_tilde),
+        ut_hnorm=ut_hnorm,
         p_l2=l2_norm(p_next),
-        div_residual=l2_norm(divergence(u_np1)),
+        div_residual=ws.div_residual,
         increment=l2_norm(u_np1 - u_n) / k,
         orth_residual=orth,
         pyth_residual=pyth,

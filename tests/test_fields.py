@@ -190,6 +190,15 @@ class TestInnerProductsAndNorms:
         assert np.abs(off).max() < 1e-13
         assert np.allclose(np.diag(dense), diag, atol=1e-13)
 
+    def test_p1nc_mass_cached_read_only(self):
+        mesh = unit_square_acute(1)
+        m = p1nc_mass(mesh)
+        assert p1nc_mass(mesh) is m
+        assert p1nc_mass(unit_square_acute(1)) is not m
+        with pytest.raises(ValueError):
+            m[0] = 1.0
+        assert np.allclose(m, np.diag(reference.p1nc_mass_direct(mesh)), atol=1e-15)
+
     def test_p1nc_mass_entries(self, pair):
         m = p1nc_mass(pair)
         area = np.sqrt(3) / 4

@@ -46,6 +46,8 @@ def test_solver_config_validation():
         Tolerance(atol=0.0)
     with pytest.raises(TypeError):
         Tolerance(method="cg")
+    with pytest.raises(ValueError):
+        Tolerance(maxiter=0)
 
 
 def test_shape_mismatch():
@@ -147,6 +149,104 @@ class TestFactorPreconditioner:
                         Tolerance(rtol=1e-12))
         assert info.converged and info.iterations > 2
         assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+class TestBlockSolve:
+    """Several right-hand sides in one lockstep BiCGStab: each column keeps
+    its own scalars, gate, cap and restarts, so its iterates are those of
+    its own solve."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        mesh = unit_square_acute(2)
+        H = velocity_stiffness(mesh).matrix
+        n = mesh.num_triangles
+        skew = sp.random(n, n, density=0.01, random_state=7, format="csr")
+        A = (sp.diags(np.full(n, 2.0)) + 0.01 * H + 0.05 * (skew - skew.T)).tocsr()
+        lagged = FactoredSolver(A + sp.diags(np.full(n, 0.5))).apply
+        return A, lagged, np.random.default_rng(4).standard_normal((n, 2))
+
+    @staticmethod
+    def _check_columns(op, B, X, info, tol):
+        """Each column against its own single-column solve."""
+        assert X.shape == B.shape and len(info.columns) == B.shape[1]
+        assert info.iterations == sum(c.iterations for c in info.columns)
+        assert info.converged == all(c.converged for c in info.columns)
+        for c, col in enumerate(info.columns):
+            x, single = solve(op, B[:, c], tol)
+            assert (col.iterations, col.converged) == (single.iterations, single.converged)
+            assert np.linalg.norm(X[:, c] - x) <= 1e-14 * max(np.linalg.norm(x), 1e-300)
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_equals_single_column_solves(self, system, preconditioned):
+        # without a preconditioner this is the Jacobi path
+        A, lagged, B = system
+        op = SparseOperator(A, preconditioner=lagged if preconditioned else None)
+        tol = Tolerance(rtol=1e-12)
+        X, info = solve(op, B, tol)
+        assert info.converged and info.method == "bicgstab"
+        assert min(c.iterations for c in info.columns) > 2
+        self._check_columns(op, B, X, info, tol)
+
+    def test_one_preconditioner_call_serves_both_columns(self, system):
+        A, lagged, B = system
+        shapes = []
+
+        def recording(v):
+            shapes.append(v.shape)
+            return lagged(v)
+
+        op = SparseOperator(A, preconditioner=recording)
+        _, info = solve(op, B, Tolerance(rtol=1e-12))
+        assert info.converged and shapes[0] == B.shape
+        assert all(s[0] == B.shape[0] and s[1] in (1, 2) for s in shapes)
+        # two calls per iteration of the slower column, at most
+        assert len(shapes) <= 2 * max(c.iterations for c in info.columns)
+
+    def test_zero_column(self, system):
+        A, lagged, B = system
+        B = B.copy()
+        B[:, 0] = 0.0
+        op = SparseOperator(A, preconditioner=lagged)
+        X, info = solve(op, B, Tolerance(rtol=1e-12))
+        assert info.converged and np.all(X[:, 0] == 0.0)
+        assert (info.columns[0].iterations, info.columns[0].residual) == (0, 0.0)
+        self._check_columns(op, B, X, info, Tolerance(rtol=1e-12))
+
+    def test_each_column_meets_its_own_gate(self, system):
+        # norms 1e8 apart: a shared gate would stop the small column early
+        A, lagged, B = system
+        B = B * np.array([1.0, 1e8])
+        op = SparseOperator(A, preconditioner=lagged)
+        tol = Tolerance(rtol=1e-12)
+        X, info = solve(op, B, tol)
+        assert info.converged
+        for c in range(2):
+            assert (np.linalg.norm(B[:, c] - A @ X[:, c])
+                    <= tol.rtol * np.linalg.norm(B[:, c]))
+        self._check_columns(op, B, X, info, tol)
+
+    def test_breakdown_in_one_column(self):
+        # column 0 breaks down at once (see the single-column test below);
+        # column 1 converges in one iteration, untouched by it
+        import warnings
+        A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        B = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, info = solve(A, B, Tolerance())
+        assert not info.converged and np.all(np.isfinite(X))
+        assert not info.columns[0].converged and info.columns[1].converged
+        assert np.allclose(X[:, 1], [1.0, 1.0], atol=1e-14)
+        self._check_columns(A, B, X, info, Tolerance())
+
+    def test_iteration_cap_per_column(self, system):
+        A, lagged, B = system
+        op = SparseOperator(A, preconditioner=lagged)
+        X, info = solve(op, B, Tolerance(rtol=1e-12, maxiter=2))
+        assert not info.converged
+        assert [c.iterations for c in info.columns] == [2, 2]
+        self._check_columns(op, B, X, info, Tolerance(rtol=1e-12, maxiter=2))
 
 
 def test_deterministic_repeat(pressure_system):

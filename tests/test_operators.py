@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fvproj import reference
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
-                           h_norm, l2_inner, l2_norm, mean_zero, p1nc_mass)
+                           h_gram, h_norm, l2_inner, l2_norm, mean_zero, p1nc_mass)
 from fvproj.linalg import Tolerance, solve
 from fvproj.mesh import unit_square_acute
 from fvproj.operators import (convection_matrix, divergence,
@@ -12,7 +13,7 @@ from fvproj.operators import (convection_matrix, divergence,
                               pressure_stiffness, trilinear_form,
                               upwind_convection, velocity_stiffness)
 from field_helpers import project_p1nc
-from fixture_meshes import single_triangle
+from fixture_meshes import single_triangle, square_two_triangles
 
 
 def random_solenoidal(mesh, rng):
@@ -234,6 +235,47 @@ class TestUpwindConvection:
                             flux[mesh.tri_edges])
         rows = np.asarray(W.sum(axis=1)).ravel()
         assert np.abs(rows - balance).max() < 1e-11
+
+
+def _convection_coo(u, weighted):
+    """The upwind matrix assembled from COO triplets, with duplicates
+    summed: the oracle of the fill into H's pattern."""
+    mesh = u.mesh
+    flux = u.edge_normal_fluxes()
+    ii = mesh.interior_edges
+    K, L = mesh.edge_owner[ii], mesh.edge_neighbor[ii]
+    s, f = mesh.edge_length[ii], flux[ii]
+    rows = np.concatenate([K, K, L, L])
+    cols = np.concatenate([K, L, L, K])
+    vals = np.concatenate([s * np.maximum(f, 0.0), s * np.minimum(f, 0.0),
+                           s * np.maximum(-f, 0.0), s * np.minimum(-f, 0.0)])
+    if not weighted:
+        vals = vals / mesh.tri_area[rows]
+    nt = mesh.num_triangles
+    C = sp.csr_matrix((vals, (rows, cols)), shape=(nt, nt))
+    C.sum_duplicates()
+    return C
+
+
+class TestConvectionPattern:
+    """C(u*) is filled straight into the CSR pattern of H."""
+
+    @pytest.mark.parametrize("build", [lambda level=level: unit_square_acute(level)
+                                       for level in range(4)]
+                             + [square_two_triangles],
+                             ids=[f"acute:{level}" for level in range(4)] + ["square"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_coo_assembly(self, build, weighted, rng):
+        mesh = build()
+        u = VectorRT0(mesh, rng.standard_normal(mesh.num_edges))
+        C = convection_matrix(u, weighted).matrix
+        ref = _convection_coo(u, weighted)
+        assert C.nnz == ref.nnz == h_gram(mesh).nnz
+        H = h_gram(mesh)
+        assert np.shares_memory(C.indices, H.indices)
+        assert np.shares_memory(C.indptr, H.indptr)
+        diff = np.abs((C - ref).toarray()).max()
+        assert diff <= 1e-15 * np.abs(ref.toarray()).max()
 
 
 class TestTrilinearForm:
