@@ -23,10 +23,6 @@ from . import quadrature
 from .mesh import Mesh
 
 
-class FluxContinuityError(ValueError):
-    """A cellwise field failed its single-valued-normal-trace certificate."""
-
-
 class SpaceMismatchError(ValueError):
     """Operands live on different meshes or in different spaces."""
 
@@ -71,14 +67,6 @@ class _Field:
         return f"{type(self).__name__}(n={len(self.values)})"
 
 
-class ScalarP0(_Field):
-    """One value per triangle."""
-
-    @staticmethod
-    def _shape(mesh):
-        return (mesh.num_triangles,)
-
-
 class VectorP0(_Field):
     """One 2-vector per triangle."""
 
@@ -113,55 +101,19 @@ class VectorRT0(_Field):
         return self.values
 
 
-def max_normal_jump(v: VectorP0) -> float:
-    """Largest inter-element normal jump; boundary edges count their full
-    normal trace."""
-    mesh = v.mesh
-    n = mesh.edge_normal
-    own = np.einsum("ed,ed->e", v.values[mesh.edge_owner], n)
-    jump = np.abs(own[mesh.boundary_edges]).max(initial=0.0)
-    ii = mesh.interior_edges
-    if len(ii):
-        nb = np.einsum("ed,ed->e", v.values[mesh.edge_neighbor[ii]], n[ii])
-        jump = max(jump, np.abs(nb - own[ii]).max())
-    return float(jump)
-
-
 class SolenoidalP0:
-    """A cellwise-constant vector field whose edge normal traces are
-    single-valued and vanish on the boundary, i.e. it is pointwise
-    divergence free in the discrete sense.
+    """A cellwise-constant vector field taken as discretely divergence
+    free: the marker type of an advecting field.  ``trusted`` wraps a field
+    without a check; the scheme's divergence certificate returns one after
+    gating |div v|."""
 
-    Carries a certificate: the measured maximum normal jump, measured on
-    first access when the field was built with ``trusted``.
-    """
+    __slots__ = ("field",)
 
-    __slots__ = ("field", "_max_jump")
-
-    def __init__(self, field: VectorP0, max_jump: float | None = None):
+    def __init__(self, field: VectorP0):
         self.field = field
-        self._max_jump = max_jump
-
-    @property
-    def max_jump(self) -> float:
-        if self._max_jump is None:
-            self._max_jump = max_normal_jump(self.field)
-        return self._max_jump
-
-    @classmethod
-    def certify(cls, field: VectorP0, rel_tol: float = 1e-10) -> "SolenoidalP0":
-        jump = max_normal_jump(field)
-        scale = float(np.abs(field.values).max(initial=0.0))
-        if jump > rel_tol * scale:
-            raise FluxContinuityError(
-                f"normal jump {jump:.3e} exceeds {rel_tol:.1e} * |v|_inf = "
-                f"{rel_tol * scale:.3e}")
-        return cls(field, jump)
 
     @classmethod
     def trusted(cls, field: VectorP0) -> "SolenoidalP0":
-        """Wrap without enforcing a tolerance; the jump is measured only if
-        ``max_jump`` is read."""
         return cls(field)
 
     @property
@@ -193,27 +145,19 @@ def _as_points(f, pts):
     return np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
 
 
-def project_p0(f, mesh: Mesh, quad_order: int = 4):
-    """Cell averages by quadrature; exact for polynomials up to quad_order.
-
-    Returns ScalarP0 or VectorP0 depending on the shape f produces:
-    scalar f(x, y) -> (...) or vector f(x, y) -> (..., 2).
-    """
+def project_p0(f, mesh: Mesh, quad_order: int = 4) -> VectorP0:
+    """Cell averages of a vector f(x, y) -> (..., 2) by quadrature; exact
+    for polynomials up to quad_order."""
     bary, w = quadrature.triangle_rule(quad_order)
     pts = quadrature.triangle_points(mesh.vertices[mesh.triangles], bary)
-    vals = _as_points(f, pts)  # (nt, nq) or (nt, nq, 2)
-    if vals.ndim == 2:
-        return ScalarP0(mesh, vals @ w)
+    vals = _as_points(f, pts)  # (nt, nq, 2)
     return VectorP0(mesh, np.einsum("tqd,q->td", vals, w))
 
 
-def collocate_p0(f, mesh: Mesh):
+def collocate_p0(f, mesh: Mesh) -> VectorP0:
     """Point values at circumcenters (the collocation variant of the cell
     projection, defined for continuous functions)."""
-    vals = _as_points(f, mesh.tri_center)
-    if vals.ndim == 1:
-        return ScalarP0(mesh, vals)
-    return VectorP0(mesh, vals)
+    return VectorP0(mesh, _as_points(f, mesh.tri_center))
 
 
 def project_rt0(f, mesh: Mesh, npoints: int = 3) -> VectorRT0:
@@ -250,8 +194,6 @@ def p1nc_mass(mesh: Mesh) -> np.ndarray:
 def l2_inner(a, b) -> float:
     _check_same(a, b)
     mesh = a.mesh
-    if isinstance(a, ScalarP0):
-        return float(np.sum(mesh.tri_area * a.values * b.values))
     if isinstance(a, VectorP0):
         return float(np.sum(mesh.tri_area * np.einsum("td,td->t", a.values, b.values)))
     if isinstance(a, ScalarP1NC):
@@ -290,19 +232,14 @@ def h_gram(mesh: Mesh) -> sp.csr_matrix:
 def h_norm(v) -> float:
     """Discrete H1 norm of a cellwise field; zero only for the zero field
     (boundary edges see the full cell value)."""
-    mesh = v.mesh
-    vals = v.values if isinstance(v, (ScalarP0, VectorP0)) else None
-    if vals is None:
+    if not isinstance(v, VectorP0):
         raise SpaceMismatchError(f"h_norm is for cellwise fields, got {type(v).__name__}")
+    mesh, vals = v.mesh, v.values
     ii = mesh.interior_edges
     diff = vals[mesh.edge_neighbor[ii]] - vals[mesh.edge_owner[ii]]
     bnd = vals[mesh.edge_owner[mesh.boundary_edges]]
-    if vals.ndim == 1:
-        s = np.sum(mesh.edge_tau[ii] * diff**2) + np.sum(
-            mesh.edge_tau[mesh.boundary_edges] * bnd**2)
-    else:
-        s = np.sum(mesh.edge_tau[ii] * np.einsum("ed,ed->e", diff, diff)) + np.sum(
-            mesh.edge_tau[mesh.boundary_edges] * np.einsum("ed,ed->e", bnd, bnd))
+    s = np.sum(mesh.edge_tau[ii] * np.einsum("ed,ed->e", diff, diff)) + np.sum(
+        mesh.edge_tau[mesh.boundary_edges] * np.einsum("ed,ed->e", bnd, bnd))
     return float(np.sqrt(max(s, 0.0)))
 
 

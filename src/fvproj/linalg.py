@@ -1,10 +1,9 @@
-"""Sparse linear algebra: tagged CSR operators and the two solves the
-scheme needs.
+"""Sparse linear algebra: the two solves the scheme needs.
 
-``solve`` runs preconditioned BiCGStab on the nonsymmetric momentum
-system, all right-hand sides (the two velocity components) in one lockstep
-solve: with the preconditioner its ``SparseOperator`` carries (the scheme
-passes a lagged factor of the momentum matrix), else with Jacobi.
+``solve`` runs BiCGStab on the nonsymmetric momentum system, all
+right-hand sides (the two velocity components) in one lockstep solve,
+preconditioned by what its ``SparseOperator`` carries (the scheme passes a
+lagged factor of the momentum matrix).
 ``FactoredSolver`` factors a fixed matrix once with SuperLU, so each later
 solve with it is two triangular solves (four for a zero-mean solve, which
 refines once): the pressure Laplacian on its zero-mean subspace, grounded
@@ -25,38 +24,18 @@ class SolverError(RuntimeError):
 
 
 class SparseOperator:
-    """Compressed-row matrix tagged with its domain and codomain spaces.
+    """A CSR matrix and the preconditioner ``solve`` applies to it: a
+    callable v -> P^{-1} v with P close to the matrix, for v of shape
+    (n, m)."""
 
-    ``preconditioner``, when given, is a callable v -> P^{-1} v with P
-    close to the matrix, for v of shape (n,) or (n, m); ``solve`` uses it
-    in place of Jacobi.
-    """
+    __slots__ = ("matrix", "preconditioner")
 
-    __slots__ = ("matrix", "domain", "codomain", "preconditioner")
-
-    def __init__(self, matrix, domain: str = "", codomain: str = "",
-                 preconditioner=None):
-        m = sp.csr_matrix(matrix)
-        m.sum_duplicates()
-        self.matrix = m
-        self.domain = domain
-        self.codomain = codomain
+    def __init__(self, matrix, preconditioner):
+        self.matrix = sp.csr_matrix(matrix)
         self.preconditioner = preconditioner
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
     def __matmul__(self, x):
         return self.matrix @ x
-
-    def toarray(self):
-        return self.matrix.toarray()
-
-    def __repr__(self):
-        return (f"SparseOperator({self.shape[0]}x{self.shape[1]}, "
-                f"{self.domain or '?'} -> {self.codomain or '?'}, "
-                f"nnz={self.matrix.nnz})")
 
 
 @dataclass
@@ -84,8 +63,8 @@ class SolveInfo:
     fallbacks: list = field(default_factory=list)
     # normwise backward error of a factored solve (the largest over columns)
     backward_error: float | None = None
-    # one SolveInfo per column of a BiCGStab solve of several right-hand
-    # sides, whose ``iterations`` is their sum; empty for one right-hand side
+    # one SolveInfo per column of a BiCGStab solve, whose ``iterations`` is
+    # their sum; empty for a column's own SolveInfo and a factored solve
     columns: tuple = ()
 
     def __str__(self):
@@ -97,10 +76,6 @@ class SolveInfo:
 _MAXITER_PER_UNKNOWN = 10
 # BiCGStab gives up once its residual exceeds this multiple of |b|
 _DIVERGENCE_FACTOR = 1e10
-
-
-def _as_csr(A):
-    return A.matrix if isinstance(A, SparseOperator) else sp.csr_matrix(A)
 
 
 def _require_finite(b):
@@ -197,34 +172,23 @@ def _bicgstab(A, B, config: Tolerance, precondition):
 
 
 def solve(A, b, tol: Tolerance, zero_mean_weights=None):
-    """Solve A x = b for one right-hand side (n,) or several (n, m) by
-    BiCGStab, capped at ``tol.maxiter`` (default 10 n) iterations per
-    column, preconditioned by ``A.preconditioner`` when A is a
-    SparseOperator that carries one and by Jacobi otherwise; returns
-    (x, SolveInfo), and the caller judges ``SolveInfo.converged`` (for
-    several columns: all of them converged; ``iterations`` is their sum and
-    ``columns`` holds each one's SolveInfo).  With ``zero_mean_weights``
-    (the diagonal mass of the pressure space), returns the solution of
-    zero weighted mean from a ``FactoredSolver`` of A, which raises
-    SolverError on failure."""
+    """Solve A x = b for the m right-hand sides of b (n, m) by BiCGStab,
+    capped at ``tol.maxiter`` (default 10 n) iterations per column and
+    preconditioned by ``A.preconditioner`` (A a SparseOperator); returns
+    (x, SolveInfo), and the caller judges ``SolveInfo.converged`` (all
+    columns converged; ``iterations`` is their sum and ``columns`` holds
+    each one's SolveInfo).  With ``zero_mean_weights`` (the diagonal mass
+    of the pressure space), returns the solution of zero weighted mean from
+    a ``FactoredSolver`` of the matrix A, which raises SolverError on
+    failure."""
     if zero_mean_weights is not None:
         return FactoredSolver(A, zero_mean_weights).solve(b, tol)
-    A_csr = _as_csr(A)
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    if b.ndim not in (1, 2) or A_csr.shape != (n, n):
-        raise ValueError(f"matrix shape {A_csr.shape} does not match rhs of shape {b.shape}")
+    if b.ndim != 2 or A.matrix.shape != (n, n):
+        raise ValueError(f"matrix shape {A.matrix.shape} does not match rhs of shape {b.shape}")
     _require_finite(b)
-
-    precondition = getattr(A, "preconditioner", None)
-    if precondition is None:
-        diag = A_csr.diagonal()
-        jacobi = np.where(np.abs(diag) > 0, 1.0 / np.where(diag != 0, diag, 1.0), 1.0)
-        precondition = lambda v: jacobi[:, None] * v
-    if b.ndim == 1:
-        x, (info,) = _bicgstab(A_csr, b[None, :], tol, precondition)
-        return x[0], info
-    x, infos = _bicgstab(A_csr, np.ascontiguousarray(b.T), tol, precondition)
+    x, infos = _bicgstab(A.matrix, np.ascontiguousarray(b.T), tol, A.preconditioner)
     info = SolveInfo(all(c.converged for c in infos),
                      sum(c.iterations for c in infos),
                      float(np.linalg.norm([c.residual for c in infos])),
@@ -261,7 +225,7 @@ class FactoredSolver:
     """
 
     def __init__(self, A, weights=None):
-        A = _as_csr(A)
+        A = sp.csr_matrix(A)
         n = A.shape[0]
         w = None if weights is None else np.asarray(weights, dtype=float)
         if A.shape != (n, n) or (w is not None and w.shape != (n,)):

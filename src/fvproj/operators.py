@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
                      h_gram, p1nc_mass)
-from .linalg import FactoredSolver, SparseOperator, Tolerance
+from .linalg import FactoredSolver, Tolerance
 from .mesh import Mesh
 
 
@@ -88,7 +88,7 @@ def divergence(v: VectorP0) -> ScalarP1NC:
     return ScalarP1NC(v.mesh, Dx @ v.values[:, 0] + Dy @ v.values[:, 1])
 
 
-def pressure_stiffness(mesh: Mesh) -> SparseOperator:
+def pressure_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """SPD weak form of the pressure Laplacian: (A q) . r = (grad q, grad r).
 
     Symmetric positive semidefinite with the constants as kernel; solved
@@ -98,8 +98,7 @@ def pressure_stiffness(mesh: Mesh) -> SparseOperator:
     if cached is None:
         Gx, Gy = gradient_matrices(mesh)
         M = sp.diags(mesh.tri_area)
-        A = (Gx.T @ M @ Gx + Gy.T @ M @ Gy).tocsr()
-        cached = SparseOperator(A, domain="p1nc", codomain="p1nc")
+        cached = (Gx.T @ M @ Gx + Gy.T @ M @ Gy).tocsr()
         mesh._cache["pressure_stiffness"] = cached
     return cached
 
@@ -110,7 +109,7 @@ def pressure_solver(mesh: Mesh) -> FactoredSolver:
     use and kept for the life of the mesh."""
     cached = mesh._cache.get("pressure_solver")
     if cached is None:
-        cached = FactoredSolver(pressure_stiffness(mesh).matrix, p1nc_mass(mesh))
+        cached = FactoredSolver(pressure_stiffness(mesh), p1nc_mass(mesh))
         mesh._cache["pressure_solver"] = cached
     return cached
 
@@ -134,12 +133,6 @@ def leray_project(v: VectorP0, tol: Tolerance, where: str = "Leray projection"):
         -(p1nc_mass(mesh) * divergence(v).values), tol, where)
     phi = ScalarP1NC(mesh, phi)
     return v - gradient(phi), phi
-
-
-def velocity_stiffness(mesh: Mesh) -> SparseOperator:
-    """Symmetric positive form of the two-point-flux velocity Laplacian
-    (row K scaled by |K|); acts identically on both components."""
-    return SparseOperator(h_gram(mesh), domain="p0", codomain="p0")
 
 
 def laplacian_p0(v: VectorP0) -> VectorP0:
@@ -176,7 +169,7 @@ def h_diagonal(mesh: Mesh) -> np.ndarray:
     return cached
 
 
-def convection_matrix(u, weighted: bool = False) -> SparseOperator:
+def convection_matrix(u, weighted: bool = False) -> sp.csr_matrix:
     """Upwind transport matrix for the advecting flux field u, on the CSR
     pattern of ``h_gram(mesh)`` (it shares H's index arrays): each interior
     edge adds to the (K, K), (K, L), (L, L) and (L, K) entries, whose
@@ -203,14 +196,13 @@ def convection_matrix(u, weighted: bool = False) -> SparseOperator:
     if not weighted:
         vals = vals / mesh.tri_area[rows]
     H = h_gram(mesh)
-    C = sp.csr_matrix((np.bincount(positions, vals, minlength=H.nnz),
-                       H.indices, H.indptr), shape=H.shape)
-    return SparseOperator(C, domain="p0", codomain="p0")
+    return sp.csr_matrix((np.bincount(positions, vals, minlength=H.nnz),
+                          H.indices, H.indptr), shape=H.shape)
 
 
 def upwind_convection(u, v: VectorP0) -> VectorP0:
     """Componentwise upwind transport of v by the certified flux field u."""
-    C = convection_matrix(u).matrix
+    C = convection_matrix(u)
     return VectorP0(v.mesh, np.stack([C @ v.values[:, 0], C @ v.values[:, 1]], axis=1))
 
 
@@ -218,7 +210,6 @@ def trilinear_form(u, v: VectorP0, w: VectorP0) -> float:
     """Cell-mass pairing of w with the upwind transport of v by u; u is the
     advecting field, or its weighted ``convection_matrix`` when the caller
     has built it already."""
-    W = (u if isinstance(u, SparseOperator)
-         else convection_matrix(u, weighted=True)).matrix
+    W = u if sp.issparse(u) else convection_matrix(u, weighted=True)
     return float(np.einsum("td,td->", w.values,
                            np.stack([W @ v.values[:, 0], W @ v.values[:, 1]], axis=1)))

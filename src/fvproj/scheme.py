@@ -27,20 +27,19 @@ does not converge in LAGGED_MAXITER iterations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import vtkio
-from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm, l2_inner,
-                     l2_norm, mean_zero, p1nc_mass, project_p0)
+from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram, h_norm,
+                     l2_inner, l2_norm, mean_zero, p1nc_mass, project_p0)
 from .linalg import FactoredSolver, SolverError, SparseOperator, Tolerance, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
 from .operators import (convection_matrix, divergence, gradient, h_diagonal,
-                        leray_project, pressure_solver, trilinear_form,
-                        velocity_stiffness)
+                        leray_project, pressure_solver, trilinear_form)
 
 
 class SchemeError(RuntimeError):
@@ -229,9 +228,7 @@ class Trajectory:
     elapsed: float
 
     def monitor_rows(self):
-        names = ("step", "t", "u_l2", "ut_hnorm", "p_l2", "div_residual",
-                 "increment", "orth_residual", "pyth_residual", "energy_residual",
-                 "mom_iters", "mom_refactor", "p_backward_error")
+        names = tuple(f.name for f in fields(StepRecord))
         return names, [[getattr(r, n) for n in names] for r in self.records]
 
     def write_monitors(self, path) -> None:
@@ -253,7 +250,7 @@ class _Workspace:
         self.mesh = mesh
         self.case = make_case(config.case, config.re)
         self.mass = mesh.tri_area
-        self.h_stiff = velocity_stiffness(mesh).matrix
+        self.h_stiff = h_gram(mesh)
         self.h_diag = h_diagonal(mesh)
         self.p_solver = pressure_solver(mesh)
         self.p_mass = p1nc_mass(mesh)
@@ -293,20 +290,19 @@ def _bdf_coefficients(state: SchemeState):
 
 
 def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
-                  grad_p: VectorP0 | None = None) -> VectorP0:
+                  grad_p: VectorP0) -> VectorP0:
     """Solve the predictor system: one matrix a0/k M + H/Re + C(u*),
     assembled as a data array on the pattern of H, and one BiCGStab solve
     for both velocity components.
 
-    ``grad_p`` is gradient(state.p_curr) when the caller already has it.
-    A solve preconditioned by a factor of another matrix (the lagged one,
-    or the start-up step's) stops at LAGGED_MAXITER iterations per
-    component; one that does not converge is repeated with a fresh factor
-    of this step's matrix, and only a failure of that one raises
-    SolverError.  Leaves the weighted convection matrix C(u*) in
-    ``ws.convection``, the step's BiCGStab iterations (every solve, both
-    components) in ``ws.mom_iters`` and the number of factors it built in
-    ``ws.mom_refactor``.
+    ``grad_p`` is gradient(state.p_curr).  A solve preconditioned by a
+    factor of another matrix (the lagged one, or the start-up step's) stops
+    at LAGGED_MAXITER iterations per component; one that does not converge
+    is repeated with a fresh factor of this step's matrix, and only a
+    failure of that one raises SolverError.  Leaves the weighted convection
+    matrix C(u*) in ``ws.convection``, the step's BiCGStab iterations
+    (every solve, both components) in ``ws.mom_iters`` and the number of
+    factors it built in ``ws.mom_refactor``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
@@ -314,7 +310,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
         2.0 * state.u_curr.field - state.u_prev.field)
     ws.convection = convection_matrix(u_star, weighted=True)
     H = ws.h_stiff
-    base = (1.0 / config.re) * H.data + ws.convection.matrix.data
+    base = (1.0 / config.re) * H.data + ws.convection.data
 
     def with_mass(shift):
         data = base.copy()
@@ -326,19 +322,18 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     if builds:
         ws.mom_factor = None  # free the old factor before building the new
         ws.mom_factor = FactoredSolver(A if a0 == 1.5 else with_mass(1.5 / k))
-    A = SparseOperator(A, "p0", "p0", preconditioner=ws.mom_factor.apply)
+    A = SparseOperator(A, ws.mom_factor.apply)
     exact = bool(builds) and a0 == 1.5  # the factor is of this step's matrix
-    gp = gradient(state.p_curr) if grad_p is None else grad_p
     rhs = (ws.forcing.values
            - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
-           - gp.values) * ws.mass[:, None]
+           - grad_p.values) * ws.mass[:, None]
     out, info = solve(A, rhs, config.momentum if exact else
                       replace(config.momentum, maxiter=LAGGED_MAXITER))
     ws.mom_iters = info.iterations
     if not info.converged and not exact:
         # u* has moved too far from the factor's: factor this matrix
         A.preconditioner = ws.mom_factor = None
-        ws.mom_factor = FactoredSolver(A)
+        ws.mom_factor = FactoredSolver(A.matrix)
         A.preconditioner = ws.mom_factor.apply
         builds += 1
         out, info = solve(A, rhs, config.momentum)
@@ -352,12 +347,11 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
 
 
 def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
-                  ws: _Workspace, div_tilde: ScalarP1NC | None = None):
+                  ws: _Workspace, div_tilde: ScalarP1NC):
     """Solve for the pressure increment; returns (p_next, dp) and leaves
     the solve's normwise backward error in ``ws.p_backward_error``.
-    ``div_tilde`` is divergence(u_tilde) when the caller already has it."""
-    d = divergence(u_tilde) if div_tilde is None else div_tilde
-    weighted = ws.p_mass * d.values
+    ``div_tilde`` is divergence(u_tilde)."""
+    weighted = ws.p_mass * div_tilde.values
     compat = abs(float(weighted.sum()))
     scale = float(np.linalg.norm(weighted))
     if compat > 1e-12 * max(scale, 1.0):
@@ -374,13 +368,12 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
 
 def correction_step(state: SchemeState, u_tilde: VectorP0, p_next: ScalarP1NC,
                     dp: ScalarP1NC, config: RunConfig, ws: _Workspace,
-                    div_tilde: ScalarP1NC | None = None) -> SchemeState:
+                    div_tilde: ScalarP1NC) -> SchemeState:
     """Subtract the increment gradient and rotate the state; ``div_tilde``
-    is divergence(u_tilde) when the caller already has it."""
+    is divergence(u_tilde)."""
     u_next = u_tilde - (config.k / _bdf_coefficients(state)[0]) * gradient(dp)
-    d = divergence(u_tilde) if div_tilde is None else div_tilde
     cert = ws.certify(u_next, f"correction step {state.n + 1}",
-                      div_scale=l2_norm(d))
+                      div_scale=l2_norm(div_tilde))
     return SchemeState(u_prev=state.u_curr, u_curr=cert, p_curr=p_next,
                        t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde)
 
@@ -455,9 +448,10 @@ def initialize(config: RunConfig, mesh: Mesh):
     state = SchemeState(u_prev=u0, u_curr=u0,
                         p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
                         t=0.0, n=0)
-    u_tilde1 = momentum_step(state, config, ws)
-    p1, dp = pressure_step(state, u_tilde1, config, ws)
-    state = correction_step(state, u_tilde1, p1, dp, config, ws)
+    u_tilde1 = momentum_step(state, config, ws, grad_p=gradient(state.p_curr))
+    div_tilde1 = divergence(u_tilde1)
+    p1, dp = pressure_step(state, u_tilde1, config, ws, div_tilde1)
+    state = correction_step(state, u_tilde1, p1, dp, config, ws, div_tilde1)
     u1 = state.u_curr
 
     err0 = _quadrature_error(u0.field, ws.case.u0, config.quad_order)

@@ -169,7 +169,7 @@ class TestConstants:
         from fvproj.fields import p1nc_mass
         from fvproj.operators import pressure_solver, pressure_stiffness
         mesh = unit_square_acute(3)
-        A, mass = pressure_stiffness(mesh).matrix, p1nc_mass(mesh)
+        A, mass = pressure_stiffness(mesh), p1nc_mass(mesh)
         x0 = np.random.default_rng(2).standard_normal(mesh.num_edges)
         x0 -= (mass @ x0) / mass.sum()
         x, _ = pressure_solver(mesh).solve(mass * x0, analysis._TIGHT)
@@ -225,7 +225,13 @@ class TestStabilityMonitors:
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
-            analysis.stability_monitors([])
+            analysis.stability_monitors([], k=0.01)
+
+    def test_time_step_is_required(self):
+        # k is not inferred from the records: the start-up step has no
+        # record, so the one record of a two-step run sits at t = 2 k
+        with pytest.raises(TypeError):
+            analysis.stability_monitors([StepRecord(2, 0.02, *[0.0] * 8)])
 
 
 class TestReport:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -119,3 +120,17 @@ def test_import_leaves_out_scipy_optimize():
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_imports_a_private_name():
+    # an underscore name is private to its module: another fvproj module
+    # that needs it should use a public one
+    package = Path(fvproj.__file__).resolve().parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or (node.module or "").startswith("fvproj"))):
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from fvproj import reference
-from fvproj.fields import (FluxContinuityError, ScalarP0, ScalarP1NC,
-                           SolenoidalP0, SpaceMismatchError, VectorP0,
+from fvproj.fields import (ScalarP1NC, SpaceMismatchError, VectorP0,
                            VectorRT0, collocate_p0, dual_norm, h_norm,
-                           l2_inner, l2_norm, max_normal_jump, mean_zero,
-                           norm_1h, p1nc_mass, project_p0, project_rt0)
+                           l2_inner, l2_norm, mean_zero, norm_1h, p1nc_mass,
+                           project_p0, project_rt0)
 from fvproj.mesh import refine_uniform, unit_square_acute
 from fvproj.operators import gradient, laplacian_p0
 from field_helpers import (p1nc_cell_values, project_p1nc,
@@ -24,13 +23,15 @@ def stream_velocity(x, y):
 
 class TestCellProjection:
     def test_constant(self, family):
-        f = project_p0(lambda x, y: np.full_like(x, 3.25), family[0])
-        assert np.allclose(f.values, 3.25, atol=1e-14)
+        f = project_p0(lambda x, y: np.stack([np.full_like(x, 3.25),
+                                              np.full_like(x, -1.5)], axis=-1),
+                       family[0])
+        assert np.allclose(f.values, [3.25, -1.5], atol=1e-14)
 
     def test_linear_on_right_triangle(self, right_triangle):
         # cell average of x over that triangle: (integral x = 1/6) / (1/2)
-        f = project_p0(lambda x, y: x, right_triangle)
-        assert abs(f.values[0] - 1.0 / 3.0) < 1e-15
+        f = project_p0(lambda x, y: np.stack([x, y], axis=-1), right_triangle)
+        assert np.abs(f.values[0] - 1.0 / 3.0).max() < 1e-15
 
     def test_projection_preserves_p0_pairings(self, family):
         # (Pi w, v) = (w, v) for cellwise v and polynomial w within the
@@ -59,7 +60,7 @@ class TestCellProjection:
 
 class TestCollocation:
     def test_constant(self, family):
-        f = collocate_p0(lambda x, y: np.full_like(x, -2.0), family[0])
+        f = collocate_p0(lambda x, y: np.full(np.shape(x) + (2,), -2.0), family[0])
         assert np.allclose(f.values, -2.0)
 
     def test_identity_at_equilateral_circumcenter(self, equilateral):
@@ -173,7 +174,7 @@ class TestFluxProjection:
 
 class TestInnerProductsAndNorms:
     def test_unit_area(self, family):
-        one = ScalarP0(family[0], np.ones(family[0].num_triangles))
+        one = VectorP0(family[0], np.tile([0.6, 0.8], (family[0].num_triangles, 1)))
         assert abs(l2_norm(one) - 1.0) < 1e-13
 
     def test_midpoint_rule_quadratic_exactness(self, right_triangle):
@@ -215,8 +216,8 @@ class TestInnerProductsAndNorms:
             assert abs(l2_inner(a, b)) <= l2_norm(a) * l2_norm(b) * (1 + 1e-12)
 
     def test_mesh_mismatch_rejected(self, family):
-        a = ScalarP0(family[0], np.zeros(family[0].num_triangles))
-        b = ScalarP0(family[1], np.zeros(family[1].num_triangles))
+        a = VectorP0(family[0], np.zeros((family[0].num_triangles, 2)))
+        b = VectorP0(family[1], np.zeros((family[1].num_triangles, 2)))
         with pytest.raises(SpaceMismatchError):
             l2_inner(a, b)
 
@@ -300,33 +301,6 @@ class TestPressureHelpers:
         q = mean_zero(ScalarP1NC(mesh, rng.standard_normal(mesh.num_edges)))
         g = gradient(q)
         assert l2_norm(q) / l2_norm(g) < 10.0
-
-
-class TestCertificates:
-    def test_solenoidal_accepts_continuous_traces(self, family):
-        mesh = family[1]
-        zero = VectorP0(mesh, np.zeros((mesh.num_triangles, 2)))
-        cert = SolenoidalP0.certify(zero)
-        assert cert.max_jump == 0.0
-
-    def test_solenoidal_rejects_random_field(self, family, rng):
-        mesh = family[1]
-        v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
-        with pytest.raises(FluxContinuityError):
-            SolenoidalP0.certify(v)
-
-    def test_trusted_records_jump(self, family, rng):
-        mesh = family[0]
-        v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
-        cert = SolenoidalP0.trusted(v)
-        assert cert.max_jump == pytest.approx(max_normal_jump(v))
-
-    def test_constant_field_jump_is_boundary_trace(self, family):
-        mesh = family[0]
-        v = VectorP0(mesh, np.tile([1.0, 0.0], (mesh.num_triangles, 1)))
-        jump = max_normal_jump(v)
-        expected = np.abs(mesh.edge_normal[mesh.boundary_edges, 0]).max()
-        assert abs(jump - expected) < 1e-14
 
 
 class TestSerialization:
