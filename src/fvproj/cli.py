@@ -34,10 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="key=value run configuration file")
     run.add_argument("--mesh", help="mesh file path or acute:L selector")
     run.add_argument("--out", help="output directory (monitors.csv, snapshots)")
-    run.add_argument("--solver-rtol", type=float,
-                     help="relative tolerance of the momentum and pressure solves")
-    run.add_argument("--allow-degenerate", action="store_true",
-                     help="only warn on inadmissible meshes")
     run.add_argument("overrides", nargs="*", metavar="key=value",
                      help="config overrides, applied after the file")
 
@@ -81,10 +77,6 @@ def _cmd_run(args) -> int:
         pairs["mesh"] = args.mesh
     if args.out:
         pairs["out"] = args.out
-    if args.solver_rtol is not None:
-        pairs["solver_rtol"] = repr(args.solver_rtol)
-    if args.allow_degenerate:
-        pairs["allow_degenerate"] = "true"
     config = config.with_overrides(pairs)
 
     traj = scheme.run(config)

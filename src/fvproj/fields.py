@@ -44,9 +44,6 @@ class _Field:
         self.mesh = mesh
         self.values = values
 
-    def copy(self):
-        return type(self)(self.mesh, self.values.copy())
-
     def __add__(self, other):
         _check_same(self, other)
         return type(self)(self.mesh, self.values + other.values)
@@ -59,9 +56,6 @@ class _Field:
         return type(self)(self.mesh, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return type(self)(self.mesh, -self.values)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={len(self.values)})"
@@ -145,10 +139,10 @@ def _as_points(f, pts):
     return np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
 
 
-def project_p0(f, mesh: Mesh, quad_order: int = 4) -> VectorP0:
+def project_p0(f, mesh: Mesh) -> VectorP0:
     """Cell averages of a vector f(x, y) -> (..., 2) by quadrature; exact
-    for polynomials up to quad_order."""
-    bary, w = quadrature.triangle_rule(quad_order)
+    for polynomials up to degree 4."""
+    bary, w = quadrature.triangle_rule(4)
     pts = quadrature.triangle_points(mesh.vertices[mesh.triangles], bary)
     vals = _as_points(f, pts)  # (nt, nq, 2)
     return VectorP0(mesh, np.einsum("tqd,q->td", vals, w))

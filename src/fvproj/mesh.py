@@ -8,7 +8,6 @@ two-point-flux operators are derived from that geometry.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -239,15 +238,11 @@ def validate_mesh(mesh: Mesh) -> MeshQualityReport:
     )
 
 
-def require_admissible(mesh: Mesh, allow_degenerate: bool = False) -> MeshQualityReport:
-    """Raise on inadmissible meshes unless degeneracy is explicitly allowed."""
+def require_admissible(mesh: Mesh) -> MeshQualityReport:
+    """Raise MeshTopologyError on an inadmissible mesh."""
     report = validate_mesh(mesh)
     if not report.admissible:
-        msg = f"mesh is not admissible: {report}"
-        if allow_degenerate:
-            warnings.warn(msg, stacklevel=2)
-        else:
-            raise MeshTopologyError(msg)
+        raise MeshTopologyError(f"mesh is not admissible: {report}")
     return report
 
 
@@ -435,7 +430,7 @@ def unit_square_acute(level: int = 0) -> Mesh:
     return mesh
 
 
-def resolve_mesh(spec: str, fmt: str = "single-file") -> Mesh:
+def resolve_mesh(spec: str) -> Mesh:
     """Turn a mesh specifier into a Mesh.
 
     ``acute:L`` selects the admissible family at level L; anything else is
@@ -443,4 +438,4 @@ def resolve_mesh(spec: str, fmt: str = "single-file") -> Mesh:
     """
     if spec.startswith("acute:"):
         return unit_square_acute(int(spec.split(":", 1)[1]))
-    return load_mesh(spec, fmt=fmt)
+    return load_mesh(spec)

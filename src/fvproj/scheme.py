@@ -27,7 +27,7 @@ does not converge in LAGGED_MAXITER iterations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,10 @@ class SchemeError(RuntimeError):
 # Divergence certificate |div u| <= CERT_TOL max(|u|, removed divergence) of
 # a projected field; the pressure solve has its own (backward-error) gate.
 CERT_TOL = 1e-12
+
+# Tolerances of the momentum (BiCGStab) and pressure (factored) solves.
+MOMENTUM_TOL = Tolerance(rtol=1e-12)
+PRESSURE_TOL = Tolerance(rtol=1e-13)
 
 # A momentum solve of more BiCGStab iterations than this rebuilds the
 # preconditioner's factor at the next step; a fresh factor needs about 3.
@@ -121,6 +125,18 @@ def make_case(name: str, re: float) -> DataCase:
 
 # -- configuration -----------------------------------------------------------------
 
+# key of a config file or command-line override -> (RunConfig field, parser)
+CONFIG_KEYS = {
+    "mesh": ("mesh_spec", str),
+    "k": ("k", float),
+    "steps": ("n_steps", int),
+    "re": ("re", float),
+    "case": ("case", str),
+    "out": ("out_dir", str),
+    "cadence": ("cadence", int),
+}
+
+
 @dataclass
 class RunConfig:
     mesh_spec: str = "acute:2"
@@ -128,13 +144,8 @@ class RunConfig:
     n_steps: int = 200
     re: float = 100.0
     case: str = "manufactured-A"
-    momentum: Tolerance = field(default_factory=lambda: Tolerance(rtol=1e-12))
-    # pressure solves use the factored operator
-    pressure: Tolerance = field(default_factory=lambda: Tolerance(rtol=1e-13))
     out_dir: str | None = None
     cadence: int = 0            # snapshot every this many steps; 0 disables
-    quad_order: int = 4
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         if self.k <= 0:
@@ -158,37 +169,13 @@ class RunConfig:
         return cls().with_overrides(pairs)
 
     def with_overrides(self, pairs: dict) -> "RunConfig":
-        cfg = self
+        changes = {}
         for key, val in pairs.items():
-            if key == "mesh":
-                cfg = replace(cfg, mesh_spec=val)
-            elif key == "k":
-                cfg = replace(cfg, k=float(val))
-            elif key in ("steps", "n_steps"):
-                cfg = replace(cfg, n_steps=int(val))
-            elif key in ("re", "Re"):
-                cfg = replace(cfg, re=float(val))
-            elif key == "case":
-                cfg = replace(cfg, case=val)
-            elif key == "solver_rtol":
-                cfg = replace(cfg,
-                              momentum=replace(cfg.momentum, rtol=float(val)),
-                              pressure=replace(cfg.pressure, rtol=float(val)))
-            elif key == "momentum_rtol":
-                cfg = replace(cfg, momentum=replace(cfg.momentum, rtol=float(val)))
-            elif key == "pressure_rtol":
-                cfg = replace(cfg, pressure=replace(cfg.pressure, rtol=float(val)))
-            elif key == "out":
-                cfg = replace(cfg, out_dir=val)
-            elif key == "cadence":
-                cfg = replace(cfg, cadence=int(val))
-            elif key == "quad_order":
-                cfg = replace(cfg, quad_order=int(val))
-            elif key == "allow_degenerate":
-                cfg = replace(cfg, allow_degenerate=val.lower() in ("1", "true", "yes"))
-            else:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-        return cfg
+            name, parse = CONFIG_KEYS[key]
+            changes[name] = parse(val)
+        return replace(self, **changes)
 
 
 @dataclass
@@ -255,7 +242,7 @@ class _Workspace:
         self.p_solver = pressure_solver(mesh)
         self.p_mass = p1nc_mass(mesh)
         self.cert_tol = CERT_TOL
-        self.forcing = project_p0(self.case.forcing, mesh, config.quad_order)
+        self.forcing = project_p0(self.case.forcing, mesh)
         self.mom_factor = None
         self.refactor_due = True
         self.mom_iters = self.mom_refactor = 0
@@ -327,8 +314,8 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     rhs = (ws.forcing.values
            - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
            - grad_p.values) * ws.mass[:, None]
-    out, info = solve(A, rhs, config.momentum if exact else
-                      replace(config.momentum, maxiter=LAGGED_MAXITER))
+    out, info = solve(A, rhs, MOMENTUM_TOL if exact else
+                      replace(MOMENTUM_TOL, maxiter=LAGGED_MAXITER))
     ws.mom_iters = info.iterations
     if not info.converged and not exact:
         # u* has moved too far from the factor's: factor this matrix
@@ -336,7 +323,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
         ws.mom_factor = FactoredSolver(A.matrix)
         A.preconditioner = ws.mom_factor.apply
         builds += 1
-        out, info = solve(A, rhs, config.momentum)
+        out, info = solve(A, rhs, MOMENTUM_TOL)
         ws.mom_iters += info.iterations
     if not info.converged:
         c = next(c for c, col in enumerate(info.columns) if not col.converged)
@@ -358,7 +345,7 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
         raise SchemeError(
             f"pressure right-hand side incompatible: (div u, 1) = {compat:.3e}")
     rhs = -_bdf_coefficients(state)[0] / config.k * weighted
-    dp_vals, info = ws.p_solver.solve(rhs, config.pressure,
+    dp_vals, info = ws.p_solver.solve(rhs, PRESSURE_TOL,
                                       f"pressure step {state.n + 1}")
     ws.p_backward_error = info.backward_error
     dp = ScalarP1NC(u_tilde.mesh, dp_vals)
@@ -378,14 +365,22 @@ def correction_step(state: SchemeState, u_tilde: VectorP0, p_next: ScalarP1NC,
                        t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde)
 
 
+def _substeps(state: SchemeState, config: RunConfig, ws: _Workspace,
+              grad_p: VectorP0) -> SchemeState:
+    """The three substeps out of ``state`` (BDF1 at n = 0, BDF2 after);
+    ``grad_p`` is gradient(state.p_curr)."""
+    u_tilde = momentum_step(state, config, ws, grad_p=grad_p)
+    div_tilde = divergence(u_tilde)
+    p_next, dp = pressure_step(state, u_tilde, config, ws, div_tilde)
+    return correction_step(state, u_tilde, p_next, dp, config, ws, div_tilde)
+
+
 def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     """One full BDF2 projection step; returns (new state, StepRecord)."""
     k = config.k
     gp_n = gradient(state.p_curr)
-    u_tilde = momentum_step(state, config, ws, grad_p=gp_n)
-    div_tilde = divergence(u_tilde)
-    p_next, dp = pressure_step(state, u_tilde, config, ws, div_tilde)
-    new = correction_step(state, u_tilde, p_next, dp, config, ws, div_tilde)
+    new = _substeps(state, config, ws, gp_n)
+    u_tilde, p_next = new.u_tilde, new.p_curr
 
     u_np1, u_n, u_nm1 = new.u_curr.field, state.u_curr.field, state.u_prev.field
     tiny = 1e-300
@@ -440,21 +435,18 @@ def initialize(config: RunConfig, mesh: Mesh):
     ws = _Workspace(config, mesh)
     k = config.k
 
-    u0_raw = project_p0(ws.case.u0, mesh, config.quad_order)
-    u0_field, _ = leray_project(u0_raw, config.pressure, "initial projection")
+    u0_raw = project_p0(ws.case.u0, mesh)
+    u0_field, _ = leray_project(u0_raw, PRESSURE_TOL, "initial projection")
     u0 = ws.certify(u0_field, "initial projection",
                     div_scale=l2_norm(divergence(u0_raw)))
 
     state = SchemeState(u_prev=u0, u_curr=u0,
                         p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
                         t=0.0, n=0)
-    u_tilde1 = momentum_step(state, config, ws, grad_p=gradient(state.p_curr))
-    div_tilde1 = divergence(u_tilde1)
-    p1, dp = pressure_step(state, u_tilde1, config, ws, div_tilde1)
-    state = correction_step(state, u_tilde1, p1, dp, config, ws, div_tilde1)
-    u1 = state.u_curr
+    state = _substeps(state, config, ws, gradient(state.p_curr))
+    u1, p1 = state.u_curr, state.p_curr
 
-    err0 = _quadrature_error(u0.field, ws.case.u0, config.quad_order)
+    err0 = _quadrature_error(u0.field, ws.case.u0)
     diagnostics = {
         "u0_l2": l2_norm(u0.field),
         "u1_l2": l2_norm(u1.field),
@@ -469,11 +461,11 @@ def initialize(config: RunConfig, mesh: Mesh):
     return state, diagnostics, ws
 
 
-def _quadrature_error(field: VectorP0, exact, quad_order: int) -> float:
+def _quadrature_error(field: VectorP0, exact) -> float:
     from . import quadrature
 
     mesh = field.mesh
-    bary, w = quadrature.triangle_rule(max(quad_order, 4))
+    bary, w = quadrature.triangle_rule(4)
     pts = quadrature.triangle_points(mesh.vertices[mesh.triangles], bary)
     diff = (np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
             - field.values[:, None, :])
@@ -487,7 +479,7 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
     """Execute the full time loop; optionally write monitors and snapshots."""
     if mesh is None:
         mesh = resolve_mesh(config.mesh_spec)
-    require_admissible(mesh, allow_degenerate=config.allow_degenerate)
+    require_admissible(mesh)
 
     t0 = time.perf_counter()
     state, diagnostics, ws = initialize(config, mesh)

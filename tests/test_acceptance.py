@@ -15,7 +15,8 @@ from fvproj.mesh import equilateral_pair, unit_square_acute
 from fvproj.linalg import Tolerance
 from fvproj.operators import (divergence, gradient, laplacian_p0,
                               leray_project, trilinear_form)
-from fvproj.scheme import RunConfig, SchemeState, _Workspace, momentum_step, run
+from fvproj.scheme import (PRESSURE_TOL, RunConfig, SchemeState, _Workspace,
+                           momentum_step, run)
 from fixture_meshes import single_triangle
 
 LEVELS = (0, 1, 2)
@@ -100,7 +101,7 @@ def test_criterion_3_convection_positivity(battery):
 
 def test_criterion_4_discrete_incompressibility(production_run):
     traj, elapsed = production_run
-    rtol = traj.config.pressure.rtol
+    rtol = PRESSURE_TOL.rtol
     worst = max(rec.div_residual / rec.u_l2 for rec in traj.records)
     ok = _report("4 incompressibility", worst, 10 * rtol, worst <= 10 * rtol,
                  " * |u| (10 x solver rtol)")

@@ -71,10 +71,21 @@ class TestRun:
         cfg.write_text("viscosity = 2\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_CHECK_FAILED
 
-    def test_solver_rtol_flag(self, capsys):
-        code = main(["run", "--mesh", "acute:0", "--solver-rtol", "1e-9",
-                     "case=zero", "steps=3"])
-        assert code == EXIT_OK
+    def test_removed_flags_are_usage_errors(self):
+        # the solver tolerances are fixed and a run mesh must be admissible
+        assert main(["run", "--mesh", "acute:0", "--solver-rtol", "1e-9",
+                     "case=zero", "steps=3"]) == EXIT_USAGE
+        assert main(["run", "--mesh", "acute:0", "--allow-degenerate",
+                     "case=zero", "steps=3"]) == EXIT_USAGE
+
+    def test_inadmissible_mesh_fails(self, tmp_path, capsys):
+        path = tmp_path / "diag.mesh"
+        save_mesh(square_two_triangles(), path)
+        assert main(["run", "--mesh", str(path), "case=zero",
+                     "steps=3"]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert "not admissible" in err
+        assert "Traceback" not in err
 
 
 class TestVerifyAndFriends:

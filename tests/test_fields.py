@@ -43,7 +43,7 @@ class TestCellProjection:
         def w(x, y):
             return np.stack([x**2 * y, x - y**3], axis=-1)
 
-        pw = project_p0(w, mesh, quad_order=4)
+        pw = project_p0(w, mesh)
         lhs = l2_inner(pw, v)
         # (w, v) by cellwise exact quadrature of w against constants
         from fvproj import quadrature
@@ -105,7 +105,7 @@ class TestEdgeProjection:
         mesh = unit_square_acute(0)
         for _ in range(4):
             qi = project_p1nc(q, mesh)
-            bary, w = quadrature.triangle_rule(5)
+            bary, w = quadrature.triangle_rule(4)
             pts = quadrature.triangle_points(mesh.vertices[mesh.triangles], bary)
             diff = q(pts[..., 0], pts[..., 1]) - p1nc_cell_values(qi, bary)
             err = np.sqrt(np.sum(mesh.tri_area * np.einsum("tq,tq,q->t",
@@ -326,4 +326,3 @@ def test_field_arithmetic(pair, rng):
     b = VectorP0(pair, rng.standard_normal((2, 2)))
     c = 2.0 * a - b
     assert np.allclose(c.values, 2 * a.values - b.values)
-    assert np.allclose((-a).values, -a.values)

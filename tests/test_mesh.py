@@ -114,9 +114,6 @@ class TestValidation:
         meshmod.require_admissible(unit_square_acute(0))
         with pytest.raises(MeshTopologyError):
             meshmod.require_admissible(square_two_triangles())
-        with pytest.warns(UserWarning):
-            meshmod.require_admissible(square_two_triangles(),
-                                       allow_degenerate=True)
 
 
 class TestIO:

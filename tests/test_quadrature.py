@@ -14,7 +14,7 @@ def bary_monomial_integral(a, b, c, area):
         / factorial(a + b + c + 2)
 
 
-@pytest.mark.parametrize("order", [1, 2, 4, 5])
+@pytest.mark.parametrize("order", [1, 2, 4])
 def test_triangle_rules_exact_for_barycentric_monomials(order):
     bary, w = quadrature.triangle_rule(order)
     assert abs(w.sum() - 1.0) < 1e-14
@@ -27,8 +27,9 @@ def test_triangle_rules_exact_for_barycentric_monomials(order):
 
 
 def test_triangle_rule_rejects_high_order():
-    with pytest.raises(ValueError):
-        quadrature.triangle_rule(6)
+    for order in (5, 6):
+        with pytest.raises(ValueError):
+            quadrature.triangle_rule(order)
 
 
 def test_triangle_points_mapping():
@@ -45,7 +46,7 @@ def test_triangle_points_match_loop_on_a_mesh():
     from fvproj.mesh import unit_square_acute
     mesh = unit_square_acute(2)
     verts = mesh.vertices[mesh.triangles]
-    bary, _ = quadrature.triangle_rule(5)
+    bary, _ = quadrature.triangle_rule(4)
     pts = quadrature.triangle_points(verts, bary)
     assert pts.shape == (mesh.num_triangles, len(bary), 2)
     for t in range(mesh.num_triangles):

@@ -1,7 +1,9 @@
+import re
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from fvproj import reference, scheme
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm,
@@ -82,9 +84,12 @@ class TestCases:
 class TestConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
-        # both solves read their tolerances and nothing else
-        assert cfg.momentum == Tolerance(rtol=1e-12)
-        assert cfg.pressure == Tolerance(rtol=1e-13)
+        assert [f.name for f in fields(cfg)] == [
+            "mesh_spec", "k", "n_steps", "re", "case", "out_dir", "cadence"]
+        # the solves and the certificate read fixed tolerances
+        assert scheme.MOMENTUM_TOL == Tolerance(rtol=1e-12, atol=1e-14)
+        assert scheme.PRESSURE_TOL == Tolerance(rtol=1e-13)
+        assert scheme.CERT_TOL == 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,26 +108,30 @@ class TestConfig:
             "steps = 7\n"
             "re = 250\n"
             "case = zero\n"
-            "solver_rtol = 1e-9\n"
-            "cadence = 3\n")
+            "cadence = 3\n"
+            "out = results\n")
         cfg = RunConfig.from_file(path)
-        assert cfg.mesh_spec == "acute:1"
-        assert cfg.k == 0.02
-        assert cfg.n_steps == 7
-        assert cfg.re == 250
-        assert cfg.momentum.rtol == 1e-9
-        assert cfg.pressure.rtol == 1e-9
+        assert cfg == RunConfig(mesh_spec="acute:1", k=0.02, n_steps=7,
+                                re=250.0, case="zero", out_dir="results",
+                                cadence=3)
         # overrides win over the file
-        cfg2 = cfg.with_overrides({"re": "100", "pressure_rtol": "1e-12"})
-        assert cfg2.re == 100
-        assert cfg2.pressure.rtol == 1e-12
-        assert cfg2.momentum.rtol == 1e-9
+        cfg2 = cfg.with_overrides({"re": "100", "cadence": "5"})
+        assert (cfg2.re, cfg2.cadence, cfg2.k) == (100.0, 5, 0.02)
 
-    def test_certificate_tolerance_independent_of_pressure_rtol(self):
-        cfg = RunConfig(mesh_spec="acute:0").with_overrides(
-            {"pressure_rtol": "1e-9"})
-        ws = _Workspace(cfg, unit_square_acute(0))
-        assert ws.cert_tol == scheme.CERT_TOL == 1e-12
+    @pytest.mark.parametrize("key", ["solver_rtol", "momentum_rtol",
+                                     "pressure_rtol", "quad_order",
+                                     "allow_degenerate", "n_steps", "Re"])
+    def test_removed_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            RunConfig().with_overrides({key: "1"})
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Run configuration", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^- `([^`]+)`", section, flags=re.M)
+        assert sorted(listed) == sorted(scheme.CONFIG_KEYS)
+        for key in listed:
+            RunConfig().with_overrides({key: "2"})
 
     def test_bad_config_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -285,18 +294,21 @@ class TestStepProperties:
         with pytest.raises(SchemeError, match="NaN or Inf"):
             ws.certify(VectorP0(mesh, np.full_like(values, bad)), "test")
 
-    def test_pressure_failure_names_its_caller(self):
+    def test_pressure_failure_names_its_caller(self, monkeypatch):
         # no solve meets rtol 1e-30, so the first pressure solve of each
         # path fails and must say where it was
         cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=3)
         mesh = unit_square_acute(0)
-        strict = replace(cfg, pressure=Tolerance(rtol=1e-30, atol=1e-300))
-        with pytest.raises(SolverError, match="^initial projection: "):
-            initialize(strict, mesh)
+        strict = Tolerance(rtol=1e-30, atol=1e-300)
+        with monkeypatch.context() as m:
+            m.setattr(scheme, "PRESSURE_TOL", strict)
+            with pytest.raises(SolverError, match="^initial projection: "):
+                initialize(cfg, mesh)
         state, _, ws = initialize(cfg, mesh)
         ut = momentum_step(state, cfg, ws, gradient(state.p_curr))
+        monkeypatch.setattr(scheme, "PRESSURE_TOL", strict)
         with pytest.raises(SolverError, match="^pressure step 2: "):
-            pressure_step(state, ut, strict, ws, divergence(ut))
+            pressure_step(state, ut, cfg, ws, divergence(ut))
 
     def test_forcing_projected_once_per_run(self, monkeypatch):
         # the forcing is steady: one projection of it and one of the
@@ -326,7 +338,7 @@ class TestStepProperties:
             assert rec.energy_residual <= 1e-10
 
     def test_divergence_residual_bound(self, short_run):
-        rtol = short_run.config.pressure.rtol
+        rtol = scheme.PRESSURE_TOL.rtol
         for rec in short_run.records:
             assert rec.div_residual <= 10 * rtol * rec.u_l2
 
@@ -362,8 +374,8 @@ class TestMomentumSolveResidual:
                         case="manufactured-A")
         run(cfg)
         assert len(residuals) == cfg.n_steps
-        assert cfg.momentum.rtol == 1e-12
-        assert max(max(r) for r in residuals) <= cfg.momentum.rtol
+        assert scheme.MOMENTUM_TOL.rtol == 1e-12
+        assert max(max(r) for r in residuals) <= scheme.MOMENTUM_TOL.rtol
 
 
 class TestMomentumPreconditioner:
@@ -398,7 +410,7 @@ class TestMomentumPreconditioner:
         assert len(solves) == 20
         # Jacobi needs about 80 iterations per component here
         assert max(max(cols) for _, _, cols in solves) <= 10
-        assert max(res for _, res, _ in solves) <= traj.config.momentum.rtol
+        assert max(res for _, res, _ in solves) <= scheme.MOMENTUM_TOL.rtol
         assert all(it == sum(cols) for it, _, cols in solves)
         assert [r.mom_iters for r in traj.records] == [it for it, _, _ in solves[1:]]
         assert [r.mom_refactor for r in traj.records] == [0] * 19
@@ -408,7 +420,7 @@ class TestMomentumPreconditioner:
         traj, factors, solves = self._counted_run(monkeypatch, 6)
         assert len(factors) == 6
         assert [r.mom_refactor for r in traj.records] == [1] * 5
-        assert max(res for _, res, _ in solves) <= traj.config.momentum.rtol
+        assert max(res for _, res, _ in solves) <= scheme.MOMENTUM_TOL.rtol
 
     def test_rebuilt_only_when_flagged(self):
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
@@ -460,7 +472,7 @@ class TestMomentumRetry:
             assert maxiter == cap and max(cols) == cap
             ok, b, res, maxiter, _ = solves[i + 1]
             assert ok and np.array_equal(b, solves[i][1]) and maxiter is None
-            assert res <= cfg.momentum.rtol
+            assert res <= scheme.MOMENTUM_TOL.rtol
         assert all(max(cols) <= cap for _, _, _, maxiter, cols in solves
                    if maxiter == cap)
         assert sum(r.mom_refactor for r in traj.records) >= len(failed)
@@ -479,9 +491,10 @@ class TestMomentumRetry:
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(scheme, "FactoredSolver", counting_factor)
-        strict = replace(cfg, momentum=Tolerance(rtol=1e-30, atol=1e-300))
+        monkeypatch.setattr(scheme, "MOMENTUM_TOL",
+                            Tolerance(rtol=1e-30, atol=1e-300))
         with pytest.raises(SolverError, match=r"^momentum solve \(component 0\)"):
-            momentum_step(state, strict, ws, gradient(state.p_curr))
+            momentum_step(state, cfg, ws, gradient(state.p_curr))
         assert len(factors) == 1
 
     @pytest.mark.parametrize("re", [1e2, 1e4, 1e6])
@@ -505,7 +518,7 @@ class TestStepRecordTelemetry:
         assert names[-2:] == ["mom_refactor", "p_backward_error"]
         col = [float(line.split(",")[-1]) for line in lines[1:]]
         assert col == [r.p_backward_error for r in traj.records]
-        assert all(0.0 < v <= cfg.pressure.rtol for v in col)
+        assert all(0.0 < v <= scheme.PRESSURE_TOL.rtol for v in col)
         # deterministic, so the file stays byte-stable from run to run
         run(replace(cfg, out_dir=str(tmp_path / "again")))
         assert ((tmp_path / "again" / "monitors.csv").read_bytes()
@@ -585,7 +598,7 @@ class TestExtrapolatedAdvection:
                    / (2 * k) - gp.values) * ws.mass[:, None]
             from fvproj.linalg import FactoredSolver, SparseOperator, solve
             out, info = solve(SparseOperator(A, FactoredSolver(A).apply), rhs,
-                              cfg.momentum)
+                              scheme.MOMENTUM_TOL)
             assert info.converged
             return out
 
