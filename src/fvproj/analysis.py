@@ -306,9 +306,9 @@ def infsup_sweep(levels, report: VerificationReport | None = None) -> Verificati
 
 def infsup_oracle_check(report: VerificationReport | None = None,
                         seed: int = 0) -> VerificationReport:
-    """Validate the Schur-complement computation against brute-force
-    maximization over the velocity sphere on the smallest admissible mesh
-    with an interior edge.
+    """Validate the Schur-complement computation against a dense dual-norm
+    solve over the velocity space on the smallest admissible mesh with an
+    interior edge.
 
     At the minimizing pressure the velocity sup must reproduce the
     eigenvalue; at random mean-zero pressures it must never go below it.
@@ -320,7 +320,7 @@ def infsup_oracle_check(report: VerificationReport | None = None,
     res = estimate_infsup(mesh)
 
     qn = reference.p1nc_l2_norm_direct(mesh, res.q_min)
-    brute = reference.infsup_sup_over_velocities(mesh, res.q_min, seed=seed) / qn
+    brute = reference.infsup_sup_over_velocities(mesh, res.q_min) / qn
     diff = abs(res.beta - brute) / res.beta
     report.add("infsup-brute-force-oracle", 0, diff, 1e-6, diff <= 1e-6,
                f"schur {res.beta:.9f} vs sphere max {brute:.9f}")
@@ -331,7 +331,7 @@ def infsup_oracle_check(report: VerificationReport | None = None,
     for _ in range(4):
         q = rng.standard_normal(mesh.num_edges)
         q -= (mass @ q) / mass.sum()
-        ratio = (reference.infsup_sup_over_velocities(mesh, q, seed=seed, starts=4)
+        ratio = (reference.infsup_sup_over_velocities(mesh, q)
                  / reference.p1nc_l2_norm_direct(mesh, q))
         lowest = min(lowest, ratio)
     report.add("infsup-minimality", 0, lowest, res.beta * (1 - 1e-9),

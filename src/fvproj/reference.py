@@ -191,55 +191,33 @@ def adjointness_sides_direct(mesh, vvals, qvals):
     return lhs, rhs
 
 
-# -- brute-force extremal quantities -----------------------------------------------
+# -- dense dual norms --------------------------------------------------------------
 
-def brute_force_dual_norm(mesh, vvals, seed: int = 0, starts: int = 8) -> float:
-    """Maximize (v, psi) / ||psi||_h over cellwise psi by quasi-Newton ascent
-    from several seeded starts (no closed-form solve)."""
-    import scipy.optimize  # here, so that importing fvproj does not load it
-
-    H = h_gram_direct(mesh)
-    nt = mesh.num_triangles
-    area = np.array([_area(mesh, k) for k in range(nt)])
-    mv = (area[:, None] * vvals).ravel()
-
-    def neg_ratio(psi_flat):
-        p = psi_flat.reshape(nt, 2)
-        hn = np.sqrt(p[:, 0] @ H @ p[:, 0] + p[:, 1] @ H @ p[:, 1])
-        if hn == 0:
-            return 0.0
-        return -(mv @ psi_flat) / hn
-
-    def grad(psi_flat):
-        p = psi_flat.reshape(nt, 2)
-        Hp = np.stack([H @ p[:, 0], H @ p[:, 1]], axis=1).ravel()
-        hn2 = psi_flat @ Hp
-        hn = np.sqrt(hn2)
-        num = mv @ psi_flat
-        return -(mv / hn - num * Hp / (hn2 * hn))
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(starts):
-        x0 = rng.standard_normal(2 * nt)
-        res = scipy.optimize.minimize(neg_ratio, x0, jac=grad, method="BFGS",
-                                      options={"gtol": 1e-14, "maxiter": 500})
-        best = max(best, -res.fun)
-    return best
+def _h_dual_norm(mesh, coef) -> float:
+    """sup over cellwise v of (c, v) / ||v||_h, which by Cauchy-Schwarz in
+    the H inner product is sqrt(c' H^{-1} c): one dense Cholesky solve for
+    both components of the (nt, 2) coefficients."""
+    factor = scipy.linalg.cho_factor(h_gram_direct(mesh))
+    w = scipy.linalg.cho_solve(factor, coef)
+    return float(np.sqrt(np.sum(coef * w)))
 
 
-def infsup_sup_over_velocities(mesh, qvals, seed: int = 0, starts: int = 8) -> float:
-    """sup over cellwise v of -(q, div_h v) / ||v||_h for a fixed pressure,
-    by quasi-Newton ascent over the velocity sphere (no Schur shortcut).
+def brute_force_dual_norm(mesh, vvals) -> float:
+    """sup over cellwise psi of (v, psi) / ||psi||_h, from the directly
+    assembled Gram matrix and areas."""
+    area = np.array([_area(mesh, k) for k in range(mesh.num_triangles)])
+    return _h_dual_norm(mesh, area[:, None] * vvals)
+
+
+def infsup_sup_over_velocities(mesh, qvals) -> float:
+    """sup over cellwise v of -(q, div_h v) / ||v||_h for a fixed pressure
+    (no Schur shortcut).
 
     The pairing is linear in v; its coefficients are assembled here by
     direct edge enumeration.
     """
-    import scipy.optimize  # here, so that importing fvproj does not load it
-
     ne = mesh.num_edges
     nt = mesh.num_triangles
-    H = h_gram_direct(mesh)
     area = np.array([_area(mesh, k) for k in range(nt)])
     coef = np.zeros((nt, 2))
     for e in range(ne):
@@ -257,28 +235,7 @@ def infsup_sup_over_velocities(mesh, qvals, seed: int = 0, starts: int = 8) -> f
             w = area[K] / 3.0
             c = 3.0 * length / area[K]
             coef[K] += w * qvals[e] * c * n
-    b = coef.ravel()
-
-    def neg(vflat):
-        v = vflat.reshape(nt, 2)
-        hn = np.sqrt(v[:, 0] @ H @ v[:, 0] + v[:, 1] @ H @ v[:, 1])
-        return -(b @ vflat) / hn if hn > 0 else 0.0
-
-    def grad(vflat):
-        v = vflat.reshape(nt, 2)
-        Hv = np.stack([H @ v[:, 0], H @ v[:, 1]], axis=1).ravel()
-        hn2 = vflat @ Hv
-        hn = np.sqrt(hn2)
-        return -(b / hn - (b @ vflat) * Hv / (hn2 * hn))
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(starts):
-        res = scipy.optimize.minimize(neg, rng.standard_normal(2 * nt),
-                                      jac=grad, method="BFGS",
-                                      options={"gtol": 1e-14, "maxiter": 500})
-        best = max(best, -res.fun)
-    return float(best)
+    return _h_dual_norm(mesh, coef)
 
 
 def p1nc_l2_norm_direct(mesh, qvals) -> float:

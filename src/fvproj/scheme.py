@@ -154,6 +154,8 @@ class RunConfig:
             raise ValueError("need at least 2 steps")
         if self.re <= 0:
             raise ValueError("Reynolds number must be positive")
+        if self.cadence < 0:
+            raise ValueError("cadence must be >= 0")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -174,7 +176,11 @@ class RunConfig:
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             name, parse = CONFIG_KEYS[key]
-            changes[name] = parse(val)
+            try:
+                changes[name] = parse(val)
+            except ValueError:
+                raise ValueError(f"config key {key!r}: cannot parse {val!r} "
+                                 f"as {parse.__name__}") from None
         return replace(self, **changes)
 
 

@@ -74,6 +74,16 @@ class TestInfSup:
         report = analysis.infsup_oracle_check()
         assert report.ok, report.to_text()
 
+    def test_velocity_sup_matches_beta(self):
+        # at the minimizing pressure the dense velocity sup, assembled by
+        # edge enumeration, reproduces the Schur-complement eigenvalue
+        from fvproj import reference
+        mesh = unit_square_acute(1)
+        res = analysis.estimate_infsup(mesh)
+        sup = (reference.infsup_sup_over_velocities(mesh, res.q_min)
+               / reference.p1nc_l2_norm_direct(mesh, res.q_min))
+        assert abs(sup - res.beta) <= 1e-10 * res.beta
+
     def test_arpack_matches_dense(self):
         mesh = unit_square_acute(1)
         lam = _dense_schur_extremes(mesh)[0]

@@ -71,6 +71,22 @@ class TestRun:
         cfg.write_text("viscosity = 2\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_CHECK_FAILED
 
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys):
+        message = "config key 'steps': cannot parse 'abc' as int"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("steps = abc\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CHECK_FAILED
+        assert message in capsys.readouterr().err
+        assert main(["run", "--mesh", "acute:0", "steps=abc"]) == EXIT_CHECK_FAILED
+        assert message in capsys.readouterr().err
+
+    def test_negative_cadence_rejected(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["run", "--mesh", "acute:0", "case=zero", "steps=4",
+                     "cadence=-1", f"out={out_dir}"]) == EXIT_CHECK_FAILED
+        assert "cadence must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("state_*.vtk"))
+
     def test_removed_flags_are_usage_errors(self):
         # the solver tolerances are fixed and a run mesh must be admissible
         assert main(["run", "--mesh", "acute:0", "--solver-rtol", "1e-9",
@@ -120,17 +136,22 @@ def test_usage_errors():
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-def test_import_leaves_out_scipy_optimize():
-    # only the two BFGS oracles of reference need it, and they import it
+def test_import_leaves_out_scipy_optimize(tmp_path):
+    # no fvproj code needs scipy.optimize: neither importing the package
+    # nor running verify may load it
     src = str(Path(fvproj.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, fvproj.cli, fvproj.scheme, fvproj.reference; "
-         "print('scipy.optimize' in sys.modules)"],
+         "print('scipy.optimize' in sys.modules); "
+         "code = fvproj.cli.main(['verify', '--level', '0', '--seed', '7']); "
+         "print(code, 'scipy.optimize' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=60)
+        cwd=tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == f"{EXIT_OK} False"
 
 
 def test_no_module_imports_a_private_name():

@@ -265,8 +265,15 @@ class TestDualNorm:
     def test_brute_force_oracle_two_cells(self, pair, rng):
         v = VectorP0(pair, rng.standard_normal((2, 2)))
         exact = dual_norm(v)
-        brute = reference.brute_force_dual_norm(pair, v.values, seed=11)
-        assert abs(exact - brute) <= 1e-6 * exact
+        brute = reference.brute_force_dual_norm(pair, v.values)
+        assert abs(exact - brute) <= 1e-12 * exact
+
+    def test_dense_oracle_level_one(self, rng):
+        mesh = unit_square_acute(1)
+        v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
+        exact = dual_norm(v)
+        dense = reference.brute_force_dual_norm(mesh, v.values)
+        assert abs(exact - dense) <= 1e-12 * exact
 
     def test_bounded_by_l2_norm(self, family, rng):
         # Poincare implies the dual norm is controlled by the plain norm

@@ -98,6 +98,19 @@ class TestConfig:
             RunConfig(n_steps=1)
         with pytest.raises(ValueError):
             RunConfig(re=-5)
+        with pytest.raises(ValueError, match="cadence must be >= 0"):
+            RunConfig(cadence=-1)
+        assert RunConfig(cadence=0).cadence == 0
+
+    def test_unparsable_value_names_its_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("steps = abc\n")
+        with pytest.raises(ValueError,
+                           match="config key 'steps': cannot parse 'abc' as int"):
+            RunConfig.from_file(path)
+        with pytest.raises(ValueError,
+                           match="config key 'k': cannot parse 'fast' as float"):
+            RunConfig().with_overrides({"k": "fast"})
 
     def test_from_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
