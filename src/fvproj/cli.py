@@ -92,6 +92,8 @@ def _cmd_run(args) -> int:
         print(f"  monitor {flag.name:24s} ratio={flag.ratio:8.3f} {state}")
     if config.out_dir:
         print(f"  monitors written to {Path(config.out_dir) / 'monitors.csv'}")
+        print(f"  snapshots written: {traj.snapshot_files} files, "
+              f"{traj.snapshot_bytes} bytes in {traj.snapshot_s:.3f}s")
     return EXIT_OK if monitors.ok else EXIT_CHECK_FAILED
 
 

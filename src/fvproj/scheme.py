@@ -219,6 +219,9 @@ class Trajectory:
     init_diagnostics: dict
     state: SchemeState
     elapsed: float
+    snapshot_files: int = 0     # VTK files written, their bytes and wall time
+    snapshot_bytes: int = 0
+    snapshot_s: float = 0.0
 
     def monitor_rows(self):
         names = tuple(f.name for f in fields(StepRecord))
@@ -493,28 +496,37 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    records = []
+    records, snapshots, snapshot_s = [], [], 0.0
     for _ in range(1, config.n_steps):
         state, rec = advance(state, config, ws)
         records.append(rec)
         if out and config.cadence and (state.n % config.cadence == 0):
-            _snapshot(out, state, ws)
+            t_snap = time.perf_counter()
+            snapshots += _snapshot(out, state)
+            snapshot_s += time.perf_counter() - t_snap
     traj = Trajectory(config=config, mesh=mesh, records=records,
                       init_diagnostics=diagnostics, state=state,
-                      elapsed=time.perf_counter() - t0)
+                      elapsed=time.perf_counter() - t0,
+                      snapshot_files=len(snapshots),
+                      snapshot_bytes=sum(p.stat().st_size for p in snapshots),
+                      snapshot_s=snapshot_s)
     if out:
         traj.write_monitors(out / "monitors.csv")
     return traj
 
 
-def _snapshot(out: Path, state: SchemeState, ws: _Workspace) -> None:
+def _snapshot(out: Path, state: SchemeState) -> list:
+    """Write the state's velocity and pressure files; return their paths."""
     mesh = state.u_curr.mesh
     div = divergence(state.u_curr.field)
+    grid = out / f"state_{state.n:06d}.vtk"
+    cloud = out / f"pressure_{state.n:06d}.vtk"
     vtkio.write_unstructured(
-        out / f"state_{state.n:06d}.vtk", mesh,
+        grid, mesh,
         cell_vectors={"velocity": state.u_curr.values},
         cell_scalars={"speed": np.linalg.norm(state.u_curr.values, axis=1)})
     vtkio.write_point_cloud(
-        out / f"pressure_{state.n:06d}.vtk", mesh.edge_midpoint,
+        cloud, mesh.edge_midpoint,
         scalars={"pressure": state.p_curr.values,
                  "div_velocity": div.values})
+    return [grid, cloud]

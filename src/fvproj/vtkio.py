@@ -1,81 +1,76 @@
-"""Legacy ASCII VTK writers: triangle grids with cell data, and point
+"""Legacy VTK 3.0 BINARY writers: triangle grids with cell data, and point
 clouds for edge-midpoint data.
 
-Each block is formatted by one %-operation over the flattened array, and
-the geometry text (points and cells) once per mesh or point set.
+Each data block follows its keyword line directly: the array's big-endian
+bytes (``>f8`` for coordinates and values, with z = 0; ``>i4`` for
+connectivity and cell types), then one newline.  Each file is written by a
+single ``write``; an array whose shape does not match its header's count,
+or an index that does not fit ``>i4``, raises ``ValueError`` before the
+file is opened.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 
-def _rows(fmt, arr) -> str:
-    """``fmt`` (one row's format) applied to each row of ``arr``."""
-    arr = np.asarray(arr)
-    return (fmt * len(arr)) % tuple(arr.ravel().tolist())
+def _block(keyword: str, arr: np.ndarray) -> bytes:
+    return f"{keyword}\n".encode() + arr.tobytes() + b"\n"
 
 
-def _points(pts) -> str:
-    return f"POINTS {len(pts)} double\n" + _rows("%.16e %.16e 0\n", pts[:, :2])
+def _xyz(name: str, vals, n: int) -> np.ndarray:
+    """(n, 2) ``vals`` as big-endian (n, 3) rows with z = 0."""
+    vals = np.asarray(vals)
+    if vals.shape != (n, 2):
+        raise ValueError(f"{name}: shape {vals.shape}, expected ({n}, 2)")
+    out = np.zeros((n, 3), ">f8")
+    out[:, :2] = vals
+    return out
 
 
-def _scalars(name, vals) -> str:
-    vals = np.asarray(vals).ravel()
-    return f"SCALARS {name} double 1\nLOOKUP_TABLE default\n" + _rows("%.16e\n", vals)
+def _connectivity(keyword: str, lead: int, idx) -> bytes:
+    """Each row of ``idx`` after the count ``lead``, as big-endian int32."""
+    rows = np.column_stack([np.full(len(idx), lead), idx])
+    out = rows.astype(">i4")
+    if not np.array_equal(out, rows):
+        raise ValueError(f"{keyword}: an index does not fit a 32-bit VTK integer")
+    return _block(f"{keyword} {len(rows)} {rows.size}", out)
 
 
-def _vectors(name, vals) -> str:
-    return f"VECTORS {name} double\n" + _rows("%.16e %.16e 0\n", np.asarray(vals)[:, :2])
+def _data(kind: str, n: int, scalars, vectors) -> list:
+    """The ``kind`` (CELL_DATA or POINT_DATA) section, arrays sorted by name."""
+    blocks = [f"{kind} {n}\n".encode()] if scalars or vectors else []
+    for name in sorted(scalars):
+        vals = np.asarray(scalars[name])
+        if vals.shape != (n,):
+            raise ValueError(f"scalar {name!r}: shape {vals.shape}, expected ({n},)")
+        blocks.append(_block(f"SCALARS {name} double 1\nLOOKUP_TABLE default",
+                             vals.astype(">f8")))
+    for name in sorted(vectors):
+        blocks.append(_block(f"VECTORS {name} double",
+                             _xyz(f"vector {name!r}", vectors[name], n)))
+    return blocks
 
 
-def _grid_geometry(mesh) -> str:
-    """POINTS, CELLS and CELL_TYPES of the mesh; built once per mesh."""
-    text = mesh._cache.get("vtk_geometry")
-    if text is None:
-        nt = mesh.num_triangles
-        text = (_points(mesh.vertices) + f"CELLS {nt} {4 * nt}\n"
-                + _rows("3 %d %d %d\n", mesh.triangles)
-                + f"CELL_TYPES {nt}\n" + "5\n" * nt)
-        mesh._cache["vtk_geometry"] = text
-    return text
-
-
-@functools.lru_cache(maxsize=2)
-def _cloud_geometry(xy: bytes) -> str:
-    """POINTS and VERTICES of a point set, keyed by its float64 (n, 2)
-    coordinates, so that a fixed set is formatted once."""
-    pts = np.frombuffer(xy).reshape(-1, 2)
-    n = len(pts)
-    return _points(pts) + f"VERTICES {n} {2 * n}\n" + _rows("1 %d\n", np.arange(n))
+def _write(path, title: str, dataset: str, blocks: list) -> None:
+    head = f"# vtk DataFile Version 3.0\n{title}\nBINARY\nDATASET {dataset}\n"
+    with open(path, "wb") as f:
+        f.write(b"".join([head.encode(), *blocks]))
 
 
 def write_unstructured(path, mesh, cell_scalars=None, cell_vectors=None) -> None:
     """Triangle mesh with per-cell data as an unstructured grid."""
-    cell_scalars = cell_scalars or {}
-    cell_vectors = cell_vectors or {}
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\nfvproj snapshot\nASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(_grid_geometry(mesh))
-        if cell_scalars or cell_vectors:
-            f.write(f"CELL_DATA {mesh.num_triangles}\n")
-            for name in sorted(cell_scalars):
-                f.write(_scalars(name, cell_scalars[name]))
-            for name in sorted(cell_vectors):
-                f.write(_vectors(name, cell_vectors[name]))
+    nv, nt = len(mesh.vertices), mesh.num_triangles
+    _write(path, "fvproj snapshot", "UNSTRUCTURED_GRID", [
+        _block(f"POINTS {nv} double", _xyz("POINTS", mesh.vertices, nv)),
+        _connectivity("CELLS", 3, mesh.triangles),
+        _block(f"CELL_TYPES {nt}", np.full(nt, 5, ">i4")),
+        *_data("CELL_DATA", nt, cell_scalars or {}, cell_vectors or {})])
 
 
 def write_point_cloud(path, points, scalars=None) -> None:
     """Point cloud (polydata vertices) with per-point scalar data."""
-    scalars = scalars or {}
-    xy = np.ascontiguousarray(np.asarray(points)[:, :2], dtype=float)
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\nfvproj point samples\nASCII\n")
-        f.write("DATASET POLYDATA\n")
-        f.write(_cloud_geometry(xy.tobytes()))
-        if scalars:
-            f.write(f"POINT_DATA {len(xy)}\n")
-            for name in sorted(scalars):
-                f.write(_scalars(name, scalars[name]))
+    n = len(points)
+    _write(path, "fvproj point samples", "POLYDATA", [
+        _block(f"POINTS {n} double", _xyz("POINTS", np.asarray(points)[:, :2], n)),
+        _connectivity("VERTICES", 1, np.arange(n)),
+        *_data("POINT_DATA", n, scalars or {}, {})])

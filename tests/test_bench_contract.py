@@ -56,6 +56,11 @@ def test_run_job_binds(tmp_path):
                       ("run", "--mesh", "acute:1", "case=manufactured-A",
                        "steps=4", "cadence=2"), writes_output=True)
     _assert_clean(out)
+    # every snapshot goes through the hooked writers: their counted bytes
+    # are the whole output (steps 2 and 4, a state and a pressure file each)
+    snapshots = list((tmp_path / "work").rglob("*.vtk"))
+    assert len(snapshots) == 4
+    assert out["counts"]["vtkio.bytes"] == sum(p.stat().st_size for p in snapshots)
     # the start-up step is not a timed step: advance runs steps - 1 times
     assert out["attempted"] == 3
     assert out["div_max"] <= out["cert_tol"]

@@ -63,6 +63,20 @@ class TestRun:
         assert code == EXIT_OK
         assert (out_dir / "monitors.csv").exists()
 
+    def test_reports_snapshot_output(self, tmp_path, capsys):
+        # steps 2, 4 and 6 each write a state and a pressure file; the
+        # reported bytes are those on disk, and no timings file is written
+        out_dir = tmp_path / "results"
+        assert main(["run", "--mesh", "acute:0", "--out", str(out_dir),
+                     "case=manufactured-A", "steps=6", "cadence=2"]) == EXIT_OK
+        files = sorted(out_dir.glob("*.vtk"))
+        assert len(files) == 6
+        size = sum(f.stat().st_size for f in files)
+        out = capsys.readouterr().out
+        assert f"snapshots written: 6 files, {size} bytes in " in out
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["monitors.csv"] + [f.name for f in files])
+
     def test_bad_override(self):
         assert main(["run", "oops"]) == EXIT_USAGE
 

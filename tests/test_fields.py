@@ -317,15 +317,15 @@ class TestSerialization:
         grid = tmp_path / "cells.vtk"
         vtkio.write_unstructured(
             grid, pair, cell_vectors={"value": rng.standard_normal((2, 2))})
-        text = grid.read_text()
-        assert "DATASET UNSTRUCTURED_GRID" in text
-        assert "CELL_DATA 2" in text
+        data = grid.read_bytes()
+        assert b"DATASET UNSTRUCTURED_GRID" in data
+        assert b"CELL_DATA 2" in data
         cloud = tmp_path / "edges.vtk"
         vtkio.write_point_cloud(cloud, pair.edge_midpoint,
                                 scalars={"value": rng.standard_normal(5)})
-        text = cloud.read_text()
-        assert "DATASET POLYDATA" in text
-        assert "POINT_DATA 5" in text
+        data = cloud.read_bytes()
+        assert b"DATASET POLYDATA" in data
+        assert b"POINT_DATA 5" in data
 
 
 def test_field_arithmetic(pair, rng):

@@ -652,9 +652,9 @@ class TestRunDriver:
         assert len(lines) == 1 + len(traj.records)
         snaps = sorted(out.glob("state_*.vtk"))
         assert len(snaps) == 3  # steps 2, 4, 6
-        head = snaps[0].read_text().splitlines()
-        assert head[0] == "# vtk DataFile Version 3.0"
-        assert any(line.startswith("CELL_DATA") for line in head)
+        head = snaps[0].read_bytes().split(b"\n")
+        assert head[0] == b"# vtk DataFile Version 3.0"
+        assert any(line.startswith(b"CELL_DATA") for line in head)
         clouds = sorted(out.glob("pressure_*.vtk"))
         assert len(clouds) == 3
 
