@@ -87,6 +87,9 @@ def _cmd_run(args) -> int:
           f"in {traj.elapsed:.2f}s on {traj.mesh!r}")
     print(f"  |u|={last.u_l2:.6g}  |p|={last.p_l2:.6g}  "
           f"div-residual={last.div_residual:.3e}")
+    counts = [traj.init_diagnostics] + [vars(r) for r in traj.records]
+    print(f"  momentum: {sum(c['mom_iters'] for c in counts)} BiCGStab iterations in "
+          f"{traj.mom_solves} solves, {sum(c['mom_refactor'] for c in counts)} factor builds")
     for flag in monitors.flags:
         state = "ok" if flag.passed else "FAIL"
         print(f"  monitor {flag.name:24s} ratio={flag.ratio:8.3f} {state}")

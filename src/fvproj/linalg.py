@@ -2,8 +2,8 @@
 
 ``solve`` runs BiCGStab on the nonsymmetric momentum system, all
 right-hand sides (the two velocity components) in one lockstep solve,
-preconditioned by what its ``SparseOperator`` carries (the scheme passes a
-lagged factor of the momentum matrix).
+preconditioned by and started from what its ``SparseOperator`` carries
+(the scheme passes a lagged factor and the extrapolated predictor).
 ``FactoredSolver`` factors a fixed matrix once with SuperLU, so each later
 solve with it is two triangular solves (four for a zero-mean solve, which
 refines once): the pressure Laplacian on its zero-mean subspace, grounded
@@ -12,6 +12,7 @@ verification suite; and the momentum matrix of that preconditioner.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +25,16 @@ class SolverError(RuntimeError):
 
 
 class SparseOperator:
-    """A CSR matrix and the preconditioner ``solve`` applies to it: a
-    callable v -> P^{-1} v with P close to the matrix, for v of shape
-    (n, m)."""
+    """A CSR matrix, the preconditioner ``solve`` applies to it (a callable
+    v -> P^{-1} v with P close to the matrix, for v of shape (n, m)), and
+    the guess ``solve`` starts from (None: zero)."""
 
-    __slots__ = ("matrix", "preconditioner")
+    __slots__ = ("matrix", "preconditioner", "guess")
 
-    def __init__(self, matrix, preconditioner):
+    def __init__(self, matrix, preconditioner, guess=None):
         self.matrix = sp.csr_matrix(matrix)
         self.preconditioner = preconditioner
+        self.guess = guess
 
     def __matmul__(self, x):
         return self.matrix @ x
@@ -74,38 +76,38 @@ class SolveInfo:
 
 # BiCGStab iteration cap, per unknown
 _MAXITER_PER_UNKNOWN = 10
-# BiCGStab gives up once its residual exceeds this multiple of |b|
+# BiCGStab gives up once its residual exceeds this multiple of max(|b|, |b - A x0|)
 _DIVERGENCE_FACTOR = 1e10
 
 
-def _require_finite(b):
+def _require_finite(b, what="right-hand side"):
     if not np.all(np.isfinite(b)):
-        raise SolverError("right-hand side has NaN or Inf entries")
+        raise SolverError(f"{what} has NaN or Inf entries")
 
 
-def _bicgstab_column(A, b, config: Tolerance, maxiter: int):
-    """Right-preconditioned BiCGStab for one right-hand side, with up to two
-    restarts so the reported (true) residual, not the recursion, meets the
-    tolerance.  A residual that is not finite or exceeds
-    _DIVERGENCE_FACTOR |b| ends the solve as not converged.
+def _bicgstab_column(A, b, x, config: Tolerance, maxiter: int):
+    """Right-preconditioned BiCGStab for one right-hand side from the guess
+    x, with up to two restarts so the true residual, not the recursion,
+    meets max(rtol |b|, atol) whatever the guess.  A residual that is not
+    finite or exceeds _DIVERGENCE_FACTOR max(|b|, the guess's residual) ends
+    the solve as not converged.
 
     A generator: it yields each vector v to precondition and is sent back
     P^{-1} v, so that ``_bicgstab`` serves several columns with one
     preconditioner call; it returns (x, SolveInfo)."""
-    n = len(b)
-    tol = max(config.rtol * np.linalg.norm(b), config.atol)
-    scale = max(np.linalg.norm(b), 1e-300)
+    b_norm = math.sqrt(b @ b)
+    tol = max(config.rtol * b_norm, config.atol)
+    r = b - A @ x
+    res = math.sqrt(r @ r)
+    scale = max(b_norm, res, 1e-300)
     diverged = lambda res: not res <= _DIVERGENCE_FACTOR * scale
-    x = np.zeros(n)
     it = 0
     for _ in range(3):
-        r = b - A @ x
-        res = np.linalg.norm(r)
         if res <= tol or it >= maxiter:
             break
-        r0 = r.copy()
+        r0 = r
         rho = alpha = omega = 1.0
-        v = p = np.zeros(n)  # so that the first direction is p = r
+        v = p = np.zeros_like(b)  # so that the first direction is p = r
         while res > tol and it < maxiter:
             rho_new = r0 @ r
             if abs(rho_new) < 1e-30 * scale * scale:
@@ -118,7 +120,7 @@ def _bicgstab_column(A, b, config: Tolerance, maxiter: int):
                 break  # breakdown
             alpha = rho_new / r0v
             s = r - alpha * v
-            if np.linalg.norm(s) <= tol:
+            if math.sqrt(s @ s) <= tol:
                 x = x + alpha * phat
                 it += 1
                 break
@@ -131,27 +133,28 @@ def _bicgstab_column(A, b, config: Tolerance, maxiter: int):
             x = x + alpha * phat + omega * shat
             r = s - omega * t
             rho = rho_new
-            res = np.linalg.norm(r)
+            res = math.sqrt(r @ r)
             it += 1
             if diverged(res):
                 break
-        res = np.linalg.norm(b - A @ x)
-        if res <= tol or diverged(res):
+        r = b - A @ x
+        res = math.sqrt(r @ r)
+        if diverged(res):
             break
     return x, SolveInfo(res <= tol, it, float(res), "bicgstab")
 
 
-def _bicgstab(A, B, config: Tolerance, precondition):
-    """BiCGStab on the m rows of B (m, n) in lockstep: each row runs its own
-    ``_bicgstab_column`` (its own scalars, breakdown and divergence guards,
-    true-residual gate, iteration cap and restarts, so its iterates are
-    those of a solve of that row alone).  The k rows still running each
-    request one vector per half-step; one ``precondition`` call on their
-    stack, transposed to (n, k) in Fortran order as SuperLU takes it,
-    serves them all.  Returns (X, one SolveInfo per row)."""
+def _bicgstab(A, B, X0, config: Tolerance, precondition):
+    """BiCGStab on the m rows of B (m, n) in lockstep from the rows of X0:
+    each row runs its own ``_bicgstab_column`` (its own scalars, breakdown
+    and divergence guards, true-residual gate, iteration cap and restarts,
+    so its iterates are those of a solve of that row alone).  The k rows
+    still running each request one vector per half-step; one ``precondition``
+    call on their stack, transposed to (n, k) in Fortran order as SuperLU
+    takes it, serves them all.  Returns (X, one SolveInfo per row)."""
     maxiter = (_MAXITER_PER_UNKNOWN * B.shape[1] if config.maxiter is None
                else config.maxiter)
-    columns = [_bicgstab_column(A, b, config, maxiter) for b in B]
+    columns = [_bicgstab_column(A, b, x, config, maxiter) for b, x in zip(B, X0)]
     results = [None] * len(columns)
     requests = {}
 
@@ -173,8 +176,9 @@ def _bicgstab(A, B, config: Tolerance, precondition):
 
 def solve(A, b, tol: Tolerance, zero_mean_weights=None):
     """Solve A x = b for the m right-hand sides of b (n, m) by BiCGStab,
-    capped at ``tol.maxiter`` (default 10 n) iterations per column and
-    preconditioned by ``A.preconditioner`` (A a SparseOperator); returns
+    capped at ``tol.maxiter`` (default 10 n) iterations per column,
+    preconditioned by ``A.preconditioner`` and started from ``A.guess`` (A
+    a SparseOperator; a NaN or Inf guess raises SolverError); returns
     (x, SolveInfo), and the caller judges ``SolveInfo.converged`` (all
     columns converged; ``iterations`` is their sum and ``columns`` holds
     each one's SolveInfo).  With ``zero_mean_weights`` (the diagonal mass
@@ -184,11 +188,15 @@ def solve(A, b, tol: Tolerance, zero_mean_weights=None):
     if zero_mean_weights is not None:
         return FactoredSolver(A, zero_mean_weights).solve(b, tol)
     b = np.asarray(b, dtype=float)
+    x0 = np.zeros_like(b) if A.guess is None else np.asarray(A.guess, dtype=float)
     n = b.shape[0]
-    if b.ndim != 2 or A.matrix.shape != (n, n):
-        raise ValueError(f"matrix shape {A.matrix.shape} does not match rhs of shape {b.shape}")
+    if b.ndim != 2 or A.matrix.shape != (n, n) or x0.shape != b.shape:
+        raise ValueError(f"matrix shape {A.matrix.shape} or guess shape {x0.shape} "
+                         f"does not match rhs of shape {b.shape}")
     _require_finite(b)
-    x, infos = _bicgstab(A.matrix, np.ascontiguousarray(b.T), tol, A.preconditioner)
+    _require_finite(x0, "starting guess")
+    x, infos = _bicgstab(A.matrix, np.ascontiguousarray(b.T),
+                         np.ascontiguousarray(x0.T), tol, A.preconditioner)
     info = SolveInfo(all(c.converged for c in infos),
                      sum(c.iterations for c in infos),
                      float(np.linalg.norm([c.residual for c in infos])),

@@ -141,14 +141,6 @@ def laplacian_p0(v: VectorP0) -> VectorP0:
     return VectorP0(v.mesh, -(H @ v.values) / v.mesh.tri_area[:, None])
 
 
-def _advecting_fluxes(u) -> np.ndarray:
-    if isinstance(u, (SolenoidalP0, VectorRT0)):
-        return u.edge_normal_fluxes()
-    raise TypeError(
-        "advecting field must carry single-valued edge fluxes "
-        "(SolenoidalP0 or VectorRT0), got " + type(u).__name__)
-
-
 def _h_positions(mesh: Mesh, rows, cols) -> np.ndarray:
     """Positions of the entries (rows, cols) in the data array of
     ``h_gram(mesh)``, whose pattern (the diagonal and the two-point
@@ -172,38 +164,42 @@ def h_diagonal(mesh: Mesh) -> np.ndarray:
 def convection_matrix(u, weighted: bool = False) -> sp.csr_matrix:
     """Upwind transport matrix for the advecting flux field u, on the CSR
     pattern of ``h_gram(mesh)`` (it shares H's index arrays): each interior
-    edge adds to the (K, K), (K, L), (L, L) and (L, K) entries, whose
-    positions in H's data are cached per mesh.
+    edge adds to its cells' diagonal entries (K, K) and (L, L) and sets
+    (K, L) and (L, K), whose positions in H's data are cached per mesh.
 
     Unweighted rows carry 1/|K| (the operator); weighted rows carry |K|
     times that (the form used in the momentum system).  Boundary edges
     contribute nothing since their fluxes vanish.
     """
+    if not isinstance(u, (SolenoidalP0, VectorRT0)):
+        raise TypeError("advecting field must carry single-valued edge fluxes "
+                        "(SolenoidalP0 or VectorRT0), got " + type(u).__name__)
     mesh = u.mesh
-    flux = _advecting_fluxes(u)
     ii = mesh.interior_edges
     K, L = mesh.edge_owner[ii], mesh.edge_neighbor[ii]
-    rows = np.concatenate([K, K, L, L])
+    cells = np.concatenate([K, L])
     positions = mesh._cache.get("convection_positions")
     if positions is None:
         positions = mesh._cache["convection_positions"] = _h_positions(
-            mesh, rows, np.concatenate([K, L, L, K]))
-    s = mesh.edge_length[ii]
-    f = flux[ii]
-    up = s * np.maximum(f, 0.0)
-    dn = s * np.minimum(f, 0.0)
-    vals = np.concatenate([up, dn, s * np.maximum(-f, 0.0), s * np.minimum(-f, 0.0)])
+            mesh, cells, np.concatenate([L, K]))
+    sf = mesh.edge_length[ii] * u.edge_normal_fluxes()[ii]
+    up = np.maximum(sf, 0.0)    # |e| max(f, 0): out of K
+    dn = sf - up                # |e| min(f, 0): into K
+    diag = np.concatenate([up, -dn])    # at (K, K), (L, L)
+    off = np.concatenate([dn, -up])     # at (K, L), (L, K)
     if not weighted:
-        vals = vals / mesh.tri_area[rows]
+        area = mesh.tri_area[cells]
+        diag, off = diag / area, off / area
     H = h_gram(mesh)
-    return sp.csr_matrix((np.bincount(positions, vals, minlength=H.nnz),
-                          H.indices, H.indptr), shape=H.shape)
+    data = np.zeros(H.nnz)
+    data[h_diagonal(mesh)] = np.bincount(cells, diag, minlength=mesh.num_triangles)
+    data[positions] = off
+    return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape)
 
 
 def upwind_convection(u, v: VectorP0) -> VectorP0:
     """Componentwise upwind transport of v by the certified flux field u."""
-    C = convection_matrix(u)
-    return VectorP0(v.mesh, np.stack([C @ v.values[:, 0], C @ v.values[:, 1]], axis=1))
+    return VectorP0(v.mesh, convection_matrix(u) @ v.values)
 
 
 def trilinear_form(u, v: VectorP0, w: VectorP0) -> float:
@@ -211,5 +207,4 @@ def trilinear_form(u, v: VectorP0, w: VectorP0) -> float:
     advecting field, or its weighted ``convection_matrix`` when the caller
     has built it already."""
     W = u if sp.issparse(u) else convection_matrix(u, weighted=True)
-    return float(np.einsum("td,td->", w.values,
-                           np.stack([W @ v.values[:, 0], W @ v.values[:, 1]], axis=1)))
+    return float(np.vdot(w.values, W @ v.values))

@@ -17,12 +17,12 @@ step out of (u^{-1}, u^0, p^0) = (u^0, u^0, 0) with the BDF1 coefficients
 
 The predictor matrix a0/k M + H/Re + C(u*) has the pattern of H at every
 step, so it is assembled as a data array on H's index arrays; both velocity
-components are solved together by one lockstep BiCGStab, preconditioned
-with a lagged SuperLU factor of the BDF2 momentum matrix
-3/(2k) M + H/Re + C(u*): built at the first solve (the start-up step,
-whose a0 = 1 it does not match) and rebuilt after a component needs more
-than REFACTOR_ITERS iterations, or within the step when a solve with it
-does not converge in LAGGED_MAXITER iterations.
+components are solved together by one lockstep BiCGStab from the
+extrapolated predictor, preconditioned with a lagged SuperLU factor of the
+BDF2 momentum matrix 3/(2k) M + H/Re + C(u*): built at the first solve (the
+start-up step, whose a0 = 1 it does not match) and rebuilt after a
+component needs more than REFACTOR_ITERS iterations, or within the step
+when a solve with it does not converge in LAGGED_MAXITER iterations.
 """
 from __future__ import annotations
 
@@ -62,6 +62,10 @@ REFACTOR_ITERS = 20
 # component and is repeated with a fresh factor; uncapped, a failing one ran
 # until BiCGStab diverged (1,381 iterations at acute:3, Re = 1e5, k = 0.5).
 LAGGED_MAXITER = 2 * REFACTOR_ITERS
+
+# The momentum solve starts from the quartic through the last five predictors
+# at the new step (these weights, newest first), or from u* until five exist.
+GUESS_WEIGHTS = (5.0, -10.0, 10.0, -5.0, 1.0)
 
 
 # -- built-in data cases ----------------------------------------------------------
@@ -192,6 +196,8 @@ class SchemeState:
     t: float
     n: int
     u_tilde: VectorP0 | None = None
+    grad_p: VectorP0 | None = None  # gradient(p_curr); None before start-up
+    predictors: tuple = ()  # u_tilde.values of the last steps, newest first
 
 
 @dataclass
@@ -222,6 +228,7 @@ class Trajectory:
     snapshot_files: int = 0     # VTK files written, their bytes and wall time
     snapshot_bytes: int = 0
     snapshot_s: float = 0.0
+    mom_solves: int = 0         # momentum solves, start-up and retries included
 
     def monitor_rows(self):
         names = tuple(f.name for f in fields(StepRecord))
@@ -254,7 +261,7 @@ class _Workspace:
         self.forcing = project_p0(self.case.forcing, mesh)
         self.mom_factor = None
         self.refactor_due = True
-        self.mom_iters = self.mom_refactor = 0
+        self.mom_iters = self.mom_refactor = self.mom_solves = 0
         self.convection = None      # weighted C(u*) of the last momentum step
         self.p_backward_error = 0.0
         self.div_residual = 0.0     # |div u| of the last certified field
@@ -289,22 +296,21 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
                   grad_p: VectorP0) -> VectorP0:
     """Solve the predictor system: one matrix a0/k M + H/Re + C(u*),
     assembled as a data array on the pattern of H, and one BiCGStab solve
-    for both velocity components.
+    for both velocity components from the guess that GUESS_WEIGHTS sets.
 
     ``grad_p`` is gradient(state.p_curr).  A solve preconditioned by a
     factor of another matrix (the lagged one, or the start-up step's) stops
     at LAGGED_MAXITER iterations per component; one that does not converge
     is repeated with a fresh factor of this step's matrix, and only a
     failure of that one raises SolverError.  Leaves the weighted convection
-    matrix C(u*) in ``ws.convection``, the step's BiCGStab iterations
-    (every solve, both components) in ``ws.mom_iters`` and the number of
-    factors it built in ``ws.mom_refactor``.
+    matrix C(u*) in ``ws.convection``, the step's BiCGStab iterations (every
+    solve, both components) in ``ws.mom_iters`` and the number of factors it
+    built in ``ws.mom_refactor``; adds its solves to ``ws.mom_solves``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
-    u_star = SolenoidalP0.trusted(
-        2.0 * state.u_curr.field - state.u_prev.field)
-    ws.convection = convection_matrix(u_star, weighted=True)
+    u_star = 2.0 * state.u_curr.field - state.u_prev.field
+    ws.convection = convection_matrix(SolenoidalP0.trusted(u_star), weighted=True)
     H = ws.h_stiff
     base = (1.0 / config.re) * H.data + ws.convection.data
 
@@ -318,7 +324,9 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     if builds:
         ws.mom_factor = None  # free the old factor before building the new
         ws.mom_factor = FactoredSolver(A if a0 == 1.5 else with_mass(1.5 / k))
-    A = SparseOperator(A, ws.mom_factor.apply)
+    guess = (sum(w * v for w, v in zip(GUESS_WEIGHTS, state.predictors))
+             if len(state.predictors) == len(GUESS_WEIGHTS) else u_star.values)
+    A = SparseOperator(A, ws.mom_factor.apply, guess)
     exact = bool(builds) and a0 == 1.5  # the factor is of this step's matrix
     rhs = (ws.forcing.values
            - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
@@ -326,6 +334,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     out, info = solve(A, rhs, MOMENTUM_TOL if exact else
                       replace(MOMENTUM_TOL, maxiter=LAGGED_MAXITER))
     ws.mom_iters = info.iterations
+    ws.mom_solves += 1
     if not info.converged and not exact:
         # u* has moved too far from the factor's: factor this matrix
         A.preconditioner = ws.mom_factor = None
@@ -334,6 +343,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
         builds += 1
         out, info = solve(A, rhs, MOMENTUM_TOL)
         ws.mom_iters += info.iterations
+        ws.mom_solves += 1
     if not info.converged:
         c = next(c for c, col in enumerate(info.columns) if not col.converged)
         raise SolverError(f"momentum solve (component {c}) failed: {info.columns[c]}")
@@ -365,13 +375,15 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
 def correction_step(state: SchemeState, u_tilde: VectorP0, p_next: ScalarP1NC,
                     dp: ScalarP1NC, config: RunConfig, ws: _Workspace,
                     div_tilde: ScalarP1NC) -> SchemeState:
-    """Subtract the increment gradient and rotate the state; ``div_tilde``
-    is divergence(u_tilde)."""
+    """Subtract the increment gradient and rotate the state, which keeps
+    gradient(p_next) for the next step; ``div_tilde`` is divergence(u_tilde)."""
     u_next = u_tilde - (config.k / _bdf_coefficients(state)[0]) * gradient(dp)
     cert = ws.certify(u_next, f"correction step {state.n + 1}",
                       div_scale=l2_norm(div_tilde))
+    history = (u_tilde.values,) + state.predictors
     return SchemeState(u_prev=state.u_curr, u_curr=cert, p_curr=p_next,
-                       t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde)
+                       t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde,
+                       grad_p=gradient(p_next), predictors=history[:len(GUESS_WEIGHTS)])
 
 
 def _substeps(state: SchemeState, config: RunConfig, ws: _Workspace,
@@ -387,8 +399,7 @@ def _substeps(state: SchemeState, config: RunConfig, ws: _Workspace,
 def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     """One full BDF2 projection step; returns (new state, StepRecord)."""
     k = config.k
-    gp_n = gradient(state.p_curr)
-    new = _substeps(state, config, ws, gp_n)
+    new = _substeps(state, config, ws, state.grad_p)
     u_tilde, p_next = new.u_tilde, new.p_curr
 
     u_np1, u_n, u_nm1 = new.u_curr.field, state.u_curr.field, state.u_prev.field
@@ -397,8 +408,7 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     u_tilde_l2 = l2_norm(u_tilde)
     jump_l2 = l2_norm(u_np1 - u_tilde)
     ut_hnorm = h_norm(u_tilde)
-    gp_next = gradient(p_next)
-    orth = abs(l2_inner(u_np1, gp_next)) / (u_np1_l2 * l2_norm(gp_next) + tiny)
+    orth = abs(l2_inner(u_np1, new.grad_p)) / (u_np1_l2 * l2_norm(new.grad_p) + tiny)
     pyth_num = u_np1_l2 ** 2 - u_tilde_l2 ** 2 + jump_l2 ** 2
     pyth = abs(pyth_num) / max(u_tilde_l2 ** 2, tiny)
 
@@ -409,7 +419,7 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
         6.0 * jump_l2 ** 2,
         4.0 * k / config.re * ut_hnorm ** 2,
         4.0 * k * trilinear_form(ws.convection, u_tilde, u_tilde),
-        4.0 * k * l2_inner(gp_n, u_tilde),
+        4.0 * k * l2_inner(state.grad_p, u_tilde),
         -4.0 * k * l2_inner(ws.forcing, u_tilde),
     ]
     energy = abs(sum(terms)) / max(max(abs(v) for v in terms), tiny)
@@ -453,19 +463,20 @@ def initialize(config: RunConfig, mesh: Mesh):
                         p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
                         t=0.0, n=0)
     state = _substeps(state, config, ws, gradient(state.p_curr))
-    u1, p1 = state.u_curr, state.p_curr
+    gp1 = state.grad_p
 
     err0 = _quadrature_error(u0.field, ws.case.u0)
     diagnostics = {
         "u0_l2": l2_norm(u0.field),
-        "u1_l2": l2_norm(u1.field),
-        "k_grad_p1_l2": k * l2_norm(gradient(p1)),
-        "startup_bound": (l2_norm(u0.field) + l2_norm(u1.field)
-                          + k * l2_norm(gradient(p1))),
-        "increment_over_k": l2_norm(u1.field - u0.field) / k,
+        "u1_l2": l2_norm(state.u_curr.field),
+        "k_grad_p1_l2": k * l2_norm(gp1),
+        "startup_bound": (l2_norm(u0.field) + l2_norm(state.u_curr.field)
+                          + k * l2_norm(gp1)),
+        "increment_over_k": l2_norm(state.u_curr.field - u0.field) / k,
         "u0_projection_error": err0,
         "div_u0": l2_norm(divergence(u0.field)),
-        "div_u1": l2_norm(divergence(u1.field)),
+        "div_u1": ws.div_residual,      # the certificate's |div u1|
+        "mom_iters": ws.mom_iters, "mom_refactor": ws.mom_refactor,  # start-up solve
     }
     return state, diagnostics, ws
 
@@ -509,7 +520,7 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
                       elapsed=time.perf_counter() - t0,
                       snapshot_files=len(snapshots),
                       snapshot_bytes=sum(p.stat().st_size for p in snapshots),
-                      snapshot_s=snapshot_s)
+                      snapshot_s=snapshot_s, mom_solves=ws.mom_solves)
     if out:
         traj.write_monitors(out / "monitors.csv")
     return traj

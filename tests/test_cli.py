@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fvproj
 from fvproj.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main)
 from fvproj.mesh import save_mesh, unit_square_acute
@@ -76,6 +78,35 @@ class TestRun:
         assert f"snapshots written: 6 files, {size} bytes in " in out
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(
             ["monitors.csv"] + [f.name for f in files])
+
+    @pytest.mark.parametrize("mesh, overrides, retries", [
+        ("acute:1", [], False),
+        ("acute:2", ["re=1e6", "k=1"], True),  # lagged solves fail and are repeated
+    ])
+    def test_reports_momentum_solves(self, capsys, monkeypatch, mesh, overrides,
+                                     retries):
+        # the counts of every momentum solve and factor of the run, the
+        # start-up step's and the repeated solves included
+        from fvproj import linalg, scheme
+        iters, factors = [], []
+        factor = scheme.FactoredSolver
+
+        def counting_solve(A, b, config=None, **kwargs):
+            x, info = linalg.solve(A, b, config, **kwargs)
+            iters.append(info.iterations)
+            return x, info
+
+        def counting_factor(*args, **kwargs):
+            factors.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "solve", counting_solve)
+        monkeypatch.setattr(scheme, "FactoredSolver", counting_factor)
+        assert main(["run", "--mesh", mesh, "case=manufactured-A", "steps=6"]
+                    + overrides) == EXIT_OK
+        assert (len(iters) > 6) == retries and sum(iters) > 0 and factors
+        assert (f"  momentum: {sum(iters)} BiCGStab iterations in {len(iters)} "
+                f"solves, {len(factors)} factor builds\n") in capsys.readouterr().out
 
     def test_bad_override(self):
         assert main(["run", "oops"]) == EXIT_USAGE

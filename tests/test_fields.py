@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fvproj import reference
-from fvproj.fields import (ScalarP1NC, SpaceMismatchError, VectorP0,
-                           VectorRT0, collocate_p0, dual_norm, h_norm,
-                           l2_inner, l2_norm, mean_zero, norm_1h, p1nc_mass,
-                           project_p0, project_rt0)
+from fvproj.fields import (ScalarP1NC, SolenoidalP0, SpaceMismatchError,
+                           VectorP0, VectorRT0, collocate_p0, dual_norm,
+                           h_gram, h_norm, l2_inner, l2_norm, mean_zero,
+                           norm_1h, p1nc_mass, project_p0, project_rt0)
 from fvproj.mesh import refine_uniform, unit_square_acute
 from fvproj.operators import gradient, laplacian_p0
 from field_helpers import (p1nc_cell_values, project_p1nc,
@@ -333,3 +334,83 @@ def test_field_arithmetic(pair, rng):
     b = VectorP0(pair, rng.standard_normal((2, 2)))
     c = 2.0 * a - b
     assert np.allclose(c.values, 2 * a.values - b.values)
+
+
+# -- the einsum formulas the field kernels replaced, kept as oracles ----------
+
+def _fluxes_einsum(mesh, vals):
+    flux = np.einsum("ed,ed->e", vals[mesh.edge_owner], mesh.edge_normal)
+    ii = mesh.interior_edges
+    nb = np.einsum("ed,ed->e", vals[mesh.edge_neighbor[ii]], mesh.edge_normal[ii])
+    flux[ii] = 0.5 * (flux[ii] + nb)
+    flux[mesh.boundary_edges] = 0.0
+    return flux
+
+
+def _h_norm_einsum(mesh, vals):
+    ii, bb = mesh.interior_edges, mesh.boundary_edges
+    diff = vals[mesh.edge_neighbor[ii]] - vals[mesh.edge_owner[ii]]
+    bnd = vals[mesh.edge_owner[bb]]
+    return np.sqrt(np.sum(mesh.edge_tau[ii] * np.einsum("ed,ed->e", diff, diff))
+                   + np.sum(mesh.edge_tau[bb] * np.einsum("ed,ed->e", bnd, bnd)))
+
+
+def _l2_inner_einsum(mesh, a, b):
+    return np.sum(mesh.tri_area * np.einsum("td,td->t", a, b))
+
+
+class TestFieldKernels:
+    """The flux, H1-norm and L2 kernels against the einsum formulas they
+    replaced, on seeded random fields."""
+
+    @pytest.fixture(scope="class", params=[0, 1, 2, 3])
+    def fields(self, request):
+        mesh = unit_square_acute(request.param)
+        rng = np.random.default_rng(request.param)
+        a, b = rng.standard_normal((2, mesh.num_triangles, 2))
+        return mesh, a, b
+
+    def test_edge_normal_fluxes(self, fields):
+        mesh, a, _ = fields
+        flux = SolenoidalP0.trusted(VectorP0(mesh, a)).edge_normal_fluxes()
+        old = _fluxes_einsum(mesh, a)
+        assert np.abs(flux - old).max() <= 1e-13 * np.abs(old).max()
+        assert np.all(flux[mesh.boundary_edges] == 0.0)
+        assert not np.any(np.signbit(flux[mesh.boundary_edges]))
+
+    def test_h_norm(self, fields):
+        mesh, a, _ = fields
+        old = _h_norm_einsum(mesh, a)
+        assert abs(h_norm(VectorP0(mesh, a)) - old) <= 1e-13 * old
+
+    def test_l2_inner(self, fields):
+        mesh, a, b = fields
+        va, vb = VectorP0(mesh, a), VectorP0(mesh, b)
+        norm_a = np.sqrt(_l2_inner_einsum(mesh, a, a))
+        norm_b = np.sqrt(_l2_inner_einsum(mesh, b, b))
+        assert abs(l2_inner(va, va) - norm_a ** 2) <= 1e-13 * norm_a ** 2
+        assert (abs(l2_inner(va, vb) - _l2_inner_einsum(mesh, a, b))
+                <= 1e-13 * norm_a * norm_b)
+
+    def test_coercivity_check_sees_a_perturbed_gram_matrix(self):
+        # h_norm sums over edges and never reads h_gram, so a change of one
+        # transmissibility in the matrix that laplacian_p0 reads must fail
+        # the coercivity row, which compares the two
+        from fvproj import analysis
+
+        def coercivity(mesh):
+            report = analysis.check_identities(mesh, n_samples=4)
+            row, = [r for r in report.results
+                    if r.name == "velocity-laplacian-coercivity"]
+            return row
+
+        mesh = unit_square_acute(1)
+        assert coercivity(mesh).passed
+        e = mesh.interior_edges[len(mesh.interior_edges) // 2]
+        K, L = mesh.edge_owner[e], mesh.edge_neighbor[e]
+        jump = sp.csr_matrix(([1.0, -1.0], ([0, 0], [K, L])),
+                             shape=(1, mesh.num_triangles))
+        mesh._cache["h_gram"] = (h_gram(mesh)
+                                 + 1e-3 * mesh.edge_tau[e] * (jump.T @ jump)).tocsr()
+        row = coercivity(mesh)
+        assert not row.passed and row.value > 1e3 * row.tolerance

@@ -441,3 +441,103 @@ class TestHFactor:
         b[3] = bad
         with pytest.raises(SolverError):
             h_solver(mesh).solve(b, Tolerance())
+
+
+class TestStartingGuess:
+    """``solve`` starts each column from ``SparseOperator.guess``; the gate
+    stays rtol |b| whatever the guess."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        mesh = unit_square_acute(2)
+        n = mesh.num_triangles
+        skew = sp.random(n, n, density=0.01, random_state=7, format="csr")
+        A = (sp.diags(np.full(n, 2.0)) + 0.01 * h_gram(mesh)
+             + 0.05 * (skew - skew.T)).tocsr()
+        lagged = FactoredSolver(A + sp.diags(np.full(n, 0.5))).apply
+        X = np.random.default_rng(4).standard_normal((n, 2))
+        return A, lagged, X, A @ X
+
+    def test_exact_guess_takes_no_iteration(self, system):
+        A, lagged, X, B = system
+        x, info = solve(SparseOperator(A, lagged, X), B, Tolerance(rtol=1e-12))
+        assert info.converged and info.iterations == 0
+        assert np.array_equal(x, X)
+
+    def test_poor_guess_meets_the_gate(self, system):
+        A, lagged, X, B = system
+        guess = 1e3 * np.random.default_rng(5).standard_normal(B.shape)
+        tol = Tolerance(rtol=1e-12)
+        x, info = solve(SparseOperator(A, lagged, guess), B, tol)
+        assert info.converged and info.iterations > 0
+        for c in range(2):
+            assert (np.linalg.norm(B[:, c] - A @ x[:, c])
+                    <= tol.rtol * np.linalg.norm(B[:, c]))
+
+    def test_zero_column_from_a_nonzero_guess(self, system):
+        # |b| = 0 cannot scale the divergence guard: the guess's residual does
+        A, lagged, X, B = system
+        b = B.copy()
+        b[:, 0] = 0.0
+        tol = Tolerance(rtol=1e-12)
+        x, info = solve(SparseOperator(A, lagged, 1e-6 * X), b, tol)
+        assert info.converged and info.columns[0].iterations > 0
+        assert np.linalg.norm(A @ x[:, 0]) <= tol.atol
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_guess_rejected_before_iterating(self, system, bad):
+        A, lagged, X, B = system
+        calls = []
+
+        def recording(v):
+            calls.append(v.shape)
+            return lagged(v)
+
+        guess = X.copy()
+        guess[3, 1] = bad
+        with pytest.raises(SolverError, match="starting guess"):
+            solve(SparseOperator(A, recording, guess), B, Tolerance())
+        assert calls == []
+
+    def test_guess_shape_checked(self, system):
+        A, lagged, X, B = system
+        with pytest.raises(ValueError):
+            solve(SparseOperator(A, lagged, X[:, :1]), B, Tolerance())
+
+    def test_extrapolated_predictor_saves_work(self, monkeypatch):
+        # the momentum system of step 22 of an acute:2 run, solved from the
+        # scheme's guess (the extrapolated predictor), from u* and from
+        # zero, with the same preconditioner
+        from fvproj import scheme
+        systems = []
+
+        def recording_solve(A, b, config=None, **kwargs):
+            systems.append((A, b, config))
+            return solve(A, b, config, **kwargs)
+
+        cfg = scheme.RunConfig(mesh_spec="acute:2", k=1e-2, n_steps=3)
+        state, _, ws = scheme.initialize(cfg, unit_square_acute(2))
+        for _ in range(20):
+            state, _ = scheme.advance(state, cfg, ws)
+        monkeypatch.setattr(scheme, "solve", recording_solve)
+        scheme.advance(state, cfg, ws)
+        (A, b, config), = systems
+        assert len(state.predictors) == len(scheme.GUESS_WEIGHTS)
+        assert np.array_equal(A.guess, sum(
+            w * v for w, v in zip(scheme.GUESS_WEIGHTS, state.predictors)))
+
+        def counted(guess):
+            calls = []
+
+            def precondition(v):
+                calls.append(v.shape)
+                return A.preconditioner(v)
+
+            _, info = solve(SparseOperator(A.matrix, precondition, guess), b, config)
+            assert info.converged
+            return info.iterations, len(calls)
+
+        u_star = 2.0 * state.u_curr.values - state.u_prev.values
+        (warm, warm_calls), (star, star_calls), (cold, _) = (
+            counted(A.guess), counted(u_star), counted(None))
+        assert warm <= star < cold and warm_calls < star_calls

@@ -586,6 +586,23 @@ class TestPerStepWork:
             assert rec.div_residual == l2_norm(div(state.u_curr.field))
             assert rec.ut_hnorm == h_norm(state.u_tilde)
 
+    def test_two_gradients_and_two_divergences_per_step(self, monkeypatch):
+        # gradient(dp) and gradient(p^{n+1}), div(u_tilde) and div(u^{n+1});
+        # gradient(p^n) is the one the previous step (or start-up) kept
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
+        calls = []
+        for name in ("gradient", "divergence"):
+            op = getattr(scheme, name)
+            monkeypatch.setattr(scheme, name,
+                                lambda x, op=op, name=name: calls.append(name) or op(x))
+        state, _, ws = initialize(cfg, unit_square_acute(1))
+        for _ in range(2):
+            calls.clear()
+            state, _ = advance(state, cfg, ws)
+            assert sorted(calls) == ["divergence"] * 2 + ["gradient"] * 2
+            assert np.array_equal(state.grad_p.values,
+                                  gradient(state.p_curr).values)
+
 
 class TestExtrapolatedAdvection:
     def test_momentum_uses_two_un_minus_unm1(self):
@@ -622,6 +639,40 @@ class TestExtrapolatedAdvection:
 
         wrong = assemble_with(state.u_curr)
         assert np.abs(ut.values - wrong).max() > 1e-9 * np.abs(good).max()
+
+
+class TestStartingGuess:
+    def test_weights_extrapolate_a_quartic(self):
+        # sampled at the last five steps (newest first), a quartic in t is
+        # extrapolated exactly to the new step
+        quartic = np.polynomial.Polynomial(np.random.default_rng(3).standard_normal(5))
+        guess = sum(w * quartic(-j) for j, w in enumerate(scheme.GUESS_WEIGHTS))
+        assert abs(guess - quartic(1.0)) <= 1e-12 * max(abs(quartic.coef).sum(), 1.0)
+
+    def test_u_star_until_five_predictors(self, monkeypatch):
+        from fvproj import linalg
+        guesses = []
+
+        def recording_solve(A, b, config=None, **kwargs):
+            guesses.append(A.guess)
+            return linalg.solve(A, b, config, **kwargs)
+
+        monkeypatch.setattr(scheme, "solve", recording_solve)
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
+        state, _, ws = initialize(cfg, unit_square_acute(1))
+        # the start-up step's u* = 2 u^0 - u^0
+        assert np.array_equal(guesses[0], state.u_prev.values)
+        for _ in range(8):
+            u_star = 2.0 * state.u_curr.values - state.u_prev.values
+            history = state.predictors
+            state, _ = advance(state, cfg, ws)
+            expected = (sum(w * v for w, v in zip(scheme.GUESS_WEIGHTS, history))
+                        if len(history) == 5 else u_star)
+            assert np.array_equal(guesses[-1], expected)
+            # the new predictor joins the history, which keeps the last five
+            assert state.predictors[0] is state.u_tilde.values
+            assert len(state.predictors) == min(len(history) + 1, 5)
+            assert all(a is b for a, b in zip(state.predictors[1:], history))
 
 
 class TestRunDriver:
