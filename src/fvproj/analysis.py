@@ -33,6 +33,10 @@ from .scheme import make_case
 
 IDENTITY_TOL = 1e-11
 DENSE_ORACLE_TOL = 1e-13
+# seeded random fields per identity and positivity check, and single-cell
+# advecting impulses per convection-stability estimate
+N_SAMPLES = 32
+N_EXTREMAL = 3
 
 
 @dataclass
@@ -112,14 +116,13 @@ def random_solenoidal(mesh, rng) -> SolenoidalP0:
 # -- operator identities ---------------------------------------------------------------
 
 def check_identities(mesh: Mesh, seed: int = 7, level: int = 0,
-                     n_samples: int = 32,
                      report: VerificationReport | None = None) -> VerificationReport:
     """Adjointness, Laplacian coercivity/continuity, and the projection
     orthogonality identities, on seeded random fields."""
     report = report or VerificationReport()
     rng = _rng(seed, level)
     adj = coer = cont = orth = pyth = 0.0
-    for _ in range(n_samples):
+    for _ in range(N_SAMPLES):
         v = random_vector_p0(mesh, rng)
         q = random_p1nc(mesh, rng)
         lhs = l2_inner(v, gradient(q))
@@ -142,7 +145,7 @@ def check_identities(mesh: Mesh, seed: int = 7, level: int = 0,
         pyth = max(pyth, abs(pyth_num) / l2_norm(w) ** 2)
 
     report.add("gradient-divergence-adjointness", level, adj, IDENTITY_TOL,
-               adj <= IDENTITY_TOL, f"{n_samples} random pairs")
+               adj <= IDENTITY_TOL, f"{N_SAMPLES} random pairs")
     report.add("velocity-laplacian-coercivity", level, coer, IDENTITY_TOL,
                coer <= IDENTITY_TOL)
     report.add("velocity-laplacian-continuity", level, cont, 1.0 + IDENTITY_TOL,
@@ -170,7 +173,6 @@ def check_identities(mesh: Mesh, seed: int = 7, level: int = 0,
 
 
 def check_convection(mesh: Mesh, seed: int = 7, level: int = 0,
-                     n_samples: int = 32, n_extremal: int = 3,
                      report: VerificationReport | None = None) -> VerificationReport:
     """Positivity and norm stability of the upwind transport form with
     divergence-free advecting fields.
@@ -185,10 +187,10 @@ def check_convection(mesh: Mesh, seed: int = 7, level: int = 0,
     neg = 0.0
     const_resid = 0.0
     ones = VectorP0(mesh, np.ones((mesh.num_triangles, 2)))
-    for _ in range(n_samples):
+    for _ in range(N_SAMPLES):
         u = random_solenoidal(mesh, rng)
         v = random_vector_p0(mesh, rng)
-        W = convection_matrix(u, weighted=True)
+        W = convection_matrix(u)
         scale = l2_norm(u.field) * h_norm(v) ** 2
         neg = min(neg, trilinear_form(W, v, v) / scale)
         const_resid = max(const_resid,
@@ -201,14 +203,14 @@ def check_convection(mesh: Mesh, seed: int = 7, level: int = 0,
     H = h_gram(mesh)
     h_inv = _h_inverse(mesh, f"convection-stability level {level}")
     impulses = [(rng.integers(mesh.num_triangles), rng.standard_normal(2))
-                for _ in range(n_extremal)]
+                for _ in range(N_EXTREMAL)]
     stab = 0.0
     for cell, value in impulses:
         vals = np.zeros((mesh.num_triangles, 2))
         vals[cell] = value
         u = SolenoidalP0.trusted(
             leray_project(VectorP0(mesh, vals), _TIGHT)[0])
-        W = convection_matrix(u, weighted=True)
+        W = convection_matrix(u)
         WT = W.T
         lam, _ = _power_iteration(
             lambda x: h_inv(WT @ h_inv(W @ x)),
@@ -381,9 +383,7 @@ def consistency_rate(levels=(1, 2, 3), pair=None) -> RateResult:
     hs, errors = [], []
     for lvl in levels:
         mesh = unit_square_acute(lvl)
-        # 5-point Gauss integrates the degree-7 edge traces of the built-in
-        # transporting field exactly, so its per-cell flux balance vanishes
-        u_h = project_rt0(u, mesh, npoints=5)
+        u_h = project_rt0(u, mesh)
         v_h = collocate_p0(v, mesh)
         target = project_p0(transport, mesh)
         err = dual_norm(target - upwind_convection(u_h, v_h))
@@ -583,17 +583,14 @@ def stability_monitors(records, init_diagnostics=None, *, k: float,
 
 # -- full suite ------------------------------------------------------------------------------
 
-def run_all(max_level: int = 2, seed: int = 7,
-            n_samples: int = 32) -> VerificationReport:
+def run_all(max_level: int = 2, seed: int = 7) -> VerificationReport:
     """Every operator-level check on the admissible family up to max_level."""
     report = VerificationReport()
     levels = list(range(max_level + 1))
     for lvl in levels:
         mesh = unit_square_acute(lvl)
-        check_identities(mesh, seed=seed, level=lvl, n_samples=n_samples,
-                         report=report)
-        check_convection(mesh, seed=seed, level=lvl, n_samples=n_samples,
-                         report=report)
+        check_identities(mesh, seed=seed, level=lvl, report=report)
+        check_convection(mesh, seed=seed, level=lvl, report=report)
     stab = [report.constants["convection-stability"][lvl] for lvl in levels]
     drift = max(stab) / min(stab)
     report.add("convection-stability-drift", levels[0], drift, 2.0, drift < 2.0,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: ``run`` (time integration), ``verify`` (operator checks),
-``infsup`` (inf-sup sweep + oracle), ``rates`` (transport consistency),
+Subcommands: ``run`` (time integration), ``verify`` (every operator
+check, the inf-sup sweep and the transport consistency rate included),
 ``mesh-check`` (mesh quality report).  Exit code 0 when every invoked
 check passes, 1 on check failure, 2 on usage errors, 3 on I/O errors.
 """
@@ -16,12 +16,19 @@ import numpy as np
 from . import analysis, scheme
 from .linalg import SolverError
 from .mesh import (MeshFormatError, MeshOrientationError, MeshTopologyError,
-                   load_mesh, resolve_mesh, unit_square_acute, validate_mesh)
+                   resolve_mesh, unit_square_acute, validate_mesh)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+
+def _level(text: str) -> int:
+    """A refinement level: a decimal integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,27 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="config overrides, applied after the file")
 
     verify = sub.add_parser("verify", help="run every operator-level check")
-    verify.add_argument("--level", type=int, default=2,
+    verify.add_argument("--level", type=_level, default=2,
                         help="finest refinement level (default 2)")
     verify.add_argument("--seed", type=int, default=7)
     verify.add_argument("--out", help="directory for verify.csv")
 
-    infsup = sub.add_parser("infsup", help="inf-sup constant sweep")
-    infsup.add_argument("--level", type=int, default=2,
-                        help="finest refinement level (default 2)")
-    infsup.add_argument("--seed", type=int, default=0)
-
-    rates = sub.add_parser("rates", help="transport consistency rate")
-    rates.add_argument("--level", type=int, default=1,
-                       help="coarsest of three consecutive levels (default 1)")
-
     check = sub.add_parser("mesh-check", help="mesh quality report")
-    check.add_argument("--mesh", help="mesh file path or acute:L selector")
-    check.add_argument("--level", type=int,
+    check.add_argument("--mesh", help="mesh file path (the suffix names its "
+                                      "format) or acute:L selector")
+    check.add_argument("--level", type=_level,
                        help="check the built-in admissible family instead")
-    check.add_argument("--format", default="single-file",
-                       choices=["single-file", "node-ele"])
-    check.add_argument("--allow-degenerate", action="store_true")
     return parser
 
 
@@ -111,30 +107,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_infsup(args) -> int:
-    report = analysis.VerificationReport()
-    analysis.infsup_sweep(range(args.level + 1), report=report)
-    analysis.infsup_oracle_check(report=report, seed=args.seed)
-    print(report.to_text())
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
-
-
-def _cmd_rates(args) -> int:
-    levels = (args.level, args.level + 1, args.level + 2)
-    result = analysis.consistency_rate(levels=levels)
-    for h, err in zip(result.hs, result.errors):
-        print(f"  h={h:.5f}  dual-norm error={err:.6e}")
-    print(f"measured consistency rate: {result.rate:.4f} (required >= 0.8)")
-    return EXIT_OK if result.rate >= 0.8 else EXIT_CHECK_FAILED
-
-
 def _cmd_mesh_check(args) -> int:
     if args.level is not None:
         mesh = unit_square_acute(args.level)
         name = f"acute:{args.level}"
     elif args.mesh:
-        mesh = (resolve_mesh(args.mesh) if args.mesh.startswith("acute:")
-                else load_mesh(args.mesh, fmt=args.format))
+        mesh = resolve_mesh(args.mesh)
         name = args.mesh
     else:
         print("mesh-check needs --mesh or --level", file=sys.stderr)
@@ -142,11 +120,7 @@ def _cmd_mesh_check(args) -> int:
     report = validate_mesh(mesh)
     print(f"{name}: {mesh!r}")
     print(f"  {report}")
-    if report.admissible or args.allow_degenerate:
-        if not report.admissible:
-            print("  warning: mesh is not admissible (allowed by flag)")
-        return EXIT_OK
-    return EXIT_CHECK_FAILED
+    return EXIT_OK if report.admissible else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
@@ -162,10 +136,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "infsup":
-            return _cmd_infsup(args)
-        if args.command == "rates":
-            return _cmd_rates(args)
         if args.command == "mesh-check":
             return _cmd_mesh_check(args)
         return EXIT_USAGE

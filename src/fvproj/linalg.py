@@ -36,9 +36,6 @@ class SparseOperator:
         self.preconditioner = preconditioner
         self.guess = guess
 
-    def __matmul__(self, x):
-        return self.matrix @ x
-
 
 @dataclass
 class Tolerance:

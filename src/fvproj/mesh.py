@@ -248,23 +248,21 @@ def require_admissible(mesh: Mesh) -> MeshQualityReport:
 
 # -- file I/O -------------------------------------------------------------------
 
-def load_mesh(path, fmt: str = "single-file") -> Mesh:
-    """Read a mesh from disk.
+def load_mesh(path) -> Mesh:
+    """Read a mesh from disk; the file suffix names the format.
 
-    ``single-file``: line 1 is ``NV NT``, then NV ``x y`` lines, then NT
-    ``i j k`` lines with 0-based vertex ids.
-
-    ``node-ele``: the planar-triangulation two-file convention.  ``path``
-    names either file or the common stem; the leading index column of each
+    ``.node`` or ``.ele``: the planar-triangulation two-file convention,
+    read from both files of the stem.  The leading index column of each
     line is honoured (1-based in the wild) and attribute/marker columns
     are ignored.
+
+    Any other suffix: the single-file format.  Line 1 is ``NV NT``, then
+    NV ``x y`` lines, then NT ``i j k`` lines with 0-based vertex ids.
     """
     path = Path(path)
-    if fmt == "single-file":
-        return _load_single(path)
-    if fmt == "node-ele":
+    if path.suffix in (".node", ".ele"):
         return _load_node_ele(path)
-    raise ValueError(f"unknown mesh format {fmt!r}")
+    return _load_single(path)
 
 
 def _tokens(path):
@@ -300,10 +298,8 @@ def _load_single(path) -> Mesh:
     return Mesh(verts, tris)
 
 
-def _load_node_ele(path) -> Mesh:
-    path = Path(path)
-    stem = path.with_suffix("") if path.suffix in (".node", ".ele") else path
-    node_path, ele_path = stem.with_suffix(".node"), stem.with_suffix(".ele")
+def _load_node_ele(path: Path) -> Mesh:
+    node_path, ele_path = path.with_suffix(".node"), path.with_suffix(".ele")
 
     rows = list(_tokens(node_path))
     if not rows:

@@ -161,15 +161,14 @@ def h_diagonal(mesh: Mesh) -> np.ndarray:
     return cached
 
 
-def convection_matrix(u, weighted: bool = False) -> sp.csr_matrix:
-    """Upwind transport matrix for the advecting flux field u, on the CSR
-    pattern of ``h_gram(mesh)`` (it shares H's index arrays): each interior
-    edge adds to its cells' diagonal entries (K, K) and (L, L) and sets
-    (K, L) and (L, K), whose positions in H's data are cached per mesh.
-
-    Unweighted rows carry 1/|K| (the operator); weighted rows carry |K|
-    times that (the form used in the momentum system).  Boundary edges
-    contribute nothing since their fluxes vanish.
+def convection_matrix(u) -> sp.csr_matrix:
+    """Weighted upwind transport matrix W for the advecting flux field u,
+    the cell-mass form of the transport (its rows are |K| times the
+    operator's), on the CSR pattern of ``h_gram(mesh)`` (it shares H's
+    index arrays): each interior edge adds to its cells' diagonal entries
+    (K, K) and (L, L) and sets (K, L) and (L, K), whose positions in H's
+    data are cached per mesh.  Boundary edges contribute nothing since
+    their fluxes vanish.
     """
     if not isinstance(u, (SolenoidalP0, VectorRT0)):
         raise TypeError("advecting field must carry single-valued edge fluxes "
@@ -187,9 +186,6 @@ def convection_matrix(u, weighted: bool = False) -> sp.csr_matrix:
     dn = sf - up                # |e| min(f, 0): into K
     diag = np.concatenate([up, -dn])    # at (K, K), (L, L)
     off = np.concatenate([dn, -up])     # at (K, L), (L, K)
-    if not weighted:
-        area = mesh.tri_area[cells]
-        diag, off = diag / area, off / area
     H = h_gram(mesh)
     data = np.zeros(H.nnz)
     data[h_diagonal(mesh)] = np.bincount(cells, diag, minlength=mesh.num_triangles)
@@ -198,13 +194,13 @@ def convection_matrix(u, weighted: bool = False) -> sp.csr_matrix:
 
 
 def upwind_convection(u, v: VectorP0) -> VectorP0:
-    """Componentwise upwind transport of v by the certified flux field u."""
-    return VectorP0(v.mesh, convection_matrix(u) @ v.values)
+    """Componentwise upwind transport of v by the certified flux field u:
+    (W v)/|K|, W its ``convection_matrix``."""
+    return VectorP0(v.mesh, (convection_matrix(u) @ v.values)
+                    / v.mesh.tri_area[:, None])
 
 
-def trilinear_form(u, v: VectorP0, w: VectorP0) -> float:
-    """Cell-mass pairing of w with the upwind transport of v by u; u is the
-    advecting field, or its weighted ``convection_matrix`` when the caller
-    has built it already."""
-    W = u if sp.issparse(u) else convection_matrix(u, weighted=True)
+def trilinear_form(W, v: VectorP0, w: VectorP0) -> float:
+    """Cell-mass pairing of w with the upwind transport of v, given the
+    advecting field's ``convection_matrix`` W."""
     return float(np.vdot(w.values, W @ v.values))

@@ -152,12 +152,15 @@ class RunConfig:
     cadence: int = 0            # snapshot every this many steps; 0 disables
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("time step k must be positive")
+        # written so that NaN fails them; re = inf (no viscous term) runs
+        if not 0 < self.k < np.inf:
+            raise ValueError(f"config key 'k': time step must be positive "
+                             f"and finite, got {self.k}")
         if self.n_steps < 2:
             raise ValueError("need at least 2 steps")
-        if self.re <= 0:
-            raise ValueError("Reynolds number must be positive")
+        if not self.re > 0:
+            raise ValueError(f"config key 're': Reynolds number must be "
+                             f"positive, got {self.re}")
         if self.cadence < 0:
             raise ValueError("cadence must be >= 0")
 
@@ -310,7 +313,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
     u_star = 2.0 * state.u_curr.field - state.u_prev.field
-    ws.convection = convection_matrix(SolenoidalP0.trusted(u_star), weighted=True)
+    ws.convection = convection_matrix(SolenoidalP0.trusted(u_star))
     H = ws.h_stiff
     base = (1.0 / config.re) * H.data + ws.convection.data
 

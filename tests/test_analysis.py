@@ -10,8 +10,8 @@ from fvproj.scheme import RunConfig, StepRecord, run
 def level1_report():
     mesh = unit_square_acute(1)
     report = analysis.VerificationReport()
-    analysis.check_identities(mesh, seed=7, level=1, n_samples=16, report=report)
-    analysis.check_convection(mesh, seed=7, level=1, n_samples=16, report=report)
+    analysis.check_identities(mesh, seed=7, level=1, report=report)
+    analysis.check_convection(mesh, seed=7, level=1, report=report)
     return report
 
 
@@ -23,20 +23,20 @@ class TestIdentityChecks:
     def test_zero_fields_trivial(self, pair):
         # degenerate battery: a fresh report on the 2-cell mesh still runs
         # the dense-oracle comparison
-        report = analysis.check_identities(pair, seed=0, n_samples=2)
+        report = analysis.check_identities(pair, seed=0)
         names = {r.name for r in report.results}
         assert "adjointness-dense-oracle" in names
         assert report.ok
 
     def test_reproducible(self, pair):
-        a = analysis.check_identities(pair, seed=3, n_samples=4)
-        b = analysis.check_identities(pair, seed=3, n_samples=4)
+        a = analysis.check_identities(pair, seed=3)
+        b = analysis.check_identities(pair, seed=3)
         for ra, rb in zip(a.results, b.results):
             assert ra.value == rb.value
 
     def test_seed_changes_values(self, pair):
-        a = analysis.check_identities(pair, seed=3, n_samples=4)
-        b = analysis.check_identities(pair, seed=4, n_samples=4)
+        a = analysis.check_identities(pair, seed=3)
+        b = analysis.check_identities(pair, seed=4)
         vals_a = [r.value for r in a.results if r.value != 0.0]
         vals_b = [r.value for r in b.results if r.value != 0.0]
         assert vals_a != vals_b
@@ -51,7 +51,7 @@ class TestConvectionChecks:
         report = analysis.VerificationReport()
         for lvl in range(3):
             analysis.check_convection(unit_square_acute(lvl), seed=7, level=lvl,
-                                      n_samples=8, report=report)
+                                      report=report)
         consts = [report.constants["convection-stability"][lvl] for lvl in range(3)]
         assert max(consts) / min(consts) < 2.0
 
@@ -246,11 +246,11 @@ class TestStabilityMonitors:
 
 class TestReport:
     def test_csv_format_and_determinism(self, tmp_path):
-        report = analysis.check_identities(equilateral_pair(), seed=5, n_samples=4)
+        report = analysis.check_identities(equilateral_pair(), seed=5)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         report.write_csv(p1)
-        report2 = analysis.check_identities(equilateral_pair(), seed=5, n_samples=4)
+        report2 = analysis.check_identities(equilateral_pair(), seed=5)
         report2.write_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
@@ -263,7 +263,7 @@ class TestReport:
 
 
 def test_run_all_level_zero():
-    report = analysis.run_all(max_level=0, seed=7, n_samples=4)
+    report = analysis.run_all(max_level=0, seed=7)
     assert report.ok, report.to_text()
     names = {r.name for r in report.results}
     # one check per proved property

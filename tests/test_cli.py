@@ -1,5 +1,7 @@
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,17 @@ from pathlib import Path
 import pytest
 
 import fvproj
+from fvproj import cli
 from fvproj.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main)
 from fvproj.mesh import save_mesh, unit_square_acute
 from fixture_meshes import square_two_triangles
+
+
+def _write_node_ele(directory):
+    """Two acute triangles as the 1-based node/ele pair m.node, m.ele."""
+    (directory / "m.node").write_text(
+        "4 2 0 0\n1 0.0 0.0\n2 1.0 0.0\n3 0.5 0.9\n4 0.5 -0.9\n")
+    (directory / "m.ele").write_text("2 3 0\n1 1 2 3\n2 2 1 4\n")
 
 
 class TestMeshCheck:
@@ -28,9 +38,7 @@ class TestMeshCheck:
         path = tmp_path / "diag.mesh"
         save_mesh(square_two_triangles(), path)
         assert main(["mesh-check", "--mesh", str(path)]) == EXIT_CHECK_FAILED
-        assert main(["mesh-check", "--mesh", str(path),
-                     "--allow-degenerate"]) == EXIT_OK
-        assert "warning" in capsys.readouterr().out
+        assert "admissible=False" in capsys.readouterr().out
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["mesh-check", "--mesh",
@@ -42,12 +50,19 @@ class TestMeshCheck:
     def test_acute_selector(self):
         assert main(["mesh-check", "--mesh", "acute:1"]) == EXIT_OK
 
-    def test_node_ele_format_flag(self, tmp_path):
-        (tmp_path / "m.node").write_text(
-            "4 2 0 0\n1 0.0 0.0\n2 1.0 0.0\n3 0.5 0.9\n4 0.5 -0.9\n")
-        (tmp_path / "m.ele").write_text("2 3 0\n1 1 2 3\n2 2 1 4\n")
+    def test_node_ele_format_flag(self, tmp_path, capsys):
+        # the suffix names the format: there is no flag for it
+        _write_node_ele(tmp_path)
+        for name in ("m.node", "m.ele"):
+            assert main(["mesh-check", "--mesh", str(tmp_path / name)]) == EXIT_OK
+            assert "nt=2," in capsys.readouterr().out
         assert main(["mesh-check", "--mesh", str(tmp_path / "m.node"),
-                     "--format", "node-ele"]) == EXIT_OK
+                     "--format", "node-ele"]) == EXIT_USAGE
+
+    def test_negative_level_is_usage_error(self, capsys):
+        assert main(["mesh-check", "--level", "-1"]) == EXIT_USAGE
+        assert "argument --level: want an integer >= 0, got '-1'" in (
+            capsys.readouterr().err)
 
 
 class TestRun:
@@ -132,12 +147,38 @@ class TestRun:
         assert "cadence must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.rglob("state_*.vtk"))
 
-    def test_removed_flags_are_usage_errors(self):
+    def test_removed_flags_are_usage_errors(self, tmp_path):
         # the solver tolerances are fixed and a run mesh must be admissible
         assert main(["run", "--mesh", "acute:0", "--solver-rtol", "1e-9",
                      "case=zero", "steps=3"]) == EXIT_USAGE
         assert main(["run", "--mesh", "acute:0", "--allow-degenerate",
                      "case=zero", "steps=3"]) == EXIT_USAGE
+        # verify runs the inf-sup sweep and the consistency rate, mesh-check
+        # exits 1 on every inadmissible mesh, and a file's suffix names its
+        # mesh format
+        assert main(["infsup", "--level", "1"]) == EXIT_USAGE
+        assert main(["rates", "--level", "1"]) == EXIT_USAGE
+        path = tmp_path / "m.mesh"
+        save_mesh(unit_square_acute(0), path)
+        assert main(["mesh-check", "--mesh", str(path),
+                     "--allow-degenerate"]) == EXIT_USAGE
+        assert main(["mesh-check", "--mesh", str(path),
+                     "--format", "single-file"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("override", ["k=nan", "re=nan", "k=inf"])
+    def test_non_finite_step_or_reynolds_rejected(self, override, capsys):
+        assert main(["run", "--mesh", "acute:0", "steps=3",
+                     override]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert f"config key '{override.split('=')[0]}'" in err
+        assert "Traceback" not in err
+
+    def test_node_ele_mesh(self, tmp_path, capsys):
+        # the .node suffix selects the node/ele reader, as in mesh-check
+        _write_node_ele(tmp_path)
+        assert main(["run", "--mesh", str(tmp_path / "m.node"), "case=zero",
+                     "steps=3"]) == EXIT_OK
+        assert "nt=2," in capsys.readouterr().out
 
     def test_inadmissible_mesh_fails(self, tmp_path, capsys):
         path = tmp_path / "diag.mesh"
@@ -167,18 +208,39 @@ class TestVerifyAndFriends:
                      "--out", str(b)]) == EXIT_OK
         assert (a / "verify.csv").read_bytes() == (b / "verify.csv").read_bytes()
 
-    def test_infsup(self, capsys):
-        assert main(["infsup", "--level", "1"]) == EXIT_OK
-        assert "infsup-beta" in capsys.readouterr().out
+    def test_verify_prints_infsup_and_rate(self, capsys):
+        # every row and constant of the inf-sup sweep, its dense oracle and
+        # the transport consistency rate
+        assert main(["verify", "--level", "1", "--seed", "0"]) == EXIT_OK
+        text = capsys.readouterr().out
+        for row in ("infsup-positive", "infsup-gradient-candidate",
+                    "infsup-level-drift", "infsup-brute-force-oracle",
+                    "infsup-minimality", "convection-consistency-rate"):
+            assert re.search(rf"^{row} .* ok", text, flags=re.M), row
+        assert re.search(r"^constant infsup-beta: L0=\S+ L1=\S+$", text, flags=re.M)
 
-    def test_rates(self, capsys):
-        assert main(["rates", "--level", "1"]) == EXIT_OK
-        assert "consistency rate" in capsys.readouterr().out
+    def test_negative_level_is_usage_error(self, capsys):
+        assert main(["verify", "--level", "-1"]) == EXIT_USAGE
+        assert "argument --level: want an integer >= 0, got '-1'" in (
+            capsys.readouterr().err)
 
 
 def test_usage_errors():
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_docs_name_exactly_the_subcommands():
+    # the module docstring and README's command block follow the parser
+    action, = [a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    commands = set(action.choices)
+    docstring = cli.__doc__.split("Subcommands:", 1)[1].split("Exit code", 1)[0]
+    assert set(re.findall(r"``([a-z-]+)``", docstring)) == commands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n#", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^fvproj (\S+)", block, flags=re.M)) == commands
 
 
 def test_import_leaves_out_scipy_optimize(tmp_path):

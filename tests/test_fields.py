@@ -132,10 +132,10 @@ class TestFluxProjection:
         assert np.all(u.values[mesh.boundary_edges] == 0.0)
 
     def test_divergence_free_flux_balance(self, family):
-        # per-cell edge-flux sum vanishes for a solenoidal field; 4-point
-        # Gauss is exact for the degree-7 edge traces of this velocity
+        # per-cell edge-flux sum vanishes for a solenoidal field; the
+        # edge rule is exact for the degree-7 edge traces of this velocity
         mesh = family[1]
-        u = project_rt0(stream_velocity, mesh, npoints=4)
+        u = project_rt0(stream_velocity, mesh)
         sign = np.where(mesh.edge_owner[mesh.tri_edges]
                         == np.arange(mesh.num_triangles)[:, None], 1.0, -1.0)
         balance = np.einsum("tj,tj->t", sign * mesh.edge_length[mesh.tri_edges],
@@ -399,7 +399,7 @@ class TestFieldKernels:
         from fvproj import analysis
 
         def coercivity(mesh):
-            report = analysis.check_identities(mesh, n_samples=4)
+            report = analysis.check_identities(mesh)
             row, = [r for r in report.results
                     if r.name == "velocity-laplacian-coercivity"]
             return row

@@ -276,7 +276,7 @@ class TestSparseOperator:
         m = sp.coo_matrix(([1.0, 2.0], ([0, 0], [1, 1])), shape=(2, 2))
         op = SparseOperator(m, None)
         assert op.matrix[0, 1] == 3.0
-        assert np.allclose(op @ np.array([1.0, 1.0]), [3.0, 0.0])
+        assert np.allclose(op.matrix @ np.array([1.0, 1.0]), [3.0, 0.0])
 
     def test_solve_info_str(self):
         info = SolveInfo(True, 5, 1e-12, "bicgstab")

@@ -156,7 +156,7 @@ class TestIO:
         (tmp_path / "m.node").write_text(
             "4 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 1\n3 0.5 0.9 1\n4 0.5 -0.9 1\n")
         (tmp_path / "m.ele").write_text("2 3 0\n1 1 2 3\n2 2 1 4\n")
-        mesh = load_mesh(tmp_path / "m.node", fmt="node-ele")
+        mesh = load_mesh(tmp_path / "m.node")
         assert mesh.num_triangles == 2
         assert mesh.num_vertices == 4
         assert len(mesh.interior_edges) == 1
@@ -165,18 +165,14 @@ class TestIO:
         # the leading id column is honored, whatever its base
         (tmp_path / "m.node").write_text("3 2 0 0\n0 0.0 0.0\n1 1.0 0.0\n2 0.5 0.9\n")
         (tmp_path / "m.ele").write_text("1 3 0\n0 0 1 2\n")
-        mesh = load_mesh(tmp_path / "m.node", fmt="node-ele")
+        mesh = load_mesh(tmp_path / "m.node")
         assert mesh.num_triangles == 1
 
     def test_node_ele_unknown_vertex_id(self, tmp_path):
         (tmp_path / "m.node").write_text("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n")
         (tmp_path / "m.ele").write_text("1 3 0\n1 1 2 9\n")
         with pytest.raises(MeshTopologyError):
-            load_mesh(tmp_path / "m.ele", fmt="node-ele")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_mesh(tmp_path / "x", fmt="exodus")
+            load_mesh(tmp_path / "m.ele")
 
 
 class TestRefinement:

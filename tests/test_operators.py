@@ -220,14 +220,14 @@ class TestUpwindConvection:
     def test_matrix_positive_semidefinite_for_solenoidal(self, family, rng):
         mesh = family[0]
         u = random_solenoidal(mesh, rng)
-        W = convection_matrix(u, weighted=True).toarray()
+        W = convection_matrix(u).toarray()
         sym = 0.5 * (W + W.T)
         assert np.linalg.eigvalsh(sym)[0] > -1e-11 * np.abs(W).max()
 
     def test_row_sums_are_flux_balances(self, family, rng):
         mesh = family[1]
         u = random_solenoidal(mesh, rng)
-        W = convection_matrix(u, weighted=True)
+        W = convection_matrix(u)
         flux = u.edge_normal_fluxes()
         sign = np.where(mesh.edge_owner[mesh.tri_edges]
                         == np.arange(mesh.num_triangles)[:, None], 1.0, -1.0)
@@ -266,16 +266,23 @@ class TestConvectionPattern:
                              ids=[f"acute:{level}" for level in range(4)] + ["square"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_coo_assembly(self, build, weighted, rng):
+        # weighted: the matrix W itself; unweighted: the operator, which
+        # upwind_convection applies as (W v)/|K|
         mesh = build()
         u = VectorRT0(mesh, rng.standard_normal(mesh.num_edges))
-        C = convection_matrix(u, weighted)
+        C = convection_matrix(u)
         ref = _convection_coo(u, weighted)
-        assert C.nnz == ref.nnz == h_gram(mesh).nnz
         H = h_gram(mesh)
+        assert C.nnz == ref.nnz == H.nnz
         assert np.shares_memory(C.indices, H.indices)
         assert np.shares_memory(C.indptr, H.indptr)
-        diff = np.abs((C - ref).toarray()).max()
-        assert diff <= 1e-15 * np.abs(ref.toarray()).max()
+        if weighted:
+            diff = np.abs((C - ref).toarray()).max()
+            assert diff <= 1e-15 * np.abs(ref.toarray()).max()
+        else:
+            v = rng.standard_normal((mesh.num_triangles, 2))
+            out = upwind_convection(u, VectorP0(mesh, v)).values
+            assert np.all(np.abs(out - ref @ v) <= 1e-14 * (abs(ref) @ np.abs(v)))
 
 
 class TestTrilinearForm:
@@ -285,24 +292,24 @@ class TestTrilinearForm:
             u = random_solenoidal(mesh, rng)
             v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
             scale = l2_norm(u.field) * h_norm(v) ** 2
-            assert trilinear_form(u, v, v) >= -1e-11 * scale
+            assert trilinear_form(convection_matrix(u), v, v) >= -1e-11 * scale
 
     def test_zero_advecting_field(self, family, rng):
         mesh = family[0]
         u = SolenoidalP0.trusted(VectorP0(mesh, np.zeros((mesh.num_triangles, 2))))
         v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
-        assert trilinear_form(u, v, v) == 0.0
+        assert trilinear_form(convection_matrix(u), v, v) == 0.0
 
     def test_constant_pair_vanishes(self, family, rng):
         mesh = family[1]
         u = random_solenoidal(mesh, rng)
         c = VectorP0(mesh, np.tile([1.0, 1.0], (mesh.num_triangles, 1)))
-        assert abs(trilinear_form(u, c, c)) < 1e-11 * l2_norm(u.field)
+        assert abs(trilinear_form(convection_matrix(u), c, c)) < 1e-11 * l2_norm(u.field)
 
     def test_matches_mass_pairing(self, family, rng):
         mesh = family[0]
         u = random_solenoidal(mesh, rng)
         v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
         w = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
-        assert abs(trilinear_form(u, v, w)
+        assert abs(trilinear_form(convection_matrix(u), v, w)
                    - l2_inner(upwind_convection(u, v), w)) < 1e-12
