@@ -373,13 +373,13 @@ class RateResult:
     errors: list
 
 
-def consistency_rate(levels=(1, 2, 3), pair=None) -> RateResult:
+def consistency_rate(levels=(1, 2, 3)) -> RateResult:
     """Dual-norm distance between the projected continuous transport term
     and the upwind transport of the projected fields, across refinement;
     the least-squares slope is the measured consistency rate."""
     if len(levels) < 3:
         raise ValueError("rate measurement needs at least 3 refinement levels")
-    u, v, transport = pair or _analytic_pair()
+    u, v, transport = _analytic_pair()
     hs, errors = [], []
     for lvl in levels:
         mesh = unit_square_acute(lvl)

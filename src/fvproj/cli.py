@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: ``run`` (time integration), ``verify`` (every operator
+Subcommands: ``run`` (time integration on the mesh of --mesh, with
+key=value words for the other settings), ``verify`` (every operator
 check, the inf-sup sweep and the transport consistency rate included),
 ``mesh-check`` (mesh quality report).  Exit code 0 when every invoked
 check passes, 1 on check failure, 2 on usage errors, 3 on I/O errors.
@@ -16,7 +17,7 @@ import numpy as np
 from . import analysis, scheme
 from .linalg import SolverError
 from .mesh import (MeshFormatError, MeshOrientationError, MeshTopologyError,
-                   resolve_mesh, unit_square_acute, validate_mesh)
+                   resolve_mesh, validate_mesh)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -31,6 +32,17 @@ def _level(text: str) -> int:
     return int(text)
 
 
+def _mesh_spec(text: str) -> str:
+    """A mesh file path, passed through, or ``acute:L`` with L a level."""
+    if text.startswith("acute:"):
+        try:
+            _level(text.removeprefix("acute:"))
+        except argparse.ArgumentTypeError:
+            raise argparse.ArgumentTypeError(
+                f"want acute:L with L an integer >= 0, got {text!r}") from None
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fvproj",
@@ -38,11 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a time integration")
-    run.add_argument("--config", help="key=value run configuration file")
-    run.add_argument("--mesh", help="mesh file path or acute:L selector")
-    run.add_argument("--out", help="output directory (monitors.csv, snapshots)")
-    run.add_argument("overrides", nargs="*", metavar="key=value",
-                     help="config overrides, applied after the file")
+    run.add_argument("--mesh", type=_mesh_spec, default=scheme.RunConfig.mesh_spec,
+                     help="mesh file path or acute:L selector (default %(default)s)")
+    run.add_argument("settings", nargs="*", metavar="key=value",
+                     help="run settings: " + ", ".join(scheme.CONFIG_KEYS))
 
     verify = sub.add_parser("verify", help="run every operator-level check")
     verify.add_argument("--level", type=_level, default=2,
@@ -51,29 +62,21 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="directory for verify.csv")
 
     check = sub.add_parser("mesh-check", help="mesh quality report")
-    check.add_argument("--mesh", help="mesh file path (the suffix names its "
-                                      "format) or acute:L selector")
-    check.add_argument("--level", type=_level,
-                       help="check the built-in admissible family instead")
+    check.add_argument("--mesh", type=_mesh_spec, required=True,
+                       help="mesh file path (the suffix names its format) "
+                            "or acute:L selector")
     return parser
 
 
 def _cmd_run(args) -> int:
-    config = scheme.RunConfig()
-    if args.config:
-        config = scheme.RunConfig.from_file(args.config)
     pairs = {}
-    for item in args.overrides:
+    for item in args.settings:
         if "=" not in item:
-            print(f"override must be key=value, got {item!r}", file=sys.stderr)
+            print(f"run setting must be key=value, got {item!r}", file=sys.stderr)
             return EXIT_USAGE
         key, val = item.split("=", 1)
         pairs[key.strip()] = val.strip()
-    if args.mesh:
-        pairs["mesh"] = args.mesh
-    if args.out:
-        pairs["out"] = args.out
-    config = config.with_overrides(pairs)
+    config = scheme.RunConfig(mesh_spec=args.mesh).with_overrides(pairs)
 
     traj = scheme.run(config)
     monitors = analysis.stability_monitors(traj.records, traj.init_diagnostics,
@@ -108,17 +111,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh_check(args) -> int:
-    if args.level is not None:
-        mesh = unit_square_acute(args.level)
-        name = f"acute:{args.level}"
-    elif args.mesh:
-        mesh = resolve_mesh(args.mesh)
-        name = args.mesh
-    else:
-        print("mesh-check needs --mesh or --level", file=sys.stderr)
-        return EXIT_USAGE
+    mesh = resolve_mesh(args.mesh)
     report = validate_mesh(mesh)
-    print(f"{name}: {mesh!r}")
+    print(f"{args.mesh}: {mesh!r}")
     print(f"  {report}")
     return EXIT_OK if report.admissible else EXIT_CHECK_FAILED
 

@@ -433,5 +433,9 @@ def resolve_mesh(spec: str) -> Mesh:
     a file path.
     """
     if spec.startswith("acute:"):
-        return unit_square_acute(int(spec.split(":", 1)[1]))
+        level = spec.removeprefix("acute:")
+        if not level.isdecimal():
+            raise ValueError(f"mesh selector {spec!r}: want acute:L with L "
+                             f"an integer >= 0")
+        return unit_square_acute(int(level))
     return load_mesh(spec)

@@ -129,9 +129,9 @@ def make_case(name: str, re: float) -> DataCase:
 
 # -- configuration -----------------------------------------------------------------
 
-# key of a config file or command-line override -> (RunConfig field, parser)
+# key of a ``run`` setting key=value -> (RunConfig field, parser); the mesh
+# comes from ``run --mesh``
 CONFIG_KEYS = {
-    "mesh": ("mesh_spec", str),
     "k": ("k", float),
     "steps": ("n_steps", int),
     "re": ("re", float),
@@ -163,19 +163,6 @@ class RunConfig:
                              f"positive, got {self.re}")
         if self.cadence < 0:
             raise ValueError("cadence must be >= 0")
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        pairs = {}
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line (want key=value): {raw!r}")
-            key, val = line.split("=", 1)
-            pairs[key.strip()] = val.strip()
-        return cls().with_overrides(pairs)
 
     def with_overrides(self, pairs: dict) -> "RunConfig":
         changes = {}

@@ -130,25 +130,21 @@ class TestConsistencyRate:
         with pytest.raises(ValueError):
             analysis.consistency_rate(levels=(1, 2))
 
-    def test_constant_transported_field_error_vanishes(self):
+    def test_constant_transported_field_error_vanishes(self, monkeypatch):
         # with a constant transported field both transports vanish
-        def pair_():
-            u = analysis._analytic_pair()[0]
-            v = lambda x, y: np.stack([np.ones_like(x), np.ones_like(y)], axis=-1)
-            transport = lambda x, y: np.zeros(np.shape(x) + (2,))
-            return u, v, transport
-
-        res = analysis.consistency_rate(levels=(0, 1, 2), pair=pair_())
+        u = analysis._analytic_pair()[0]
+        v = lambda x, y: np.stack([np.ones_like(x), np.ones_like(y)], axis=-1)
+        transport = lambda x, y: np.zeros(np.shape(x) + (2,))
+        monkeypatch.setattr(analysis, "_analytic_pair", lambda: (u, v, transport))
+        res = analysis.consistency_rate(levels=(0, 1, 2))
         assert max(res.errors) < 1e-11
 
-    def test_zero_advecting_field(self):
-        def pair_():
-            u = lambda x, y: np.zeros(np.shape(x) + (2,))
-            v = analysis._analytic_pair()[1]
-            transport = lambda x, y: np.zeros(np.shape(x) + (2,))
-            return u, v, transport
-
-        res = analysis.consistency_rate(levels=(0, 1, 2), pair=pair_())
+    def test_zero_advecting_field(self, monkeypatch):
+        u = lambda x, y: np.zeros(np.shape(x) + (2,))
+        v = analysis._analytic_pair()[1]
+        transport = lambda x, y: np.zeros(np.shape(x) + (2,))
+        monkeypatch.setattr(analysis, "_analytic_pair", lambda: (u, v, transport))
+        res = analysis.consistency_rate(levels=(0, 1, 2))
         assert max(res.errors) < 1e-13
 
 

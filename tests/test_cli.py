@@ -24,7 +24,7 @@ def _write_node_ele(directory):
 
 class TestMeshCheck:
     def test_builtin_family(self, capsys):
-        assert main(["mesh-check", "--level", "1"]) == EXIT_OK
+        assert main(["mesh-check", "--mesh", "acute:1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "admissible=True" in out
 
@@ -45,10 +45,16 @@ class TestMeshCheck:
                      str(tmp_path / "nope.mesh")]) == EXIT_IO
 
     def test_needs_mesh_or_level(self):
+        # --mesh is required; there is no --level of its own
         assert main(["mesh-check"]) == EXIT_USAGE
 
-    def test_acute_selector(self):
-        assert main(["mesh-check", "--mesh", "acute:1"]) == EXIT_OK
+    def test_acute_selector(self, capsys):
+        # the report names the selector; level L has 26 * 4**L triangles
+        for level in (0, 2):
+            assert main(["mesh-check", "--mesh", f"acute:{level}"]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert out.startswith(f"acute:{level}: ")
+            assert f"nt={26 * 4 ** level}," in out
 
     def test_node_ele_format_flag(self, tmp_path, capsys):
         # the suffix names the format: there is no flag for it
@@ -60,22 +66,26 @@ class TestMeshCheck:
                      "--format", "node-ele"]) == EXIT_USAGE
 
     def test_negative_level_is_usage_error(self, capsys):
-        assert main(["mesh-check", "--level", "-1"]) == EXIT_USAGE
-        assert "argument --level: want an integer >= 0, got '-1'" in (
-            capsys.readouterr().err)
+        assert main(["mesh-check", "--mesh", "acute:-1"]) == EXIT_USAGE
+        assert ("argument --mesh: want acute:L with L an integer >= 0, "
+                "got 'acute:-1'") in capsys.readouterr().err
 
 
 class TestRun:
-    def test_zero_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "zero.cfg"
-        cfg.write_text("mesh = acute:0\ncase = zero\nk = 0.01\nsteps = 5\n")
-        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    def test_zero_config_file(self, capsys):
+        assert main(["run", "--mesh", "acute:0", "case=zero", "k=0.01",
+                     "steps=5"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "|u|=0" in out
 
+    def test_default_mesh(self, capsys):
+        # without --mesh a run takes RunConfig's default, acute:2
+        assert main(["run", "case=zero", "steps=2"]) == EXIT_OK
+        assert "nt=416," in capsys.readouterr().out
+
     def test_manufactured_with_overrides(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
-        code = main(["run", "--mesh", "acute:0", "--out", str(out_dir),
+        code = main(["run", "--mesh", "acute:0", f"out={out_dir}",
                      "case=manufactured-A", "k=0.01", "steps=5"])
         assert code == EXIT_OK
         assert (out_dir / "monitors.csv").exists()
@@ -84,7 +94,7 @@ class TestRun:
         # steps 2, 4 and 6 each write a state and a pressure file; the
         # reported bytes are those on disk, and no timings file is written
         out_dir = tmp_path / "results"
-        assert main(["run", "--mesh", "acute:0", "--out", str(out_dir),
+        assert main(["run", "--mesh", "acute:0", f"out={out_dir}",
                      "case=manufactured-A", "steps=6", "cadence=2"]) == EXIT_OK
         files = sorted(out_dir.glob("*.vtk"))
         assert len(files) == 6
@@ -126,19 +136,17 @@ class TestRun:
     def test_bad_override(self):
         assert main(["run", "oops"]) == EXIT_USAGE
 
-    def test_unknown_key(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("viscosity = 2\n")
-        assert main(["run", "--config", str(cfg)]) == EXIT_CHECK_FAILED
+    def test_unknown_key(self, capsys):
+        assert main(["run", "--mesh", "acute:0", "viscosity=2"]) == EXIT_CHECK_FAILED
+        assert "unknown config key 'viscosity'" in capsys.readouterr().err
+        # the mesh has one spelling, --mesh
+        assert main(["run", "mesh=acute:0", "steps=3"]) == EXIT_CHECK_FAILED
+        assert "unknown config key 'mesh'" in capsys.readouterr().err
 
-    def test_unparsable_value_names_its_key(self, tmp_path, capsys):
-        message = "config key 'steps': cannot parse 'abc' as int"
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("steps = abc\n")
-        assert main(["run", "--config", str(cfg)]) == EXIT_CHECK_FAILED
-        assert message in capsys.readouterr().err
+    def test_unparsable_value_names_its_key(self, capsys):
         assert main(["run", "--mesh", "acute:0", "steps=abc"]) == EXIT_CHECK_FAILED
-        assert message in capsys.readouterr().err
+        assert ("config key 'steps': cannot parse 'abc' as int"
+                in capsys.readouterr().err)
 
     def test_negative_cadence_rejected(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
@@ -164,6 +172,15 @@ class TestRun:
                      "--allow-degenerate"]) == EXIT_USAGE
         assert main(["mesh-check", "--mesh", str(path),
                      "--format", "single-file"]) == EXIT_USAGE
+        # each run setting has one spelling: no config file, out= for the
+        # output directory, --mesh acute:L for the built-in family
+        (tmp_path / "run.cfg").write_text("steps = 3\n")
+        assert main(["run", "--mesh", "acute:0", "--config",
+                     str(tmp_path / "run.cfg")]) == EXIT_USAGE
+        assert main(["run", "--mesh", "acute:0", "--out", str(tmp_path / "o"),
+                     "case=zero", "steps=3"]) == EXIT_USAGE
+        assert main(["mesh-check", "--level", "1"]) == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", ["k=nan", "re=nan", "k=inf"])
     def test_non_finite_step_or_reynolds_rejected(self, override, capsys):
@@ -230,8 +247,18 @@ def test_usage_errors():
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["run", "mesh-check"])
+@pytest.mark.parametrize("selector", ["acute:x", "acute:-1", "acute:"])
+def test_bad_selector_is_usage_error(command, selector, capsys):
+    # the argument parser reads the level, so a bad one never reaches a run
+    assert main([command, "--mesh", selector]) == EXIT_USAGE
+    assert (f"argument --mesh: want acute:L with L an integer >= 0, "
+            f"got {selector!r}") in capsys.readouterr().err
+
+
 def test_docs_name_exactly_the_subcommands():
-    # the module docstring and README's command block follow the parser
+    # the module docstring and README's command block follow the parser:
+    # the same subcommands, and on each subcommand's lines the same options
     action, = [a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)]
     commands = set(action.choices)
@@ -240,7 +267,14 @@ def test_docs_name_exactly_the_subcommands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n#", 1)[0]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    assert set(re.findall(r"^fvproj (\S+)", block, flags=re.M)) == commands
+    lines = re.findall(r"^fvproj (\S+)(.*)$", block, flags=re.M)
+    assert {command for command, _ in lines} == commands
+    for command, parser in action.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+        documented = {o for c, rest in lines if c == command
+                      for o in re.findall(r"(?<!\S)--[a-z-]+", rest)}
+        assert documented == options, command
 
 
 def test_import_leaves_out_scipy_optimize(tmp_path):

@@ -218,6 +218,12 @@ def test_resolve_mesh_selector(tmp_path):
     assert meshmod.resolve_mesh(str(path)).num_triangles == 104
 
 
+@pytest.mark.parametrize("spec", ["acute:x", "acute:-1", "acute:"])
+def test_resolve_mesh_rejects_bad_selector(spec):
+    with pytest.raises(ValueError, match=f"mesh selector {spec!r}"):
+        meshmod.resolve_mesh(spec)
+
+
 def test_equilateral_pair_taus(pair):
     # interior edge: circumcenters sit 1/(2 sqrt(3)) on each side
     e = pair.interior_edges[0]

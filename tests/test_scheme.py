@@ -112,66 +112,31 @@ class TestConfig:
 
     def test_infinite_reynolds_number_runs(self):
         # no viscous term: a run that stays possible
-        cfg = RunConfig().with_overrides({"re": "inf", "mesh": "acute:0",
-                                          "steps": "3"})
+        cfg = RunConfig(mesh_spec="acute:0").with_overrides({"re": "inf",
+                                                             "steps": "3"})
         assert cfg.re == np.inf
         assert len(run(cfg).records) == 2
 
-    def test_unparsable_value_names_its_key(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("steps = abc\n")
-        with pytest.raises(ValueError,
-                           match="config key 'steps': cannot parse 'abc' as int"):
-            RunConfig.from_file(path)
+    def test_unparsable_value_names_its_key(self):
         with pytest.raises(ValueError,
                            match="config key 'k': cannot parse 'fast' as float"):
             RunConfig().with_overrides({"k": "fast"})
 
-    def test_from_file_and_overrides(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# comment line\n"
-            "mesh = acute:1\n"
-            "k = 0.02\n"
-            "steps = 7\n"
-            "re = 250\n"
-            "case = zero\n"
-            "cadence = 3\n"
-            "out = results\n")
-        cfg = RunConfig.from_file(path)
-        assert cfg == RunConfig(mesh_spec="acute:1", k=0.02, n_steps=7,
-                                re=250.0, case="zero", out_dir="results",
-                                cadence=3)
-        # overrides win over the file
-        cfg2 = cfg.with_overrides({"re": "100", "cadence": "5"})
-        assert (cfg2.re, cfg2.cadence, cfg2.k) == (100.0, 5, 0.02)
-
     @pytest.mark.parametrize("key", ["solver_rtol", "momentum_rtol",
                                      "pressure_rtol", "quad_order",
-                                     "allow_degenerate", "n_steps", "Re"])
+                                     "allow_degenerate", "n_steps", "Re",
+                                     "mesh"])
     def test_removed_key_rejected(self, key):
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             RunConfig().with_overrides({key: "1"})
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("### Run configuration", 1)[1].split("\n#", 1)[0]
+        section = readme.split("### Run settings", 1)[1].split("\n#", 1)[0]
         listed = re.findall(r"^- `([^`]+)`", section, flags=re.M)
         assert sorted(listed) == sorted(scheme.CONFIG_KEYS)
         for key in listed:
             RunConfig().with_overrides({key: "2"})
-
-    def test_bad_config_key(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("viscosity = 1\n")
-        with pytest.raises(ValueError):
-            RunConfig.from_file(path)
-
-    def test_bad_config_line(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("just some words\n")
-        with pytest.raises(ValueError):
-            RunConfig.from_file(path)
 
 
 class TestZeroRun:
