@@ -12,11 +12,11 @@ if "FVPROJ_THREADS" in _os.environ:
         _os.environ.setdefault(_var, _n)
 
 from .mesh import (Mesh, MeshQualityReport, load_mesh, refine_uniform,
-                   resolve_mesh, save_mesh, unit_square_acute, validate_mesh)
+                   resolve_mesh, unit_square_acute, validate_mesh)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "MeshQualityReport", "load_mesh", "save_mesh", "validate_mesh",
+    "Mesh", "MeshQualityReport", "load_mesh", "validate_mesh",
     "refine_uniform", "unit_square_acute", "resolve_mesh", "__version__",
 ]

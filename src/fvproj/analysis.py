@@ -51,12 +51,24 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
+    """Checked rows and recorded constants.  A row passes iff its value is
+    strictly below or above its bound, the tolerance column: NaN never does."""
     results: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
 
-    def add(self, name, level, value, tolerance, passed, note=""):
-        self.results.append(CheckResult(name, level, float(value),
-                                        float(tolerance), bool(passed), note))
+    def below(self, name, level, value, bound, note=""):
+        value, bound = float(value), float(bound)
+        self.results.append(CheckResult(name, level, value, bound, value < bound, note))
+
+    def above(self, name, level, value, bound, note=""):
+        value, bound = float(value), float(bound)
+        self.results.append(CheckResult(name, level, value, bound, value > bound, note))
+
+    def drift(self, name, constant, bound):
+        """max / min of a recorded constant over its levels, at the lowest."""
+        seq = self.constants[constant]
+        self.below(name, min(seq), max(seq.values()) / min(seq.values()), bound,
+                   f"levels {tuple(sorted(seq))}")
 
     def record_constant(self, name, level, value):
         self.constants.setdefault(name, {})[level] = float(value)
@@ -144,16 +156,13 @@ def check_identities(mesh: Mesh, seed: int = 7, level: int = 0,
                     + l2_norm(u.field - w) ** 2)
         pyth = max(pyth, abs(pyth_num) / l2_norm(w) ** 2)
 
-    report.add("gradient-divergence-adjointness", level, adj, IDENTITY_TOL,
-               adj <= IDENTITY_TOL, f"{N_SAMPLES} random pairs")
-    report.add("velocity-laplacian-coercivity", level, coer, IDENTITY_TOL,
-               coer <= IDENTITY_TOL)
-    report.add("velocity-laplacian-continuity", level, cont, 1.0 + IDENTITY_TOL,
-               cont <= 1.0 + IDENTITY_TOL, "ratio vs product of h-norms")
-    report.add("projection-orthogonality", level, orth, IDENTITY_TOL,
-               orth <= IDENTITY_TOL)
-    report.add("projection-pythagoras", level, pyth, IDENTITY_TOL,
-               pyth <= IDENTITY_TOL)
+    report.below("gradient-divergence-adjointness", level, adj, IDENTITY_TOL,
+                 f"{N_SAMPLES} random pairs")
+    report.below("velocity-laplacian-coercivity", level, coer, IDENTITY_TOL)
+    report.below("velocity-laplacian-continuity", level, cont, 1.0 + IDENTITY_TOL,
+                 "ratio vs product of h-norms")
+    report.below("projection-orthogonality", level, orth, IDENTITY_TOL)
+    report.below("projection-pythagoras", level, pyth, IDENTITY_TOL)
 
     if mesh.num_triangles <= 64:
         worst = 0.0
@@ -167,8 +176,8 @@ def check_identities(mesh: Mesh, seed: int = 7, level: int = 0,
             scale = max(abs(lhs_ref), abs(rhs_ref), 1.0)
             worst = max(worst, abs(lhs - lhs_ref) / scale,
                         abs(rhs - rhs_ref) / scale)
-        report.add("adjointness-dense-oracle", level, worst, DENSE_ORACLE_TOL,
-                   worst <= DENSE_ORACLE_TOL, "independent dense assembly")
+        report.below("adjointness-dense-oracle", level, worst, DENSE_ORACLE_TOL,
+                     "independent dense assembly")
     return report
 
 
@@ -220,13 +229,13 @@ def check_convection(mesh: Mesh, seed: int = 7, level: int = 0,
             where=f"convection-stability level {level}")
         stab = max(stab, np.sqrt(lam) / l2_norm(u.field))
 
-    report.add("convection-positivity", level, neg, -IDENTITY_TOL,
-               neg >= -IDENTITY_TOL, "min of b(u,v,v)/(|u| ||v||_h^2)")
-    report.add("convection-constant-field", level, const_resid, 1e-12,
-               const_resid <= 1e-12, "transport of a constant vanishes")
+    report.above("convection-positivity", level, neg, -IDENTITY_TOL,
+                 "min of b(u,v,v)/(|u| ||v||_h^2)")
+    report.below("convection-constant-field", level, const_resid, 1e-12,
+                 "transport of a constant vanishes")
     report.record_constant("convection-stability", level, stab)
-    report.add("convection-stability-finite", level, stab, np.inf,
-               np.isfinite(stab), "extremal norm-stability constant")
+    report.below("convection-stability-finite", level, stab, np.inf,
+                 "extremal norm-stability constant")
     return report
 
 
@@ -291,21 +300,16 @@ def infsup_sweep(levels, report: VerificationReport | None = None) -> Verificati
     """Inf-sup constants across refinement levels, with positivity,
     level-drift, and supremizer-candidate checks."""
     report = report or VerificationReport()
-    betas = []
     for lvl in levels:
         mesh = unit_square_acute(lvl)
         res = estimate_infsup(mesh)
-        betas.append(res.beta)
         report.record_constant("infsup-beta", lvl, res.beta)
         report.record_constant("infsup-lemma-lower-bound", lvl, res.lemma_constant)
-        report.add("infsup-positive", lvl, res.beta, 0.01, res.beta > 0.01)
-        report.add("infsup-gradient-candidate", lvl,
-                   res.candidate_ratio, res.beta * (1 + 1e-9),
-                   res.candidate_ratio <= res.beta * (1 + 1e-9),
-                   "gradient supremizer never beats the supremum")
-    drift = max(betas) / min(betas)
-    report.add("infsup-level-drift", min(levels), drift, 1.2, drift <= 1.2,
-               f"levels {tuple(levels)}")
+        report.above("infsup-positive", lvl, res.beta, 0.01)
+        report.below("infsup-gradient-candidate", lvl,
+                     res.candidate_ratio, res.beta * (1 + 1e-9),
+                     "gradient supremizer never beats the supremum")
+    report.drift("infsup-level-drift", "infsup-beta", 1.2)
     return report
 
 
@@ -327,8 +331,8 @@ def infsup_oracle_check(report: VerificationReport | None = None,
     qn = reference.p1nc_l2_norm_direct(mesh, res.q_min)
     brute = reference.infsup_sup_over_velocities(mesh, res.q_min) / qn
     diff = abs(res.beta - brute) / res.beta
-    report.add("infsup-brute-force-oracle", 0, diff, 1e-6, diff <= 1e-6,
-               f"schur {res.beta:.9f} vs sphere max {brute:.9f}")
+    report.below("infsup-brute-force-oracle", 0, diff, 1e-6,
+                 f"schur {res.beta:.9f} vs sphere max {brute:.9f}")
 
     rng = _rng(seed, 42)
     mass = p1nc_mass(mesh)
@@ -339,9 +343,8 @@ def infsup_oracle_check(report: VerificationReport | None = None,
         ratio = (reference.infsup_sup_over_velocities(mesh, q)
                  / reference.p1nc_l2_norm_direct(mesh, q))
         lowest = min(lowest, ratio)
-    report.add("infsup-minimality", 0, lowest, res.beta * (1 - 1e-9),
-               lowest >= res.beta * (1 - 1e-9),
-               "random pressures never undercut the minimum")
+    report.above("infsup-minimality", 0, lowest, res.beta * (1 - 1e-9),
+                 "random pressures never undercut the minimum")
     return report
 
 
@@ -442,8 +445,7 @@ def poincare_inverse_constants(levels=(0, 1, 2), seed: int = 7,
     level, by ARPACK on the generalized eigenproblems, with a
     dense-eigensolver oracle on the coarsest level."""
     report = report or VerificationReport()
-    per_level = {"poincare-cellwise": [], "inverse-inequality": [],
-                 "poincare-pressure": []}
+    names = ("poincare-cellwise", "inverse-inequality", "poincare-pressure")
     for lvl in levels:
         mesh = unit_square_acute(lvl)
         rng = _rng(seed, lvl + 757)
@@ -482,11 +484,8 @@ def poincare_inverse_constants(levels=(0, 1, 2), seed: int = 7,
             kernel=mass_p, where=where)
         c_pressure = float(np.sqrt(lam_q))
 
-        for name, val in (("poincare-cellwise", c_poincare),
-                          ("inverse-inequality", c_inverse),
-                          ("poincare-pressure", c_pressure)):
+        for name, val in zip(names, (c_poincare, c_inverse, c_pressure)):
             report.record_constant(name, lvl, val)
-            per_level[name].append(val)
 
         if lvl == min(levels):
             Hd = H.toarray()
@@ -504,46 +503,29 @@ def poincare_inverse_constants(levels=(0, 1, 2), seed: int = 7,
             agree = max(agree,
                         abs(1.0 / np.sqrt(lam_min_a) - c_pressure)
                         / (1.0 / np.sqrt(lam_min_a)))
-            report.add("extremal-constants-dense-oracle", lvl, agree, 1e-8,
-                       agree <= 1e-8, "ARPACK vs dense eigensolver")
+            report.below("extremal-constants-dense-oracle", lvl, agree, 1e-8,
+                         "ARPACK vs dense eigensolver")
 
-    for name, vals in per_level.items():
-        drift = max(vals) / min(vals)
-        report.add(f"{name}-drift", min(levels), drift, 2.0, drift < 2.0,
-                   f"levels {tuple(levels)}")
+    for name in names:
+        report.drift(f"{name}-drift", name, 2.0)
     return report
 
 
 # -- run-time stability monitors -----------------------------------------------------------
 
-@dataclass
-class MonitorFlag:
-    name: str
-    reference: float
-    worst: float
-    ratio: float
-    passed: bool
+# a screened sequence may grow to this multiple of its reference value
+MONITOR_FACTOR = 10.0
 
 
-@dataclass
-class MonitorReport:
-    flags: list
-    table: dict
-    startup: dict
-
-    @property
-    def ok(self):
-        return all(f.passed for f in self.flags)
-
-
-def stability_monitors(records, init_diagnostics=None, *, k: float,
-                       factor: float = 10.0) -> MonitorReport:
-    """No-blow-up screening of a completed run.
+def stability_monitors(records, *, k: float) -> VerificationReport:
+    """No-blow-up screening of a completed run, one row per sequence at
+    level 0 (a run has one mesh).
 
     Pointwise sequences (the squared velocity norm and the time-difference
-    quotients) must stay within ``factor`` times their value one tenth of
-    the way in.  Cumulative sums grow linearly for perfectly steady data,
-    so their running averages are screened instead of the raw sums.
+    quotients) must stay below ``MONITOR_FACTOR`` times their value one
+    tenth of the way in.  Cumulative sums grow linearly for perfectly
+    steady data, so their running averages are screened instead of the raw
+    sums.  A NaN or Inf anywhere in a sequence fails its row.
     """
     if not records:
         raise ValueError("empty run")
@@ -553,32 +535,23 @@ def stability_monitors(records, init_diagnostics=None, *, k: float,
     inc = np.array([r.increment for r in records])
     steps = np.arange(1, len(records) + 1)
 
-    energy = u2 + ut2_sum
-    table = {
-        "u_l2_sq": u2,
-        "running_k_sum_ut_h_sq": ut2_sum,
-        "increment_over_k": inc,
-        "running_k_sum_p_sq": p2_sum,
-        "energy_quantity": energy,
-    }
-
+    report = VerificationReport()
     m_ref = max(len(records) // 10, 1)
-    flags = []
 
     def screen(name, seq):
         ref = float(seq[m_ref - 1])
         worst = float(np.max(seq[m_ref - 1:]))
         floor = 1e-30
-        ratio = worst / max(ref, floor) if worst > floor else 1.0
-        flags.append(MonitorFlag(name, ref, worst, ratio, ratio <= factor))
+        ratio = (np.nan if not np.all(np.isfinite(seq))
+                 else worst / max(ref, floor) if worst > floor else 1.0)
+        report.below(name, 0, ratio, MONITOR_FACTOR, f"reference {ref:.3e}")
 
-    screen("velocity-energy", energy)
+    screen("velocity-energy", u2 + ut2_sum)
     screen("velocity-norm-squared", u2)
     screen("increments", inc)
     screen("pressure-sum-average", p2_sum / steps)
     screen("velocity-sum-average", ut2_sum / steps)
-    return MonitorReport(flags=flags, table=table,
-                         startup=dict(init_diagnostics or {}))
+    return report
 
 
 # -- full suite ------------------------------------------------------------------------------
@@ -591,16 +564,12 @@ def run_all(max_level: int = 2, seed: int = 7) -> VerificationReport:
         mesh = unit_square_acute(lvl)
         check_identities(mesh, seed=seed, level=lvl, report=report)
         check_convection(mesh, seed=seed, level=lvl, report=report)
-    stab = [report.constants["convection-stability"][lvl] for lvl in levels]
-    drift = max(stab) / min(stab)
-    report.add("convection-stability-drift", levels[0], drift, 2.0, drift < 2.0,
-               f"levels {tuple(levels)}")
+    report.drift("convection-stability-drift", "convection-stability", 2.0)
     infsup_sweep(levels, report=report)
     infsup_oracle_check(report=report, seed=seed)
     rate_levels = tuple(range(max(max_level, 1), max(max_level, 1) + 3))
     rate = consistency_rate(levels=rate_levels)
-    report.add("convection-consistency-rate", rate_levels[0], rate.rate, 0.8,
-               rate.rate >= 0.8,
-               "errors " + " ".join(f"{e:.3e}" for e in rate.errors))
+    report.above("convection-consistency-rate", rate_levels[0], rate.rate, 0.8,
+                 "errors " + " ".join(f"{e:.3e}" for e in rate.errors))
     poincare_inverse_constants(levels=levels, seed=seed, report=report)
     return report

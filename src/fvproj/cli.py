@@ -79,8 +79,7 @@ def _cmd_run(args) -> int:
     config = scheme.RunConfig(mesh_spec=args.mesh).with_overrides(pairs)
 
     traj = scheme.run(config)
-    monitors = analysis.stability_monitors(traj.records, traj.init_diagnostics,
-                                           k=config.k)
+    monitors = analysis.stability_monitors(traj.records, k=config.k)
     last = traj.records[-1]
     print(f"completed {config.n_steps} steps to t={last.t:.6g} "
           f"in {traj.elapsed:.2f}s on {traj.mesh!r}")
@@ -89,9 +88,9 @@ def _cmd_run(args) -> int:
     counts = [traj.init_diagnostics] + [vars(r) for r in traj.records]
     print(f"  momentum: {sum(c['mom_iters'] for c in counts)} BiCGStab iterations in "
           f"{traj.mom_solves} solves, {sum(c['mom_refactor'] for c in counts)} factor builds")
-    for flag in monitors.flags:
-        state = "ok" if flag.passed else "FAIL"
-        print(f"  monitor {flag.name:24s} ratio={flag.ratio:8.3f} {state}")
+    for row in monitors.results:
+        state = "ok" if row.passed else "FAIL"
+        print(f"  monitor {row.name:24s} ratio={row.value:8.3f} {state}")
     if config.out_dir:
         print(f"  monitors written to {Path(config.out_dir) / 'monitors.csv'}")
         print(f"  snapshots written: {traj.snapshot_files} files, "

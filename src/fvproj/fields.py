@@ -12,7 +12,8 @@ Conventions
 * The edge-midpoint quadrature makes the nonconforming mass matrix
   diagonal: (|K|+|L|)/3 on interior edges, |K|/3 on boundary edges.
   It is exact for products of affine functions.  Its diagonal is built once
-  per mesh and cached read-only, as the H1 Gram matrix is.
+  per mesh and cached read-only; the H1 Gram matrix is cached per mesh
+  too, but writable.
 """
 from __future__ import annotations
 

@@ -182,10 +182,6 @@ class Mesh:
     def num_edges(self):
         return len(self.edges)
 
-    @property
-    def area(self):
-        return float(self.tri_area.sum())
-
     def angles(self):
         """All interior angles, shape (nt, 3); entry j is at local vertex j."""
         p = self.vertices[self.triangles]
@@ -332,16 +328,6 @@ def _load_node_ele(path: Path) -> Mesh:
             raise
         raise MeshFormatError(f"{node_path}/{ele_path}: {exc}") from exc
     return Mesh(verts, np.array(tris, dtype=np.int64))
-
-
-def save_mesh(mesh: Mesh, path) -> None:
-    """Write the single-file plain-text format."""
-    with open(path, "w") as f:
-        f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
 
 
 # -- refinement ------------------------------------------------------------------

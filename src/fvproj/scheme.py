@@ -353,6 +353,9 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
     if compat > 1e-12 * max(scale, 1.0):
         raise SchemeError(
             f"pressure right-hand side incompatible: (div u, 1) = {compat:.3e}")
+    # the rounding-level sum that passes the check would stay in the
+    # grounded row of the zero-mean solve and, at small k, fail its gate
+    weighted -= ws.p_mass * (weighted.sum() / ws.p_mass.sum())
     rhs = -_bdf_coefficients(state)[0] / config.k * weighted
     dp_vals, info = ws.p_solver.solve(rhs, PRESSURE_TOL,
                                       f"pressure step {state.n + 1}")

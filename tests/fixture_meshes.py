@@ -1,8 +1,19 @@
 """Small meshes that only the tests build: a single triangle and two
-inadmissible (right-angled) triangulations of the unit square."""
+inadmissible (right-angled) triangulations of the unit square; and the
+writer of the single-file mesh format that the tests read back."""
 import numpy as np
 
 from fvproj.mesh import Mesh
+
+
+def save_mesh(mesh: Mesh, path) -> None:
+    """Write the single-file plain-text format that ``load_mesh`` reads."""
+    with open(path, "w") as f:
+        f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
+        for x, y in mesh.vertices:
+            f.write(f"{x:.17g} {y:.17g}\n")
+        for i, j, k in mesh.triangles:
+            f.write(f"{i} {j} {k}\n")
 
 
 def single_triangle(vertices=((0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2))) -> Mesh:

@@ -137,8 +137,8 @@ def test_criterion_6_energy_stability(production_run):
     ok &= _report("6 increments", ratio_inc, 10.0, ratio_inc <= 10.0,
                   " x reference")
 
-    monitors = analysis.stability_monitors(records, traj.init_diagnostics, k=k)
-    ok &= _report("6 monitor flags", float(sum(not f.passed for f in monitors.flags)),
+    monitors = analysis.stability_monitors(records, k=k)
+    ok &= _report("6 monitor flags", float(sum(not r.passed for r in monitors.results)),
                   0.0, monitors.ok, " failing flags")
     assert ok
 

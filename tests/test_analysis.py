@@ -201,18 +201,15 @@ class TestStabilityMonitors:
     def test_short_manufactured_run_passes(self):
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=30)
         traj = run(cfg)
-        mon = analysis.stability_monitors(traj.records, traj.init_diagnostics,
-                                          k=cfg.k)
-        assert mon.ok, [f.name for f in mon.flags if not f.passed]
-        assert mon.startup["u0_l2"] > 0
-        assert set(mon.table) >= {"u_l2_sq", "running_k_sum_p_sq"}
+        mon = analysis.stability_monitors(traj.records, k=cfg.k)
+        assert mon.ok, [r.name for r in mon.results if not r.passed]
 
     def test_zero_run_passes(self):
         cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=20, case="zero")
         traj = run(cfg)
         mon = analysis.stability_monitors(traj.records, k=cfg.k)
         assert mon.ok
-        assert all(f.ratio == 1.0 for f in mon.flags)
+        assert all(r.value == 1.0 for r in mon.results)
 
     def test_blow_up_detected(self):
         # negative control: geometric growth bolted onto a synthetic run
@@ -225,9 +222,38 @@ class TestStabilityMonitors:
                 orth_residual=0.0, pyth_residual=0.0, energy_residual=0.0))
         mon = analysis.stability_monitors(records, k=0.01)
         assert not mon.ok
-        failing = {f.name for f in mon.flags if not f.passed}
+        failing = {r.name for r in mon.results if not r.passed}
         assert "velocity-energy" in failing
         assert "increments" in failing
+
+    def test_rows_in_order_at_level_zero(self):
+        records = [StepRecord(n, 0.01 * n, *[1.0] * 8) for n in range(2, 30)]
+        mon = analysis.stability_monitors(records, k=0.01)
+        assert [(r.name, r.level) for r in mon.results] == [
+            ("velocity-energy", 0), ("velocity-norm-squared", 0),
+            ("increments", 0), ("pressure-sum-average", 0),
+            ("velocity-sum-average", 0)]
+        assert all(r.tolerance == analysis.MONITOR_FACTOR for r in mon.results)
+        assert mon.ok
+
+    def test_non_finite_record_fails(self):
+        # NaN compares false with every bound, so it must not read as "no
+        # growth"; an entry before the reference record counts too
+        def records(bad_step, **bad):
+            return [StepRecord(n, 0.01 * n, **{
+                **dict(u_l2=0.1, ut_hnorm=1.0, p_l2=0.2, div_residual=0.0,
+                       increment=0.05, orth_residual=0.0, pyth_residual=0.0,
+                       energy_residual=0.0),
+                **(bad if n == bad_step else {})}) for n in range(2, 40)]
+
+        mon = analysis.stability_monitors(
+            records(20, increment=np.nan, u_l2=np.nan), k=0.01)
+        assert not mon.ok
+        assert {r.name for r in mon.results if not r.passed} == {
+            "velocity-energy", "velocity-norm-squared", "increments"}
+        # the first record precedes the reference record, the third
+        mon = analysis.stability_monitors(records(2, increment=np.inf), k=0.01)
+        assert [r.name for r in mon.results if not r.passed] == ["increments"]
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
@@ -241,6 +267,33 @@ class TestStabilityMonitors:
 
 
 class TestReport:
+    @pytest.mark.parametrize("row, value, bound, passed", [
+        ("below", 1.0, 2.0, True), ("below", 2.0, 2.0, False),
+        ("below", np.nan, 2.0, False), ("below", np.inf, np.inf, False),
+        ("below", 1e300, np.inf, True), ("above", 3.0, 2.0, True),
+        ("above", 2.0, 2.0, False), ("above", np.nan, -np.inf, False),
+    ])
+    def test_row_passes_strictly_on_its_side(self, row, value, bound, passed):
+        report = analysis.VerificationReport()
+        getattr(report, row)("r", 3, value, bound, "n")
+        (r,) = report.results
+        assert r.passed is passed
+        assert report.ok is passed
+        assert (r.name, r.level, r.tolerance, r.note) == ("r", 3, bound, "n")
+        assert r.value == value or np.isnan(value)
+
+    def test_drift_reads_recorded_constants(self):
+        report = analysis.VerificationReport()
+        for lvl, value in ((2, 1.5), (1, 1.0), (3, 1.2)):
+            report.record_constant("c", lvl, value)
+        report.drift("c-drift", "c", 2.0)
+        report.drift("c-tight", "c", 1.5)
+        loose, tight = report.results
+        assert (loose.name, loose.level, loose.value, loose.tolerance) == (
+            "c-drift", 1, 1.5, 2.0)
+        assert loose.note == "levels (1, 2, 3)"
+        assert loose.passed and not tight.passed
+
     def test_csv_format_and_determinism(self, tmp_path):
         report = analysis.check_identities(equilateral_pair(), seed=5)
         p1 = tmp_path / "a.csv"

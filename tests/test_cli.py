@@ -11,8 +11,8 @@ import pytest
 import fvproj
 from fvproj import cli
 from fvproj.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main)
-from fvproj.mesh import save_mesh, unit_square_acute
-from fixture_meshes import square_two_triangles
+from fvproj.mesh import unit_square_acute
+from fixture_meshes import save_mesh, square_two_triangles
 
 
 def _write_node_ele(directory):
@@ -132,6 +132,30 @@ class TestRun:
         assert (len(iters) > 6) == retries and sum(iters) > 0 and factors
         assert (f"  momentum: {sum(iters)} BiCGStab iterations in {len(iters)} "
                 f"solves, {len(factors)} factor builds\n") in capsys.readouterr().out
+
+    @pytest.mark.parametrize("factor, code", [(10.0, EXIT_OK), (1.5, EXIT_CHECK_FAILED)])
+    def test_monitor_lines_are_the_report_rows(self, capsys, monkeypatch, factor,
+                                               code):
+        # a bound of 1.5 fails the energy row (ratio 8.5 on this run)
+        from fvproj import analysis
+        reports = []
+        screen = analysis.stability_monitors
+
+        def capturing(*args, **kwargs):
+            reports.append(screen(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(analysis, "stability_monitors", capturing)
+        monkeypatch.setattr(analysis, "MONITOR_FACTOR", factor)
+        assert main(["run", "--mesh", "acute:1", "case=manufactured-A",
+                     "steps=20"]) == code
+        lines = re.findall(r"^  monitor (\S+) +ratio= *(\S+) (ok|FAIL)$",
+                           capsys.readouterr().out, re.MULTILINE)
+        (report,) = reports
+        assert [(name, float(ratio), state) for name, ratio, state in lines] == [
+            (r.name, pytest.approx(r.value, abs=5e-4), "ok" if r.passed else "FAIL")
+            for r in report.results]
+        assert report.ok == (code == EXIT_OK)
 
     def test_bad_override(self):
         assert main(["run", "oops"]) == EXIT_USAGE
