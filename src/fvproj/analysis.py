@@ -19,16 +19,16 @@ import scipy.sparse.linalg as spla
 
 from . import reference
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, collocate_p0,
-                     dual_norm, h_gram, h_norm, l2_inner, l2_norm, norm_1h,
-                     p0_mass, p1nc_mass, project_p0, project_rt0)
+                     h_gram, h_norm, l2_inner, l2_norm, p1nc_mass,
+                     project_p0, project_rt0)
 # ``solve`` is not called here; it stays bound because perfbench/job.py
 # wraps the ``solve`` name of every module that may reach a linear solve
 from .linalg import SolverError, Tolerance, solve
 from .mesh import Mesh, unit_square_acute
-from .operators import (convection_matrix, divergence, gradient,
+from .operators import (convection_matrix, divergence, dual_norm, gradient,
                         gradient_matrices, h_solver, laplacian_p0,
-                        leray_project, pressure_solver, pressure_stiffness,
-                        trilinear_form, upwind_convection)
+                        leray_project, norm_1h, pressure_solver,
+                        pressure_stiffness, trilinear_form, upwind_convection)
 from .scheme import make_case
 
 IDENTITY_TOL = 1e-11
@@ -270,7 +270,7 @@ def estimate_infsup(mesh: Mesh) -> InfSupResult:
     """
     mass_p = p1nc_mass(mesh)
     Gx, Gy = gradient_matrices(mesh)
-    area = p0_mass(mesh)[:, None]
+    area = mesh.tri_area[:, None]
     GxT, GyT = Gx.T, Gy.T
     h_inv = _h_inverse(mesh, "inf-sup Schur complement")
 
@@ -449,7 +449,7 @@ def poincare_inverse_constants(levels=(0, 1, 2), seed: int = 7,
     for lvl in levels:
         mesh = unit_square_acute(lvl)
         rng = _rng(seed, lvl + 757)
-        area = p0_mass(mesh)
+        area = mesh.tri_area
         H = h_gram(mesh)
         h_inv = _h_inverse(mesh, f"poincare-cellwise level {lvl}")
         # the coarsest level is compared against the dense oracle; finer

@@ -25,8 +25,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _level(text: str) -> int:
-    """A refinement level: a decimal integer >= 0."""
+def _nonnegative(text: str) -> int:
+    """A refinement level or a seed: a decimal integer >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
     return int(text)
@@ -36,7 +36,7 @@ def _mesh_spec(text: str) -> str:
     """A mesh file path, passed through, or ``acute:L`` with L a level."""
     if text.startswith("acute:"):
         try:
-            _level(text.removeprefix("acute:"))
+            _nonnegative(text.removeprefix("acute:"))
         except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(
                 f"want acute:L with L an integer >= 0, got {text!r}") from None
@@ -56,9 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run settings: " + ", ".join(scheme.CONFIG_KEYS))
 
     verify = sub.add_parser("verify", help="run every operator-level check")
-    verify.add_argument("--level", type=_level, default=2,
+    verify.add_argument("--level", type=_nonnegative, default=2,
                         help="finest refinement level (default 2)")
-    verify.add_argument("--seed", type=int, default=7)
+    verify.add_argument("--seed", type=_nonnegative, default=7)
     verify.add_argument("--out", help="directory for verify.csv")
 
     check = sub.add_parser("mesh-check", help="mesh quality report")
@@ -74,8 +74,11 @@ def _cmd_run(args) -> int:
         if "=" not in item:
             print(f"run setting must be key=value, got {item!r}", file=sys.stderr)
             return EXIT_USAGE
-        key, val = item.split("=", 1)
-        pairs[key.strip()] = val.strip()
+        key, val = (part.strip() for part in item.split("=", 1))
+        if key in pairs:
+            print(f"run setting {key!r} given twice", file=sys.stderr)
+            return EXIT_USAGE
+        pairs[key] = val
     config = scheme.RunConfig(mesh_spec=args.mesh).with_overrides(pairs)
 
     traj = scheme.run(config)

@@ -11,9 +11,10 @@ Conventions
   owner triangle's outward normal; boundary fluxes are identically zero.
 * The edge-midpoint quadrature makes the nonconforming mass matrix
   diagonal: (|K|+|L|)/3 on interior edges, |K|/3 on boundary edges.
-  It is exact for products of affine functions.  Its diagonal is built once
-  per mesh and cached read-only; the H1 Gram matrix is cached per mesh
-  too, but writable.
+  It is exact for products of affine functions.
+* The cellwise mass is ``mesh.tri_area``; the edge mass (read-only) and the
+  H1 Gram matrix are kept per mesh by ``mesh.per_mesh``, like the operators
+  and factors of ``operators``, which also holds ``dual_norm`` and ``norm_1h``.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .mesh import Mesh
+from .mesh import Mesh, per_mesh
 
 
 class SpaceMismatchError(ValueError):
@@ -172,22 +173,14 @@ def project_rt0(f, mesh: Mesh) -> VectorRT0:
 
 # -- masses, inner products, norms ---------------------------------------------
 
-def p0_mass(mesh: Mesh) -> np.ndarray:
-    """Diagonal of the cellwise mass: the triangle areas."""
-    return mesh.tri_area
-
-
+@per_mesh
 def p1nc_mass(mesh: Mesh) -> np.ndarray:
-    """Diagonal edge-midpoint-rule mass; exact on the nonconforming space.
-    Built once per mesh and cached read-only."""
-    cached = mesh._cache.get("p1nc_mass")
-    if cached is None:
-        cached = np.zeros(mesh.num_edges)
-        np.add.at(cached, mesh.tri_edges.ravel(),
-                  np.repeat(mesh.tri_area / 3.0, 3))
-        cached.flags.writeable = False
-        mesh._cache["p1nc_mass"] = cached
-    return cached
+    """Diagonal edge-midpoint-rule mass; exact on the nonconforming space;
+    read-only."""
+    mass = np.zeros(mesh.num_edges)
+    np.add.at(mass, mesh.tri_edges.ravel(), np.repeat(mesh.tri_area / 3.0, 3))
+    mass.flags.writeable = False
+    return mass
 
 
 def l2_inner(a, b) -> float:
@@ -204,15 +197,13 @@ def l2_norm(a) -> float:
     return float(np.sqrt(max(l2_inner(a, a), 0.0)))
 
 
+@per_mesh
 def h_gram(mesh: Mesh) -> sp.csr_matrix:
     """Gram matrix of the discrete H1 seminorm-with-boundary: the symmetric
     two-point-flux stiffness (per scalar component).
 
     v' H v = sum_int tau |v_L - v_K|^2 + sum_ext tau |v_K|^2.
     """
-    cached = mesh._cache.get("h_gram")
-    if cached is not None:
-        return cached
     ii = mesh.interior_edges
     K = mesh.edge_owner[ii]
     L = mesh.edge_neighbor[ii]
@@ -224,7 +215,6 @@ def h_gram(mesh: Mesh) -> sp.csr_matrix:
     H = sp.csr_matrix((vals, (rows, cols)),
                       shape=(mesh.num_triangles, mesh.num_triangles))
     H.sum_duplicates()
-    mesh._cache["h_gram"] = H
     return H
 
 
@@ -244,27 +234,8 @@ def h_norm(v) -> float:
     return float(np.sqrt(max(s, 0.0)))
 
 
-def dual_norm(v: VectorP0) -> float:
-    """Dual of the discrete H1 norm, realized exactly by one solve with the
-    factored H for both components: ||v||_* = sqrt((Mv)' H^{-1} (Mv))."""
-    from . import linalg, operators  # deferred: operators imports fields
-
-    mv = v.mesh.tri_area[:, None] * v.values
-    w, _ = operators.h_solver(v.mesh).solve(mv, linalg.Tolerance(rtol=1e-12),
-                                            "dual norm")
-    return float(np.sqrt(max(np.sum(mv * w), 0.0)))
-
-
 def mean_zero(q: ScalarP1NC) -> ScalarP1NC:
     """Subtract the mesh-weighted mean so the field integrates to zero."""
     m = p1nc_mass(q.mesh)
     mean = float(m @ q.values) / float(m.sum())
     return ScalarP1NC(q.mesh, q.values - mean)
-
-
-def norm_1h(q: ScalarP1NC) -> float:
-    """Graph norm: (|q|^2 + |grad_h q|^2)^(1/2)."""
-    from . import operators  # deferred to avoid an import cycle
-
-    g = operators.gradient(q)
-    return float(np.sqrt(l2_inner(q, q) + l2_inner(g, g)))

@@ -9,6 +9,7 @@ two-point-flux operators are derived from that geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,20 @@ class Mesh:
     def __repr__(self):
         return (f"Mesh(nv={self.num_vertices}, nt={self.num_triangles}, "
                 f"ne={self.num_edges}, h={self.h:.4g})")
+
+
+def per_mesh(build):
+    """Cache ``build(mesh)`` on the mesh: built on first use and kept for
+    the life of the mesh, keyed by the builder's name.  The one per-mesh
+    cache; a build that raises stores nothing."""
+    key = build.__name__
+
+    @wraps(build)
+    def cached(mesh: Mesh):
+        if key not in mesh._cache:
+            mesh._cache[key] = build(mesh)
+        return mesh._cache[key]
+    return cached
 
 
 def _circumcenters(a, b, c, cross):

@@ -11,9 +11,11 @@ an SPD weak form (grad, grad); the velocity Laplacian is the two-point
 flux operator whose negative mass-weighted matrix is the Gram matrix of
 the discrete H1 norm.  The pressure Laplacian and that Gram matrix are
 each factored once per mesh; the factored pressure Laplacian also gives
-the one discrete Leray projection.  The upwind convection matrix is filled
-straight into the CSR pattern of that Gram matrix, so that the momentum
-matrix of every step is one data array on it.
+the one discrete Leray projection, and the factored Gram matrix the dual
+norm ``dual_norm``.  The upwind convection matrix is filled straight into
+the CSR pattern of that Gram matrix, so that the momentum matrix of every
+step is one data array on it.  Every matrix, factor and index array here
+is built once per mesh and kept on it through ``mesh.per_mesh``.
 """
 from __future__ import annotations
 
@@ -21,30 +23,20 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
-                     h_gram, p1nc_mass)
+                     h_gram, l2_inner, p1nc_mass)
 from .linalg import FactoredSolver, Tolerance
-from .mesh import Mesh
+from .mesh import Mesh, per_mesh
 
 
-def _owner_sign(mesh: Mesh) -> np.ndarray:
-    """(nt, 3) sign of the outward normal relative to the stored edge
-    normal: +1 where the triangle owns the edge."""
-    cached = mesh._cache.get("owner_sign")
-    if cached is None:
-        cached = np.where(
-            mesh.edge_owner[mesh.tri_edges] == np.arange(mesh.num_triangles)[:, None],
-            1.0, -1.0)
-        mesh._cache["owner_sign"] = cached
-    return cached
-
-
+@per_mesh
 def gradient_matrices(mesh: Mesh):
     """Component matrices (Gx, Gy), each nt x ne, of the broken gradient
     of the affine reconstruction: grad q|_K = (1/|K|) sum |e| q(m_e) n_{K,e}."""
-    cached = mesh._cache.get("gradient_matrices")
-    if cached is not None:
-        return cached
-    sign = _owner_sign(mesh)
+    # sign of the outward normal relative to the stored edge normal: +1
+    # where the triangle owns the edge
+    sign = np.where(
+        mesh.edge_owner[mesh.tri_edges] == np.arange(mesh.num_triangles)[:, None],
+        1.0, -1.0)
     rows = np.repeat(np.arange(mesh.num_triangles), 3)
     cols = mesh.tri_edges.ravel()
     base = (sign * mesh.edge_length[mesh.tri_edges]
@@ -53,7 +45,6 @@ def gradient_matrices(mesh: Mesh):
     shape = (mesh.num_triangles, mesh.num_edges)
     Gx = sp.csr_matrix((base * n[:, :, 0].ravel(), (rows, cols)), shape=shape)
     Gy = sp.csr_matrix((base * n[:, :, 1].ravel(), (rows, cols)), shape=shape)
-    mesh._cache["gradient_matrices"] = (Gx, Gy)
     return Gx, Gy
 
 
@@ -62,11 +53,15 @@ def gradient(q: ScalarP1NC) -> VectorP0:
     return VectorP0(q.mesh, np.stack([Gx @ q.values, Gy @ q.values], axis=1))
 
 
+def norm_1h(q: ScalarP1NC) -> float:
+    """Graph norm: (|q|^2 + |grad_h q|^2)^(1/2)."""
+    g = gradient(q)
+    return float(np.sqrt(l2_inner(q, q) + l2_inner(g, g)))
+
+
+@per_mesh
 def divergence_matrices(mesh: Mesh):
     """Component matrices (Dx, Dy), each ne x nt, of the edgewise divergence."""
-    cached = mesh._cache.get("divergence_matrices")
-    if cached is not None:
-        return cached
     ne, nt = mesh.num_edges, mesh.num_triangles
     ii = mesh.interior_edges
     bb = mesh.boundary_edges
@@ -79,7 +74,6 @@ def divergence_matrices(mesh: Mesh):
     n_rows = mesh.edge_normal[rows]
     Dx = sp.csr_matrix((vals * n_rows[:, 0], (rows, cols)), shape=(ne, nt))
     Dy = sp.csr_matrix((vals * n_rows[:, 1], (rows, cols)), shape=(ne, nt))
-    mesh._cache["divergence_matrices"] = (Dx, Dy)
     return Dx, Dy
 
 
@@ -88,40 +82,37 @@ def divergence(v: VectorP0) -> ScalarP1NC:
     return ScalarP1NC(v.mesh, Dx @ v.values[:, 0] + Dy @ v.values[:, 1])
 
 
+@per_mesh
 def pressure_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """SPD weak form of the pressure Laplacian: (A q) . r = (grad q, grad r).
 
     Symmetric positive semidefinite with the constants as kernel; solved
     on the zero-mean subspace.
     """
-    cached = mesh._cache.get("pressure_stiffness")
-    if cached is None:
-        Gx, Gy = gradient_matrices(mesh)
-        M = sp.diags(mesh.tri_area)
-        cached = (Gx.T @ M @ Gx + Gy.T @ M @ Gy).tocsr()
-        mesh._cache["pressure_stiffness"] = cached
-    return cached
+    Gx, Gy = gradient_matrices(mesh)
+    M = sp.diags(mesh.tri_area)
+    return (Gx.T @ M @ Gx + Gy.T @ M @ Gy).tocsr()
 
 
+@per_mesh
 def pressure_solver(mesh: Mesh) -> FactoredSolver:
     """The factored pressure Laplacian on the mass-weighted zero-mean
-    subspace (grounded at edge 0, see ``FactoredSolver``); built on first
-    use and kept for the life of the mesh."""
-    cached = mesh._cache.get("pressure_solver")
-    if cached is None:
-        cached = FactoredSolver(pressure_stiffness(mesh), p1nc_mass(mesh))
-        mesh._cache["pressure_solver"] = cached
-    return cached
+    subspace (grounded at edge 0, see ``FactoredSolver``)."""
+    return FactoredSolver(pressure_stiffness(mesh), p1nc_mass(mesh))
 
 
+@per_mesh
 def h_solver(mesh: Mesh) -> FactoredSolver:
-    """The factored Gram matrix H of the discrete H1 norm (SPD); built on
-    first use and kept for the life of the mesh."""
-    cached = mesh._cache.get("h_solver")
-    if cached is None:
-        cached = FactoredSolver(h_gram(mesh))
-        mesh._cache["h_solver"] = cached
-    return cached
+    """The factored Gram matrix H of the discrete H1 norm (SPD)."""
+    return FactoredSolver(h_gram(mesh))
+
+
+def dual_norm(v: VectorP0) -> float:
+    """Dual of the discrete H1 norm, realized exactly by one solve with the
+    factored H for both components: ||v||_* = sqrt((Mv)' H^{-1} (Mv))."""
+    mv = v.mesh.tri_area[:, None] * v.values
+    w, _ = h_solver(v.mesh).solve(mv, Tolerance(rtol=1e-12), "dual norm")
+    return float(np.sqrt(max(np.sum(mv * w), 0.0)))
 
 
 def leray_project(v: VectorP0, tol: Tolerance, where: str = "Leray projection"):
@@ -151,14 +142,21 @@ def _h_positions(mesh: Mesh, rows, cols) -> np.ndarray:
     return np.searchsorted(keys, np.asarray(rows, dtype=np.int64) * nt + cols)
 
 
+@per_mesh
 def h_diagonal(mesh: Mesh) -> np.ndarray:
     """Positions of the diagonal in the data array of ``h_gram(mesh)``, and
-    so of every matrix on its pattern; cached per mesh."""
-    cached = mesh._cache.get("h_diagonal")
-    if cached is None:
-        cells = np.arange(mesh.num_triangles)
-        cached = mesh._cache["h_diagonal"] = _h_positions(mesh, cells, cells)
-    return cached
+    so of every matrix on its pattern."""
+    cells = np.arange(mesh.num_triangles)
+    return _h_positions(mesh, cells, cells)
+
+
+@per_mesh
+def _convection_positions(mesh: Mesh) -> np.ndarray:
+    """Positions of (K, L), then (L, K), of every interior edge in the data
+    array of ``h_gram(mesh)``."""
+    ii = mesh.interior_edges
+    K, L = mesh.edge_owner[ii], mesh.edge_neighbor[ii]
+    return _h_positions(mesh, np.concatenate([K, L]), np.concatenate([L, K]))
 
 
 def convection_matrix(u) -> sp.csr_matrix:
@@ -166,21 +164,16 @@ def convection_matrix(u) -> sp.csr_matrix:
     the cell-mass form of the transport (its rows are |K| times the
     operator's), on the CSR pattern of ``h_gram(mesh)`` (it shares H's
     index arrays): each interior edge adds to its cells' diagonal entries
-    (K, K) and (L, L) and sets (K, L) and (L, K), whose positions in H's
-    data are cached per mesh.  Boundary edges contribute nothing since
-    their fluxes vanish.
+    (K, K) and (L, L) and sets (K, L) and (L, K), at their per-mesh
+    positions in H's data.  Boundary edges contribute nothing since their
+    fluxes vanish.
     """
     if not isinstance(u, (SolenoidalP0, VectorRT0)):
         raise TypeError("advecting field must carry single-valued edge fluxes "
                         "(SolenoidalP0 or VectorRT0), got " + type(u).__name__)
     mesh = u.mesh
     ii = mesh.interior_edges
-    K, L = mesh.edge_owner[ii], mesh.edge_neighbor[ii]
-    cells = np.concatenate([K, L])
-    positions = mesh._cache.get("convection_positions")
-    if positions is None:
-        positions = mesh._cache["convection_positions"] = _h_positions(
-            mesh, cells, np.concatenate([L, K]))
+    cells = np.concatenate([mesh.edge_owner[ii], mesh.edge_neighbor[ii]])
     sf = mesh.edge_length[ii] * u.edge_normal_fluxes()[ii]
     up = np.maximum(sf, 0.0)    # |e| max(f, 0): out of K
     dn = sf - up                # |e| min(f, 0): into K
@@ -189,7 +182,7 @@ def convection_matrix(u) -> sp.csr_matrix:
     H = h_gram(mesh)
     data = np.zeros(H.nnz)
     data[h_diagonal(mesh)] = np.bincount(cells, diag, minlength=mesh.num_triangles)
-    data[positions] = off
+    data[_convection_positions(mesh)] = off
     return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape)
 
 

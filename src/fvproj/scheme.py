@@ -234,19 +234,14 @@ class Trajectory:
 
 
 class _Workspace:
-    """Once-per-run pieces: masses, stiffness, the factored pressure
-    operator, the projected (steady) forcing, and the lagged momentum
-    factor with its refactor flag; and what the last substeps leave for
-    the step record."""
+    """Once-per-run pieces: the projected (steady) forcing and the lagged
+    momentum factor with its refactor flag; and what the last substeps
+    leave for the step record.  Per-mesh matrices, masses and factors are
+    read from the mesh's cache where they are used."""
 
     def __init__(self, config: RunConfig, mesh: Mesh):
         self.mesh = mesh
         self.case = make_case(config.case, config.re)
-        self.mass = mesh.tri_area
-        self.h_stiff = h_gram(mesh)
-        self.h_diag = h_diagonal(mesh)
-        self.p_solver = pressure_solver(mesh)
-        self.p_mass = p1nc_mass(mesh)
         self.cert_tol = CERT_TOL
         self.forcing = project_p0(self.case.forcing, mesh)
         self.mom_factor = None
@@ -301,12 +296,13 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     a0, a1, a2 = _bdf_coefficients(state)
     u_star = 2.0 * state.u_curr.field - state.u_prev.field
     ws.convection = convection_matrix(SolenoidalP0.trusted(u_star))
-    H = ws.h_stiff
+    mesh = ws.mesh
+    H = h_gram(mesh)
     base = (1.0 / config.re) * H.data + ws.convection.data
 
     def with_mass(shift):
         data = base.copy()
-        data[ws.h_diag] += shift * ws.mass
+        data[h_diagonal(mesh)] += shift * mesh.tri_area
         return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape)
 
     A = with_mass(a0 / k)
@@ -320,7 +316,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     exact = bool(builds) and a0 == 1.5  # the factor is of this step's matrix
     rhs = (ws.forcing.values
            - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
-           - grad_p.values) * ws.mass[:, None]
+           - grad_p.values) * mesh.tri_area[:, None]
     out, info = solve(A, rhs, MOMENTUM_TOL if exact else
                       replace(MOMENTUM_TOL, maxiter=LAGGED_MAXITER))
     ws.mom_iters = info.iterations
@@ -339,7 +335,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
         raise SolverError(f"momentum solve (component {c}) failed: {info.columns[c]}")
     ws.refactor_due = max(col.iterations for col in info.columns) > REFACTOR_ITERS
     ws.mom_refactor = builds
-    return VectorP0(state.u_curr.mesh, out)
+    return VectorP0(mesh, out)
 
 
 def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
@@ -347,7 +343,9 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
     """Solve for the pressure increment; returns (p_next, dp) and leaves
     the solve's normwise backward error in ``ws.p_backward_error``.
     ``div_tilde`` is divergence(u_tilde)."""
-    weighted = ws.p_mass * div_tilde.values
+    mesh = u_tilde.mesh
+    mass = p1nc_mass(mesh)
+    weighted = mass * div_tilde.values
     compat = abs(float(weighted.sum()))
     scale = float(np.linalg.norm(weighted))
     if compat > 1e-12 * max(scale, 1.0):
@@ -355,12 +353,12 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
             f"pressure right-hand side incompatible: (div u, 1) = {compat:.3e}")
     # the rounding-level sum that passes the check would stay in the
     # grounded row of the zero-mean solve and, at small k, fail its gate
-    weighted -= ws.p_mass * (weighted.sum() / ws.p_mass.sum())
+    weighted -= mass * (weighted.sum() / mass.sum())
     rhs = -_bdf_coefficients(state)[0] / config.k * weighted
-    dp_vals, info = ws.p_solver.solve(rhs, PRESSURE_TOL,
-                                      f"pressure step {state.n + 1}")
+    dp_vals, info = pressure_solver(mesh).solve(rhs, PRESSURE_TOL,
+                                                f"pressure step {state.n + 1}")
     ws.p_backward_error = info.backward_error
-    dp = ScalarP1NC(u_tilde.mesh, dp_vals)
+    dp = ScalarP1NC(mesh, dp_vals)
     p_next = mean_zero(state.p_curr + dp)
     return p_next, dp
 
@@ -465,7 +463,6 @@ def initialize(config: RunConfig, mesh: Mesh):
         "k_grad_p1_l2": k * l2_norm(gp1),
         "startup_bound": (l2_norm(u0.field) + l2_norm(state.u_curr.field)
                           + k * l2_norm(gp1)),
-        "increment_over_k": l2_norm(state.u_curr.field - u0.field) / k,
         "u0_projection_error": err0,
         "div_u0": l2_norm(divergence(u0.field)),
         "div_u1": ws.div_residual,      # the certificate's |div u1|

@@ -10,11 +10,12 @@ import pytest
 
 from fvproj import analysis, reference
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_norm,
-                           l2_inner, l2_norm, norm_1h, p1nc_mass)
+                           l2_inner, l2_norm, p1nc_mass)
 from fvproj.mesh import equilateral_pair, unit_square_acute
 from fvproj.linalg import Tolerance
 from fvproj.operators import (convection_matrix, divergence, gradient,
-                              laplacian_p0, leray_project, trilinear_form)
+                              laplacian_p0, leray_project, norm_1h,
+                              trilinear_form)
 from fvproj.scheme import (PRESSURE_TOL, RunConfig, SchemeState, _Workspace,
                            momentum_step, run)
 from fixture_meshes import single_triangle

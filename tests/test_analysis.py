@@ -104,10 +104,10 @@ def _dense_schur_extremes(mesh):
     """Extreme eigenvalues of S q = lambda M q on the mass-weighted
     mean-zero pressures, the Schur complement assembled densely here."""
     import scipy.linalg
-    from fvproj.fields import h_gram, p0_mass, p1nc_mass
+    from fvproj.fields import h_gram, p1nc_mass
     from fvproj.operators import gradient_matrices
     H = h_gram(mesh).toarray()
-    area = p0_mass(mesh)
+    area = mesh.tri_area
     S = np.zeros((mesh.num_edges, mesh.num_edges))
     for G in gradient_matrices(mesh):
         MG = area[:, None] * G.toarray()

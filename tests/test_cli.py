@@ -167,6 +167,17 @@ class TestRun:
         assert main(["run", "mesh=acute:0", "steps=3"]) == EXIT_CHECK_FAILED
         assert "unknown config key 'mesh'" in capsys.readouterr().err
 
+    def test_repeated_key_is_usage_error(self, capsys, monkeypatch):
+        # each setting has one spelling and one value: a key given twice
+        # is refused before anything runs
+        runs = []
+        monkeypatch.setattr(cli.scheme, "run", lambda config: runs.append(config))
+        assert main(["run", "--mesh", "acute:0", "steps=3", "steps=4"]) == EXIT_USAGE
+        assert "run setting 'steps' given twice" in capsys.readouterr().err
+        assert main(["run", "--mesh", "acute:0", "k=0.1", " k = 0.2"]) == EXIT_USAGE
+        assert "run setting 'k' given twice" in capsys.readouterr().err
+        assert runs == []
+
     def test_unparsable_value_names_its_key(self, capsys):
         assert main(["run", "--mesh", "acute:0", "steps=abc"]) == EXIT_CHECK_FAILED
         assert ("config key 'steps': cannot parse 'abc' as int"
@@ -263,6 +274,14 @@ class TestVerifyAndFriends:
     def test_negative_level_is_usage_error(self, capsys):
         assert main(["verify", "--level", "-1"]) == EXIT_USAGE
         assert "argument --level: want an integer >= 0, got '-1'" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_bad_seed_is_usage_error(self, seed, capsys, monkeypatch):
+        # the parser refuses it, so no check runs
+        monkeypatch.setattr(cli.analysis, "run_all", None)
+        assert main(["verify", "--level", "0", "--seed", seed]) == EXIT_USAGE
+        assert f"argument --seed: want an integer >= 0, got {seed!r}" in (
             capsys.readouterr().err)
 
 

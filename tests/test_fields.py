@@ -4,11 +4,11 @@ import scipy.sparse as sp
 
 from fvproj import reference
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, SpaceMismatchError,
-                           VectorP0, VectorRT0, collocate_p0, dual_norm,
-                           h_gram, h_norm, l2_inner, l2_norm, mean_zero,
-                           norm_1h, p1nc_mass, project_p0, project_rt0)
+                           VectorP0, VectorRT0, collocate_p0, h_gram, h_norm,
+                           l2_inner, l2_norm, mean_zero, p1nc_mass,
+                           project_p0, project_rt0)
 from fvproj.mesh import refine_uniform, unit_square_acute
-from fvproj.operators import gradient, laplacian_p0
+from fvproj.operators import dual_norm, gradient, laplacian_p0, norm_1h
 from field_helpers import (p1nc_cell_values, project_p1nc,
                            rt0_cell_reconstruction)
 

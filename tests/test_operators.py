@@ -73,7 +73,7 @@ class TestDivergence:
         assert np.abs(d.values - d_ref).max() < 1e-13
 
     def test_adjointness_battery(self, family, rng):
-        from fvproj.fields import norm_1h
+        from fvproj.operators import norm_1h
         for mesh in family:
             for _ in range(8):
                 v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
