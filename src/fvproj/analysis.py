@@ -554,6 +554,23 @@ def stability_monitors(records, *, k: float) -> VerificationReport:
     return report
 
 
+def steady_rate(records):
+    """How far a run is from steady: (the last increment |u^{n+1} - u^n| / k,
+    the least-squares slope of log(increment) against t over the positive
+    increments of the last half of the records), the slope None when fewer
+    than two are positive.  A steadily relaxing run has a negative slope,
+    its decay rate per unit time."""
+    tail = [(r.t, r.increment) for r in records[len(records) // 2:] if r.increment > 0]
+    slope = None
+    if len(tail) >= 2:
+        # the normal equations in closed form: np.polyfit's first LAPACK
+        # call alone raises a small run's peak memory by 0.5-1 MB
+        t, inc = np.array(tail).T
+        t, log_inc = t - t.mean(), np.log(inc)
+        slope = float(t @ (log_inc - log_inc.mean()) / (t @ t))
+    return records[-1].increment, slope
+
+
 # -- full suite ------------------------------------------------------------------------------
 
 def run_all(max_level: int = 2, seed: int = 7) -> VerificationReport:

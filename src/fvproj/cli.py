@@ -4,7 +4,8 @@ Subcommands: ``run`` (time integration on the mesh of --mesh, with
 key=value words for the other settings), ``verify`` (every operator
 check, the inf-sup sweep and the transport consistency rate included),
 ``mesh-check`` (mesh quality report).  Exit code 0 when every invoked
-check passes, 1 on check failure, 2 on usage errors, 3 on I/O errors.
+check passes, 1 on check failure, 2 on usage errors (a run setting that
+``RunConfig`` rejects among them, before anything runs), 3 on I/O errors.
 """
 from __future__ import annotations
 
@@ -79,7 +80,11 @@ def _cmd_run(args) -> int:
             print(f"run setting {key!r} given twice", file=sys.stderr)
             return EXIT_USAGE
         pairs[key] = val
-    config = scheme.RunConfig(mesh_spec=args.mesh).with_overrides(pairs)
+    try:
+        config = scheme.RunConfig(mesh_spec=args.mesh).with_overrides(pairs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     traj = scheme.run(config)
     monitors = analysis.stability_monitors(traj.records, k=config.k)
@@ -91,6 +96,12 @@ def _cmd_run(args) -> int:
     counts = [traj.init_diagnostics] + [vars(r) for r in traj.records]
     print(f"  momentum: {sum(c['mom_iters'] for c in counts)} BiCGStab iterations in "
           f"{traj.mom_solves} solves, {sum(c['mom_refactor'] for c in counts)} factor builds")
+    (p_nnz, p_s), (m_nnz, m_s) = traj.pressure_factor, traj.momentum_factor
+    print(f"  factors: pressure {p_nnz} entries in {p_s:.3g}s; "
+          f"momentum {m_nnz} entries in {m_s:.3g}s")
+    increment, slope = analysis.steady_rate(traj.records)
+    rate = "rate undefined" if slope is None else f"d log(increment)/dt = {slope:.6g}"
+    print(f"  steady: last increment {increment:.6e}, {rate}")
     for row in monitors.results:
         state = "ok" if row.passed else "FAIL"
         print(f"  monitor {row.name:24s} ratio={row.value:8.3f} {state}")

@@ -13,6 +13,7 @@ verification suite; and the momentum matrix of that preconditioner.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,6 +211,18 @@ class FactoredSolver:
     symmetric and column diagonally dominant (SuperLU keeps its diagonal
     pivots on acute:3 and acute:5).
 
+    Supernodes are not relaxed and panels are one column wide (SuperLU's
+    ``relax`` and ``panel_size``; Demmel, Eisenstat, Gilbert, Li and Liu,
+    SIAM J. Matrix Anal. Appl. 20(3), 1999).  On these 2D mesh matrices,
+    about 35 entries per row of L + U, the defaults (relax 10, wide panels)
+    pad small supernodes with explicit zeros and gain nothing from wide
+    panels: at acute:5 the grounded pressure factor stores 1,537,936 entries
+    against nnz(L) + nnz(U) = 1,440,830 and builds in 125-153 ms against
+    76-88 ms, and the momentum factor stores 980,742 against 895,402 and
+    builds in 62-74 ms against 40-52 ms, with the same solve times and
+    backward errors.  ``nnz`` is the entries the factor stores and
+    ``build_s`` the wall time of its build.
+
     Without weights A must be nonsingular.  With weights w, A is symmetric
     positive semidefinite with the constants as kernel, and the solve is on
     the subspace w . x = 0.  Unknown 0 is grounded: the factor is of A with
@@ -237,16 +250,21 @@ class FactoredSolver:
             raise ValueError("need a square matrix and one weight per unknown")
         self.matrix = A
         self.weights = w
+        self._unit = None if w is None else w / w.sum()  # unit-sum weights
         self.norm_inf = float(spla.norm(A, np.inf))
+        start = time.perf_counter()
         self._lu = spla.splu((A if w is None else A[1:, 1:]).tocsc(),
-                             permc_spec="MMD_AT_PLUS_A",
+                             permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
                              options={"SymmetricMode": True})
+        self.build_s = time.perf_counter() - start
+        self.nnz = self._lu.nnz
 
     def _grounded(self, b):
         """[0; A_00^{-1} b_0] shifted to zero weighted mean."""
         x = np.zeros_like(b)
         x[1:] = self._lu.solve(b[1:])
-        return x - (self.weights @ x) / self.weights.sum()
+        x -= self._unit @ x
+        return x
 
     def solve(self, b, tol: Tolerance, where: str = "FactoredSolver"):
         """Solve for one right-hand side (n,) or several (n, m).  Returns
@@ -263,8 +281,8 @@ class FactoredSolver:
         else:
             x = self._grounded(b)
             r = b - self.matrix @ x
-            spread = np.multiply.outer(self.weights, r.sum(axis=0) / self.weights.sum())
-            x = x + self._grounded(r - spread)
+            r -= np.multiply.outer(self._unit, r.sum(axis=0))
+            x += self._grounded(r)
         r = b - self.matrix @ x
         r_inf = np.abs(r).max(axis=0)
         scale = self.norm_inf * np.abs(x).max(axis=0) + np.abs(b).max(axis=0)

@@ -117,6 +117,10 @@ class DataCase:
     forcing: callable        # steady forcing(x, y) -> (..., 2)
 
 
+# the names ``make_case`` knows, which ``RunConfig`` checks
+CASES = ("zero", "manufactured-A")
+
+
 def make_case(name: str, re: float) -> DataCase:
     if name == "zero":
         zero = lambda x, y: np.zeros(np.shape(x) + (2,))
@@ -124,7 +128,7 @@ def make_case(name: str, re: float) -> DataCase:
     if name == "manufactured-A":
         return DataCase("manufactured-A", _velocity_a,
                         lambda x, y: _forcing_a(x, y, re))
-    raise ValueError(f"unknown case {name!r} (choose zero or manufactured-A)")
+    raise ValueError(f"unknown case {name!r} (choose {' or '.join(CASES)})")
 
 
 # -- configuration -----------------------------------------------------------------
@@ -157,12 +161,17 @@ class RunConfig:
             raise ValueError(f"config key 'k': time step must be positive "
                              f"and finite, got {self.k}")
         if self.n_steps < 2:
-            raise ValueError("need at least 2 steps")
+            raise ValueError(f"config key 'steps': need at least 2 steps, "
+                             f"got {self.n_steps}")
         if not self.re > 0:
             raise ValueError(f"config key 're': Reynolds number must be "
                              f"positive, got {self.re}")
         if self.cadence < 0:
-            raise ValueError("cadence must be >= 0")
+            raise ValueError(f"config key 'cadence': cadence must be >= 0, "
+                             f"got {self.cadence}")
+        if self.case not in CASES:
+            raise ValueError(f"config key 'case': unknown case {self.case!r} "
+                             f"(choose {' or '.join(CASES)})")
 
     def with_overrides(self, pairs: dict) -> "RunConfig":
         changes = {}
@@ -219,6 +228,10 @@ class Trajectory:
     snapshot_bytes: int = 0
     snapshot_s: float = 0.0
     mom_solves: int = 0         # momentum solves, start-up and retries included
+    # (stored entries, build seconds) of the pressure factor and of the
+    # last momentum factor built
+    pressure_factor: tuple = (0, 0.0)
+    momentum_factor: tuple = (0, 0.0)
 
     def monitor_rows(self):
         names = tuple(f.name for f in fields(StepRecord))
@@ -250,19 +263,22 @@ class _Workspace:
         self.convection = None      # weighted C(u*) of the last momentum step
         self.p_backward_error = 0.0
         self.div_residual = 0.0     # |div u| of the last certified field
+        self.u_l2 = 0.0             # |u| of the last certified field
+        self.u_star_l2 = 0.0        # |u*| of the last momentum step
 
     def certify(self, v: VectorP0, where: str, div_scale: float = 0.0) -> SolenoidalP0:
         """Gate a projected field on its remaining divergence.
 
         The projection solve can only reduce the divergence by its relative
         tolerance, so the gate scales with the larger of the field norm and
-        the divergence that was removed.  Leaves |div v| in
-        ``div_residual`` for the step record.
+        the divergence that was removed.  Leaves |div v| and |v| in
+        ``div_residual`` and ``u_l2`` for the step record.
         """
         if not np.all(np.isfinite(v.values)):
             raise SchemeError(f"{where}: field has NaN or Inf entries")
         div_l2 = self.div_residual = l2_norm(divergence(v))
-        scale = max(l2_norm(v), div_scale)
+        self.u_l2 = l2_norm(v)
+        scale = max(self.u_l2, div_scale)
         if div_l2 > self.cert_tol * scale:
             raise SchemeError(
                 f"{where}: divergence-free certificate failed "
@@ -288,13 +304,15 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     at LAGGED_MAXITER iterations per component; one that does not converge
     is repeated with a fresh factor of this step's matrix, and only a
     failure of that one raises SolverError.  Leaves the weighted convection
-    matrix C(u*) in ``ws.convection``, the step's BiCGStab iterations (every
-    solve, both components) in ``ws.mom_iters`` and the number of factors it
-    built in ``ws.mom_refactor``; adds its solves to ``ws.mom_solves``.
+    matrix C(u*) in ``ws.convection`` and |u*| in ``ws.u_star_l2``, the
+    step's BiCGStab iterations (every solve, both components) in
+    ``ws.mom_iters`` and the number of factors it built in
+    ``ws.mom_refactor``; adds its solves to ``ws.mom_solves``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
     u_star = 2.0 * state.u_curr.field - state.u_prev.field
+    ws.u_star_l2 = l2_norm(u_star)
     ws.convection = convection_matrix(SolenoidalP0.trusted(u_star))
     mesh = ws.mesh
     H = h_gram(mesh)
@@ -390,12 +408,13 @@ def _substeps(state: SchemeState, config: RunConfig, ws: _Workspace,
 def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     """One full BDF2 projection step; returns (new state, StepRecord)."""
     k = config.k
+    u_n_l2 = ws.u_l2  # certified at the last step, or at start-up
     new = _substeps(state, config, ws, state.grad_p)
     u_tilde, p_next = new.u_tilde, new.p_curr
 
-    u_np1, u_n, u_nm1 = new.u_curr.field, state.u_curr.field, state.u_prev.field
+    u_np1, u_n = new.u_curr.field, state.u_curr.field
     tiny = 1e-300
-    u_np1_l2 = l2_norm(u_np1)
+    u_np1_l2 = ws.u_l2
     u_tilde_l2 = l2_norm(u_tilde)
     jump_l2 = l2_norm(u_np1 - u_tilde)
     ut_hnorm = h_norm(u_tilde)
@@ -404,9 +423,9 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     pyth = abs(pyth_num) / max(u_tilde_l2 ** 2, tiny)
 
     terms = [
-        u_np1_l2 ** 2 - l2_norm(u_n) ** 2,
-        l2_norm(2.0 * u_np1 - u_n) ** 2 - l2_norm(2.0 * u_n - u_nm1) ** 2,
-        l2_norm(u_np1 - 2.0 * u_n + u_nm1) ** 2,
+        u_np1_l2 ** 2 - u_n_l2 ** 2,
+        l2_norm(2.0 * u_np1 - u_n) ** 2 - ws.u_star_l2 ** 2,
+        l2_norm(u_np1 - 2.0 * u_n + state.u_prev.field) ** 2,
         6.0 * jump_l2 ** 2,
         4.0 * k / config.re * ut_hnorm ** 2,
         4.0 * k * trilinear_form(ws.convection, u_tilde, u_tilde),
@@ -449,22 +468,22 @@ def initialize(config: RunConfig, mesh: Mesh):
     u0_field, _ = leray_project(u0_raw, PRESSURE_TOL, "initial projection")
     u0 = ws.certify(u0_field, "initial projection",
                     div_scale=l2_norm(divergence(u0_raw)))
+    u0_l2, div_u0 = ws.u_l2, ws.div_residual
 
     state = SchemeState(u_prev=u0, u_curr=u0,
                         p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
                         t=0.0, n=0)
     state = _substeps(state, config, ws, gradient(state.p_curr))
-    gp1 = state.grad_p
+    k_grad_p1_l2 = k * l2_norm(state.grad_p)
 
     err0 = _quadrature_error(u0.field, ws.case.u0)
     diagnostics = {
-        "u0_l2": l2_norm(u0.field),
-        "u1_l2": l2_norm(state.u_curr.field),
-        "k_grad_p1_l2": k * l2_norm(gp1),
-        "startup_bound": (l2_norm(u0.field) + l2_norm(state.u_curr.field)
-                          + k * l2_norm(gp1)),
+        "u0_l2": u0_l2,
+        "u1_l2": ws.u_l2,               # the certificate's |u1|
+        "k_grad_p1_l2": k_grad_p1_l2,
+        "startup_bound": u0_l2 + ws.u_l2 + k_grad_p1_l2,
         "u0_projection_error": err0,
-        "div_u0": l2_norm(divergence(u0.field)),
+        "div_u0": div_u0,
         "div_u1": ws.div_residual,      # the certificate's |div u1|
         "mom_iters": ws.mom_iters, "mom_refactor": ws.mom_refactor,  # start-up solve
     }
@@ -505,12 +524,15 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
             t_snap = time.perf_counter()
             snapshots += _snapshot(out, state)
             snapshot_s += time.perf_counter() - t_snap
+    p_factor, m_factor = pressure_solver(mesh), ws.mom_factor
     traj = Trajectory(config=config, mesh=mesh, records=records,
                       init_diagnostics=diagnostics, state=state,
                       elapsed=time.perf_counter() - t0,
                       snapshot_files=len(snapshots),
                       snapshot_bytes=sum(p.stat().st_size for p in snapshots),
-                      snapshot_s=snapshot_s, mom_solves=ws.mom_solves)
+                      snapshot_s=snapshot_s, mom_solves=ws.mom_solves,
+                      pressure_factor=(p_factor.nnz, p_factor.build_s),
+                      momentum_factor=(m_factor.nnz, m_factor.build_s))
     if out:
         traj.write_monitors(out / "monitors.csv")
     return traj

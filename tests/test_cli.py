@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fvproj
@@ -161,10 +162,10 @@ class TestRun:
         assert main(["run", "oops"]) == EXIT_USAGE
 
     def test_unknown_key(self, capsys):
-        assert main(["run", "--mesh", "acute:0", "viscosity=2"]) == EXIT_CHECK_FAILED
+        assert main(["run", "--mesh", "acute:0", "viscosity=2"]) == EXIT_USAGE
         assert "unknown config key 'viscosity'" in capsys.readouterr().err
         # the mesh has one spelling, --mesh
-        assert main(["run", "mesh=acute:0", "steps=3"]) == EXIT_CHECK_FAILED
+        assert main(["run", "mesh=acute:0", "steps=3"]) == EXIT_USAGE
         assert "unknown config key 'mesh'" in capsys.readouterr().err
 
     def test_repeated_key_is_usage_error(self, capsys, monkeypatch):
@@ -179,14 +180,14 @@ class TestRun:
         assert runs == []
 
     def test_unparsable_value_names_its_key(self, capsys):
-        assert main(["run", "--mesh", "acute:0", "steps=abc"]) == EXIT_CHECK_FAILED
+        assert main(["run", "--mesh", "acute:0", "steps=abc"]) == EXIT_USAGE
         assert ("config key 'steps': cannot parse 'abc' as int"
                 in capsys.readouterr().err)
 
     def test_negative_cadence_rejected(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         assert main(["run", "--mesh", "acute:0", "case=zero", "steps=4",
-                     "cadence=-1", f"out={out_dir}"]) == EXIT_CHECK_FAILED
+                     "cadence=-1", f"out={out_dir}"]) == EXIT_USAGE
         assert "cadence must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.rglob("state_*.vtk"))
 
@@ -220,10 +221,103 @@ class TestRun:
     @pytest.mark.parametrize("override", ["k=nan", "re=nan", "k=inf"])
     def test_non_finite_step_or_reynolds_rejected(self, override, capsys):
         assert main(["run", "--mesh", "acute:0", "steps=3",
-                     override]) == EXIT_CHECK_FAILED
+                     override]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"config key '{override.split('=')[0]}'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("case=foo", "config key 'case': unknown case 'foo' (choose zero or "
+                     "manufactured-A)"),
+        ("steps=1", "config key 'steps': need at least 2 steps"),
+        ("re=0", "config key 're'"),
+    ])
+    def test_rejected_setting_is_usage_error(self, setting, message, capsys,
+                                             monkeypatch):
+        # a setting that RunConfig rejects stops the run before the mesh
+        # is built
+        built = []
+        monkeypatch.setattr(cli.scheme, "resolve_mesh", built.append)
+        assert main(["run", "--mesh", "acute:0", setting]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert built == []
+
+    def test_error_inside_run_is_check_failure(self, capsys, monkeypatch):
+        # a ValueError raised after the settings were accepted is not a
+        # usage error
+        def failing(config):
+            raise ValueError("raised inside the run")
+
+        monkeypatch.setattr(cli.scheme, "run", failing)
+        assert main(["run", "--mesh", "acute:0", "steps=3"]) == EXIT_CHECK_FAILED
+        assert "raised inside the run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mesh, overrides", [
+        ("acute:1", []),
+        ("acute:2", ["re=1e6", "k=1"]),  # the lagged factor is rebuilt
+    ])
+    def test_reports_factor_sizes(self, capsys, monkeypatch, mesh, overrides):
+        # the pressure factor's and the last momentum factor's stored
+        # entries and build times
+        from fvproj import operators, scheme
+        built, runs = [], []
+        factor, run = scheme.FactoredSolver, scheme.run
+
+        def recording_factor(*args, **kwargs):
+            built.append(factor(*args, **kwargs))
+            return built[-1]
+
+        def capturing(config):
+            runs.append(run(config))
+            return runs[-1]
+
+        monkeypatch.setattr(scheme, "FactoredSolver", recording_factor)
+        monkeypatch.setattr(scheme, "run", capturing)
+        assert main(["run", "--mesh", mesh, "case=manufactured-A", "steps=6"]
+                    + overrides) == EXIT_OK
+        out = capsys.readouterr().out
+        assert (len(built) > 1) == bool(overrides)
+        line = re.search(r"^  factors: pressure (\d+) entries in (\S+)s; "
+                         r"momentum (\d+) entries in (\S+)s$", out, re.MULTILINE)
+        assert line is not None
+        p_nnz, p_s, m_nnz, m_s = line.groups()
+        for factor, nnz, seconds in [
+                (operators.pressure_solver(runs[0].mesh), p_nnz, p_s),
+                (built[-1], m_nnz, m_s)]:
+            assert int(nnz) == factor.nnz == factor._lu.nnz
+            assert float(seconds) == pytest.approx(factor.build_s, rel=5e-3)
+        assert f"{len(built)} factor builds\n" in out
+
+    def test_reports_distance_to_steady(self, capsys, monkeypatch):
+        # the last increment and the least-squares slope of its log
+        # against t over the last half of the BDF2 steps, from the records
+        runs = []
+        run = cli.scheme.run
+
+        def capturing(config):
+            runs.append(run(config))
+            return runs[-1]
+
+        monkeypatch.setattr(cli.scheme, "run", capturing)
+        assert main(["run", "--mesh", "acute:1", "case=manufactured-A",
+                     "steps=21"]) == EXIT_OK
+        line = re.search(r"^  steady: last increment (\S+), "
+                         r"d log\(increment\)/dt = (\S+)$",
+                         capsys.readouterr().out, re.MULTILINE)
+        assert line is not None
+        records = runs[0].records
+        assert len(records) == 20
+        tail = records[10:]
+        slope = np.polyfit([r.t for r in tail],
+                           np.log([r.increment for r in tail]), 1)[0]
+        assert float(line.group(1)) == pytest.approx(records[-1].increment, rel=1e-6)
+        assert float(line.group(2)) == pytest.approx(slope, rel=1e-5)
+        assert slope < 0
+
+    def test_steady_rate_undefined_without_increments(self, capsys):
+        assert main(["run", "--mesh", "acute:0", "case=zero", "steps=5"]) == EXIT_OK
+        assert ("  steady: last increment 0.000000e+00, rate undefined\n"
+                in capsys.readouterr().out)
 
     def test_node_ele_mesh(self, tmp_path, capsys):
         # the .node suffix selects the node/ele reader, as in mesh-check

@@ -541,3 +541,37 @@ class TestStartingGuess:
         (warm, warm_calls), (star, star_calls), (cold, _) = (
             counted(A.guess), counted(u_star), counted(None))
         assert warm <= star < cold and warm_calls < star_calls
+
+
+class TestFactorStorage:
+    """Every SuperLU factor has unrelaxed supernodes: it stores the entries
+    of L and U and no explicit zeros of padding."""
+
+    @staticmethod
+    def _momentum_factor(mesh):
+        from fvproj import scheme
+        return scheme.initialize(scheme.RunConfig(), mesh)[2].mom_factor
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("which", ["pressure", "h", "momentum"])
+    def test_no_padded_entries(self, level, which):
+        mesh = unit_square_acute(level)
+        factor = {"pressure": pressure_solver, "h": h_solver,
+                  "momentum": self._momentum_factor}[which](mesh)
+        lu = factor._lu
+        assert factor.nnz == lu.nnz == lu.L.nnz + lu.U.nnz
+
+    def test_reports_its_build(self):
+        mesh = unit_square_acute(1)
+        factor = FactoredSolver(h_gram(mesh))
+        assert factor.nnz == factor._lu.nnz > mesh.num_triangles
+        assert 0.0 < factor.build_s < 10.0
+
+    def test_one_call_site(self):
+        # every factor goes through FactoredSolver, so every one gets its
+        # SuperLU settings
+        from pathlib import Path
+        import fvproj
+        sites = {path.name: path.read_text().count("splu(")
+                 for path in Path(fvproj.__file__).parent.glob("*.py")}
+        assert {name: n for name, n in sites.items() if n} == {"linalg.py": 1}

@@ -136,7 +136,8 @@ class TestConfig:
         listed = re.findall(r"^- `([^`]+)`", section, flags=re.M)
         assert sorted(listed) == sorted(scheme.CONFIG_KEYS)
         for key in listed:
-            RunConfig().with_overrides({key: "2"})
+            # a case is one of scheme.CASES; "2" parses for every other key
+            RunConfig().with_overrides({key: "zero" if key == "case" else "2"})
 
 
 class TestZeroRun:
