@@ -17,8 +17,7 @@ import numpy as np
 
 from . import analysis, scheme
 from .linalg import SolverError
-from .mesh import (MeshFormatError, MeshOrientationError, MeshTopologyError,
-                   resolve_mesh, validate_mesh)
+from .mesh import MeshFormatError, acute_level, resolve_mesh, validate_mesh
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,12 +34,10 @@ def _nonnegative(text: str) -> int:
 
 def _mesh_spec(text: str) -> str:
     """A mesh file path, passed through, or ``acute:L`` with L a level."""
-    if text.startswith("acute:"):
-        try:
-            _nonnegative(text.removeprefix("acute:"))
-        except argparse.ArgumentTypeError:
-            raise argparse.ArgumentTypeError(
-                f"want acute:L with L an integer >= 0, got {text!r}") from None
+    try:
+        acute_level(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 
@@ -147,11 +144,10 @@ def main(argv=None) -> int:
         if args.command == "mesh-check":
             return _cmd_mesh_check(args)
         return EXIT_USAGE
-    except (MeshFormatError, FileNotFoundError, OSError) as exc:
+    except (MeshFormatError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (MeshTopologyError, MeshOrientationError, SolverError,
-            scheme.SchemeError, ValueError) as exc:
+    except (SolverError, scheme.SchemeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -427,16 +427,20 @@ def unit_square_acute(level: int = 0) -> Mesh:
     return mesh
 
 
-def resolve_mesh(spec: str) -> Mesh:
-    """Turn a mesh specifier into a Mesh.
+def acute_level(spec: str) -> int | None:
+    """The level L of an ``acute:L`` mesh selector, or None for anything
+    else (a file path); ValueError, naming the selector, when L is not an
+    integer >= 0."""
+    if not spec.startswith("acute:"):
+        return None
+    level = spec.removeprefix("acute:")
+    if not level.isdecimal():
+        raise ValueError(f"want acute:L with L an integer >= 0, got {spec!r}")
+    return int(level)
 
-    ``acute:L`` selects the admissible family at level L; anything else is
-    a file path.
-    """
-    if spec.startswith("acute:"):
-        level = spec.removeprefix("acute:")
-        if not level.isdecimal():
-            raise ValueError(f"mesh selector {spec!r}: want acute:L with L "
-                             f"an integer >= 0")
-        return unit_square_acute(int(level))
-    return load_mesh(spec)
+
+def resolve_mesh(spec: str) -> Mesh:
+    """Turn a mesh specifier into a Mesh: ``acute:L`` selects the
+    admissible family at level L; anything else is a file path."""
+    level = acute_level(spec)
+    return load_mesh(spec) if level is None else unit_square_acute(level)

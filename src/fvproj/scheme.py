@@ -18,11 +18,13 @@ step out of (u^{-1}, u^0, p^0) = (u^0, u^0, 0) with the BDF1 coefficients
 The predictor matrix a0/k M + H/Re + C(u*) has the pattern of H at every
 step, so it is assembled as a data array on H's index arrays; both velocity
 components are solved together by one lockstep BiCGStab from the
-extrapolated predictor, preconditioned with a lagged SuperLU factor of the
-BDF2 momentum matrix 3/(2k) M + H/Re + C(u*): built at the first solve (the
-start-up step, whose a0 = 1 it does not match) and rebuilt after a
-component needs more than REFACTOR_ITERS iterations, or within the step
-when a solve with it does not converge in LAGGED_MAXITER iterations.
+extrapolated predictor, preconditioned with a lagged SuperLU factor.  The
+run's first momentum solve, the start-up step, builds a factor of the BDF2
+matrix 3/(2k) M + H/Re + C(u*).  Every solve runs with the current factor,
+capped at LAGGED_MAXITER (20) iterations per component.  A solve that does
+not converge within that cap is repeated at once with a fresh factor of the
+step's own matrix, uncapped (default 10 n), and that factor becomes the
+current one; only a failure of the repeat raises SolverError.
 """
 from __future__ import annotations
 
@@ -54,14 +56,12 @@ CERT_TOL = 1e-12
 MOMENTUM_TOL = Tolerance(rtol=1e-12)
 PRESSURE_TOL = Tolerance(rtol=1e-13)
 
-# A momentum solve of more BiCGStab iterations than this rebuilds the
-# preconditioner's factor at the next step; a fresh factor needs about 3.
-REFACTOR_ITERS = 20
-
-# A solve with a factor of another matrix stops at this many iterations per
-# component and is repeated with a fresh factor; uncapped, a failing one ran
-# until BiCGStab diverged (1,381 iterations at acute:3, Re = 1e5, k = 0.5).
-LAGGED_MAXITER = 2 * REFACTOR_ITERS
+# A solve with the current momentum factor stops at this many iterations
+# per component and is repeated with a fresh factor, which needs about 3;
+# uncapped, a failing one ran until BiCGStab diverged (1,381 iterations at
+# acute:3, Re = 1e5, k = 0.5).  Caps of 10 and 40 cost more builds or more
+# iterations on the convection-dominated runs (ROADMAP, dead ends).
+LAGGED_MAXITER = 20
 
 # The momentum solve starts from the quartic through the last five predictors
 # at the new step (these weights, newest first), or from u* until five exist.
@@ -212,7 +212,7 @@ class StepRecord:
     pyth_residual: float
     energy_residual: float
     mom_iters: int = 0          # BiCGStab iterations of both components
-    mom_refactor: int = 0       # momentum factors the step built (0 to 2)
+    mom_refactor: int = 0       # momentum factors the step built (0 or 1)
     p_backward_error: float = 0.0   # normwise backward error of the pressure solve
 
 
@@ -247,10 +247,10 @@ class Trajectory:
 
 
 class _Workspace:
-    """Once-per-run pieces: the projected (steady) forcing and the lagged
-    momentum factor with its refactor flag; and what the last substeps
-    leave for the step record.  Per-mesh matrices, masses and factors are
-    read from the mesh's cache where they are used."""
+    """Once-per-run pieces: the projected (steady) forcing and the current
+    momentum factor; and what the last substeps leave for the step record.
+    Per-mesh matrices, masses and factors are read from the mesh's cache
+    where they are used."""
 
     def __init__(self, config: RunConfig, mesh: Mesh):
         self.mesh = mesh
@@ -258,7 +258,6 @@ class _Workspace:
         self.cert_tol = CERT_TOL
         self.forcing = project_p0(self.case.forcing, mesh)
         self.mom_factor = None
-        self.refactor_due = True
         self.mom_iters = self.mom_refactor = self.mom_solves = 0
         self.convection = None      # weighted C(u*) of the last momentum step
         self.p_backward_error = 0.0
@@ -299,15 +298,18 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     assembled as a data array on the pattern of H, and one BiCGStab solve
     for both velocity components from the guess that GUESS_WEIGHTS sets.
 
-    ``grad_p`` is gradient(state.p_curr).  A solve preconditioned by a
-    factor of another matrix (the lagged one, or the start-up step's) stops
-    at LAGGED_MAXITER iterations per component; one that does not converge
-    is repeated with a fresh factor of this step's matrix, and only a
-    failure of that one raises SolverError.  Leaves the weighted convection
-    matrix C(u*) in ``ws.convection`` and |u*| in ``ws.u_star_l2``, the
-    step's BiCGStab iterations (every solve, both components) in
-    ``ws.mom_iters`` and the number of factors it built in
-    ``ws.mom_refactor``; adds its solves to ``ws.mom_solves``.
+    ``grad_p`` is gradient(state.p_curr).  The run's first momentum solve,
+    the start-up step, builds a factor of the BDF2 matrix
+    3/(2k) M + H/Re + C(u*).  Every solve runs with the current factor,
+    capped at LAGGED_MAXITER (20) iterations per component.  A solve that
+    does not converge within that cap is repeated at once with a fresh
+    factor of the step's own matrix, uncapped (default 10 n), and that
+    factor becomes the current one; only a failure of the repeat raises
+    SolverError.  Leaves the weighted convection matrix C(u*) in
+    ``ws.convection`` and |u*| in ``ws.u_star_l2``, the step's BiCGStab
+    iterations (every solve, both components) in ``ws.mom_iters`` and the
+    number of factors it built in ``ws.mom_refactor``; adds its solves to
+    ``ws.mom_solves``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
@@ -323,36 +325,31 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
         data[h_diagonal(mesh)] += shift * mesh.tri_area
         return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape)
 
-    A = with_mass(a0 / k)
-    builds = int(ws.refactor_due)
-    if builds:
-        ws.mom_factor = None  # free the old factor before building the new
-        ws.mom_factor = FactoredSolver(A if a0 == 1.5 else with_mass(1.5 / k))
+    ws.mom_refactor = 0
+    if ws.mom_factor is None:  # the start-up step
+        ws.mom_factor = FactoredSolver(with_mass(1.5 / k))
+        ws.mom_refactor = 1
     guess = (sum(w * v for w, v in zip(GUESS_WEIGHTS, state.predictors))
              if len(state.predictors) == len(GUESS_WEIGHTS) else u_star.values)
-    A = SparseOperator(A, ws.mom_factor.apply, guess)
-    exact = bool(builds) and a0 == 1.5  # the factor is of this step's matrix
+    A = SparseOperator(with_mass(a0 / k), ws.mom_factor.apply, guess)
     rhs = (ws.forcing.values
            - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
            - grad_p.values) * mesh.tri_area[:, None]
-    out, info = solve(A, rhs, MOMENTUM_TOL if exact else
-                      replace(MOMENTUM_TOL, maxiter=LAGGED_MAXITER))
+    out, info = solve(A, rhs, replace(MOMENTUM_TOL, maxiter=LAGGED_MAXITER))
     ws.mom_iters = info.iterations
     ws.mom_solves += 1
-    if not info.converged and not exact:
+    if not info.converged:
         # u* has moved too far from the factor's: factor this matrix
         A.preconditioner = ws.mom_factor = None
         ws.mom_factor = FactoredSolver(A.matrix)
         A.preconditioner = ws.mom_factor.apply
-        builds += 1
+        ws.mom_refactor += 1
         out, info = solve(A, rhs, MOMENTUM_TOL)
         ws.mom_iters += info.iterations
         ws.mom_solves += 1
     if not info.converged:
         c = next(c for c, col in enumerate(info.columns) if not col.converged)
         raise SolverError(f"momentum solve (component {c}) failed: {info.columns[c]}")
-    ws.refactor_due = max(col.iterations for col in info.columns) > REFACTOR_ITERS
-    ws.mom_refactor = builds
     return VectorP0(mesh, out)
 
 

@@ -41,6 +41,16 @@ class TestMeshCheck:
         assert main(["mesh-check", "--mesh", str(path)]) == EXIT_CHECK_FAILED
         assert "admissible=False" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["mesh-check", "run"])
+    def test_clockwise_mesh_file_fails_check(self, tmp_path, capsys, command):
+        # a file that reads but holds a clockwise triangle fails a check
+        # (exit 1); it is not an I/O error
+        path = tmp_path / "cw.mesh"
+        path.write_text("3 1\n0 0\n1 0\n0 1\n0 2 1\n")
+        assert main([command, "--mesh", str(path)]) == EXIT_CHECK_FAILED
+        assert ("error: triangle 0 has non-positive signed area -5.000e-01"
+                in capsys.readouterr().err)
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["mesh-check", "--mesh",
                      str(tmp_path / "nope.mesh")]) == EXIT_IO

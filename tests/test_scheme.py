@@ -418,22 +418,43 @@ class TestMomentumPreconditioner:
         assert [r.mom_refactor for r in traj.records] == [0] * 19
 
     def test_refactor_each_step_still_meets_rtol(self, monkeypatch):
-        monkeypatch.setattr(scheme, "REFACTOR_ITERS", 0)
+        # a cap of one iteration fails every capped solve, so every step,
+        # the start-up step included, repeats its solve with a fresh factor
+        monkeypatch.setattr(scheme, "LAGGED_MAXITER", 1)
         traj, factors, solves = self._counted_run(monkeypatch, 6)
-        assert len(factors) == 6
+        assert len(factors) == 7 and len(solves) == 12
+        assert traj.init_diagnostics["mom_refactor"] == 2
         assert [r.mom_refactor for r in traj.records] == [1] * 5
-        assert max(res for _, res, _ in solves) <= scheme.MOMENTUM_TOL.rtol
+        assert max(res for _, res, _ in solves[1::2]) <= scheme.MOMENTUM_TOL.rtol
 
-    def test_rebuilt_only_when_flagged(self):
+    def test_rebuilt_only_after_a_failed_solve(self, monkeypatch):
+        # a factor serves until a capped solve with it fails; the repeat's
+        # fresh factor of the step's own matrix becomes the current one
+        from fvproj import linalg
+        matrices = []
+
+        def recording_solve(A, b, config=None, **kwargs):
+            matrices.append(A.matrix)
+            return linalg.solve(A, b, config, **kwargs)
+
+        monkeypatch.setattr(scheme, "solve", recording_solve)
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
-        state, _, ws = initialize(cfg, unit_square_acute(1))
+        mesh = unit_square_acute(1)
+        state, _, ws = initialize(cfg, mesh)
         first = ws.mom_factor
         state, rec = advance(state, cfg, ws)
         assert ws.mom_factor is first and rec.mom_refactor == 0
-        ws.refactor_due = True
+        # a factor of H alone does not bring the step's solve to
+        # convergence within the cap
+        ws.mom_factor = lagged = scheme.FactoredSolver(h_gram(mesh))
         state, rec = advance(state, cfg, ws)
-        assert ws.mom_factor is not first and rec.mom_refactor == 1
-        assert not ws.refactor_due
+        assert rec.mom_refactor == 1 and rec.mom_iters > 2 * scheme.LAGGED_MAXITER
+        fresh = ws.mom_factor
+        assert fresh not in (first, lagged)
+        x = np.random.default_rng(0).standard_normal((mesh.num_triangles, 2))
+        assert np.allclose(fresh.apply(matrices[-1] @ x), x, rtol=0, atol=1e-10)
+        state, rec = advance(state, cfg, ws)
+        assert ws.mom_factor is fresh and rec.mom_refactor == 0
 
 
 class TestMomentumRetry:
@@ -463,7 +484,7 @@ class TestMomentumRetry:
                         case="manufactured-A")
         traj = run(cfg)
         cap = scheme.LAGGED_MAXITER
-        assert cap == 2 * scheme.REFACTOR_ITERS
+        assert cap == 20
         failed = [i for i, (ok, *_) in enumerate(solves) if not ok]
         assert failed
         for i in failed:
@@ -477,8 +498,37 @@ class TestMomentumRetry:
             assert res <= scheme.MOMENTUM_TOL.rtol
         assert all(max(cols) <= cap for _, _, _, maxiter, cols in solves
                    if maxiter == cap)
-        assert sum(r.mom_refactor for r in traj.records) >= len(failed)
+        # one factor at start-up, and one for each repeat
+        builds = [traj.init_diagnostics["mom_refactor"]] + [
+            r.mom_refactor for r in traj.records]
+        assert sum(builds) == 1 + len(failed)
         assert max(r.energy_residual for r in traj.records) <= 1e-10
+
+    def test_every_later_build_follows_a_failed_capped_solve(self, monkeypatch):
+        # a factor is built only at the run's first solve and for the
+        # repeat of a capped solve that failed: nothing builds ahead
+        from fvproj import linalg
+        events = []
+        factor = scheme.FactoredSolver
+
+        def recording_factor(*args, **kwargs):
+            events.append("build")
+            return factor(*args, **kwargs)
+
+        def recording_solve(A, b, config=None, **kwargs):
+            x, info = linalg.solve(A, b, config, **kwargs)
+            events.append((info.converged, config.maxiter))
+            return x, info
+
+        monkeypatch.setattr(scheme, "FactoredSolver", recording_factor)
+        monkeypatch.setattr(scheme, "solve", recording_solve)
+        run(RunConfig(mesh_spec="acute:2", k=1.0, n_steps=10, re=1e6,
+                      case="manufactured-A"))
+        builds = [i for i, e in enumerate(events) if e == "build"]
+        assert builds[0] == 0 and len(builds) > 2
+        for i in builds[1:]:
+            assert events[i - 1] == (False, scheme.LAGGED_MAXITER)
+            assert events[i + 1] == (True, None)
 
     def test_fresh_factor_failure_raises(self, monkeypatch):
         # no solve meets rtol 1e-30: the lagged factor fails, one fresh
