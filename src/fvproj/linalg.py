@@ -202,38 +202,70 @@ def solve(A, b, tol: Tolerance, zero_mean_weights=None):
     return np.ascontiguousarray(x.T), info
 
 
+def _superlu(M, permc_spec: str, name: str, **options):
+    """SuperLU's factor of the CSC matrix M with unrelaxed supernodes and
+    one-column panels; raises SolverError, naming ``name``, if SuperLU
+    fails (a factor that is exactly singular)."""
+    try:
+        return spla.splu(M, permc_spec=permc_spec, relax=1, panel_size=1,
+                         options=options)
+    except RuntimeError as exc:
+        raise SolverError(f"{name}: SuperLU: {exc}") from None
+
+
+def _upper_factor(M, name: str):
+    """(SuperLU of U, D, p) for a symmetric positive definite CSC matrix M:
+    M[i, j] = (U^T D^{-1} U)[p[i], p[j]] with D = diag(U), from SuperLU's
+    LU of M with diagonal pivots only.  The SuperLU object of U has L = I,
+    so it stores nnz(U) + n entries; the full LU of M dies here (its
+    ``perm_c`` is a view of it, so p is a copy)."""
+    lu = _superlu(M, "MMD_AT_PLUS_A", name, SymmetricMode=True, DiagPivotThresh=0.0)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(f"{name}: zero diagonal pivot: the matrix is not "
+                          "positive definite")
+    U, perm = lu.U, lu.perm_c.copy()
+    del lu  # before the second pass, which would otherwise sit on top of it
+    return _superlu(U, "NATURAL", name, DiagPivotThresh=0.0), U.diagonal(), perm
+
+
 class FactoredSolver:
     """Direct solver of A x = b for a fixed A, factored once by SuperLU
     with a minimum-degree ordering of its symmetric pattern (the default
     COLAMD ordering fills about twice as much on the pressure Laplacian)
-    and diagonal pivots preferred.  That suits the symmetric pressure and
-    H1 matrices and the nonsymmetric momentum matrix, which is structurally
-    symmetric and column diagonally dominant (SuperLU keeps its diagonal
-    pivots on acute:3 and acute:5).
+    and diagonal pivots preferred.  That suits the symmetric H1 matrix and
+    the nonsymmetric momentum matrix, which is structurally symmetric and
+    column diagonally dominant (SuperLU keeps its diagonal pivots on
+    acute:3 and acute:5).
 
     Supernodes are not relaxed and panels are one column wide (SuperLU's
     ``relax`` and ``panel_size``; Demmel, Eisenstat, Gilbert, Li and Liu,
     SIAM J. Matrix Anal. Appl. 20(3), 1999).  On these 2D mesh matrices,
     about 35 entries per row of L + U, the defaults (relax 10, wide panels)
     pad small supernodes with explicit zeros and gain nothing from wide
-    panels: at acute:5 the grounded pressure factor stores 1,537,936 entries
-    against nnz(L) + nnz(U) = 1,440,830 and builds in 125-153 ms against
-    76-88 ms, and the momentum factor stores 980,742 against 895,402 and
-    builds in 62-74 ms against 40-52 ms, with the same solve times and
-    backward errors.  ``nnz`` is the entries the factor stores and
-    ``build_s`` the wall time of its build.
+    panels: at acute:5 the momentum factor stores 980,742 entries against
+    nnz(L) + nnz(U) = 895,402 and builds in 62-74 ms against 40-52 ms,
+    with the same solve times and backward errors.  ``nnz`` is the entries
+    the factor stores and ``build_s`` the wall time of its build; ``name``
+    names the matrix in a SolverError when SuperLU finds it singular.
 
     Without weights A must be nonsingular.  With weights w, A is symmetric
     positive semidefinite with the constants as kernel, and the solve is on
     the subspace w . x = 0.  Unknown 0 is grounded: the factor is of A with
     its row and column 0 deleted (Bochev and Lehoucq, SIAM Review 47(1),
     2005), which keeps the sparsity that a dense border [[A, w], [w', 0]]
-    would spoil.  A solve takes x0 = [0; A_00^{-1} b_0], shifts it to zero
-    weighted mean, and refines it once (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 12) by the same solve of r - w sum(r) / sum(w),
-    r = b - A x0: the grounded solve leaves the rounding of every row in row
-    0, and the correction spreads it along w.  An incompatible right-hand
-    side (sum b != 0) keeps its sum in row 0 and fails the gate.
+    would spoil.  That block is positive definite, so SuperLU factors it
+    with diagonal pivots only, U = D L^T, and the factor keeps U alone
+    (George and Liu, Computer Solution of Large Sparse Positive Definite
+    Systems, 1981): A_00^{-1} = P U^{-1} D U^{-T} P^T is a transposed and a
+    plain solve with the SuperLU object of U.  At acute:5 that stores
+    760,542 entries against the LU's 1,440,830, solves about 15% faster
+    and builds 60-100 ms slower (a second SuperLU pass, over U).  A solve
+    takes x0 = [0; A_00^{-1} b_0], shifts it to zero weighted mean, and
+    refines it once (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 12) by the same solve of r - w sum(r) / sum(w),
+    r = b - A x0: the grounded solve leaves the rounding of every row in
+    row 0, and the correction spreads it along w.  An incompatible
+    right-hand side (sum b != 0) keeps its sum in row 0 and fails the gate.
 
     Each solve is gated, column by column, on its normwise backward error
     |b - A x| <= max(rtol (|A| |x| + |b|), atol) in the infinity norm
@@ -242,7 +274,7 @@ class FactoredSolver:
     meshes.
     """
 
-    def __init__(self, A, weights=None):
+    def __init__(self, A, weights=None, name: str = "FactoredSolver"):
         A = sp.csr_matrix(A)
         n = A.shape[0]
         w = None if weights is None else np.asarray(weights, dtype=float)
@@ -253,16 +285,21 @@ class FactoredSolver:
         self._unit = None if w is None else w / w.sum()  # unit-sum weights
         self.norm_inf = float(spla.norm(A, np.inf))
         start = time.perf_counter()
-        self._lu = spla.splu((A if w is None else A[1:, 1:]).tocsc(),
-                             permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
-                             options={"SymmetricMode": True})
+        if w is None:
+            self._lu = _superlu(A.tocsc(), "MMD_AT_PLUS_A", name, SymmetricMode=True)
+            self.nnz = self._lu.nnz
+        else:
+            self._upper, self._diag, self._perm = _upper_factor(A[1:, 1:].tocsc(), name)
+            self.nnz = self._upper.nnz
         self.build_s = time.perf_counter() - start
-        self.nnz = self._lu.nnz
 
     def _grounded(self, b):
         """[0; A_00^{-1} b_0] shifted to zero weighted mean."""
+        c = np.empty_like(b[1:])
+        c[self._perm] = b[1:]
+        y = self._upper.solve(c, trans="T")
         x = np.zeros_like(b)
-        x[1:] = self._lu.solve(b[1:])
+        x[1:] = self._upper.solve((y.T * self._diag).T)[self._perm]
         x -= self._unit @ x
         return x
 

@@ -98,13 +98,14 @@ def pressure_stiffness(mesh: Mesh) -> sp.csr_matrix:
 def pressure_solver(mesh: Mesh) -> FactoredSolver:
     """The factored pressure Laplacian on the mass-weighted zero-mean
     subspace (grounded at edge 0, see ``FactoredSolver``)."""
-    return FactoredSolver(pressure_stiffness(mesh), p1nc_mass(mesh))
+    return FactoredSolver(pressure_stiffness(mesh), p1nc_mass(mesh),
+                          name="pressure Laplacian")
 
 
 @per_mesh
 def h_solver(mesh: Mesh) -> FactoredSolver:
     """The factored Gram matrix H of the discrete H1 norm (SPD)."""
-    return FactoredSolver(h_gram(mesh))
+    return FactoredSolver(h_gram(mesh), name="H1 Gram matrix")
 
 
 def dual_norm(v: VectorP0) -> float:

@@ -327,7 +327,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
 
     ws.mom_refactor = 0
     if ws.mom_factor is None:  # the start-up step
-        ws.mom_factor = FactoredSolver(with_mass(1.5 / k))
+        ws.mom_factor = FactoredSolver(with_mass(1.5 / k), name="momentum matrix")
         ws.mom_refactor = 1
     guess = (sum(w * v for w, v in zip(GUESS_WEIGHTS, state.predictors))
              if len(state.predictors) == len(GUESS_WEIGHTS) else u_star.values)
@@ -341,7 +341,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     if not info.converged:
         # u* has moved too far from the factor's: factor this matrix
         A.preconditioner = ws.mom_factor = None
-        ws.mom_factor = FactoredSolver(A.matrix)
+        ws.mom_factor = FactoredSolver(A.matrix, name="momentum matrix")
         A.preconditioner = ws.mom_factor.apply
         ws.mom_refactor += 1
         out, info = solve(A, rhs, MOMENTUM_TOL)
@@ -466,6 +466,9 @@ def initialize(config: RunConfig, mesh: Mesh):
     u0 = ws.certify(u0_field, "initial projection",
                     div_scale=l2_norm(divergence(u0_raw)))
     u0_l2, div_u0 = ws.u_l2, ws.div_residual
+    # before the start-up step, so that the quadrature's temporaries are
+    # gone before the momentum factor is built
+    err0 = _quadrature_error(u0.field, ws.case.u0)
 
     state = SchemeState(u_prev=u0, u_curr=u0,
                         p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
@@ -473,7 +476,6 @@ def initialize(config: RunConfig, mesh: Mesh):
     state = _substeps(state, config, ws, gradient(state.p_curr))
     k_grad_p1_l2 = k * l2_norm(state.grad_p)
 
-    err0 = _quadrature_error(u0.field, ws.case.u0)
     diagnostics = {
         "u0_l2": u0_l2,
         "u1_l2": ws.u_l2,               # the certificate's |u1|

@@ -545,7 +545,9 @@ class TestStartingGuess:
 
 class TestFactorStorage:
     """Every SuperLU factor has unrelaxed supernodes: it stores the entries
-    of L and U and no explicit zeros of padding."""
+    of its triangles and no explicit zeros of padding.  The pressure factor
+    keeps the upper triangle U of the grounded block alone, as a SuperLU
+    object with L = I."""
 
     @staticmethod
     def _momentum_factor(mesh):
@@ -558,14 +560,51 @@ class TestFactorStorage:
         mesh = unit_square_acute(level)
         factor = {"pressure": pressure_solver, "h": h_solver,
                   "momentum": self._momentum_factor}[which](mesh)
-        lu = factor._lu
+        lu = factor._upper if which == "pressure" else factor._lu
         assert factor.nnz == lu.nnz == lu.L.nnz + lu.U.nnz
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_pressure_factor_stores_one_triangle(self, level):
+        # nnz(U) + n entries (L = I), with the fill of the full LU's U
+        mesh = unit_square_acute(level)
+        factor, n = pressure_solver(mesh), mesh.num_edges - 1
+        upper = factor._upper
+        assert factor.nnz == upper.U.nnz + n
+        assert upper.L.nnz == n
+        assert np.array_equal(upper.perm_r, np.arange(n))
+        full = spla.splu(pressure_stiffness(mesh)[1:, 1:].tocsc(),
+                         permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
+                         options={"SymmetricMode": True})
+        assert upper.U.nnz == full.U.nnz == full.L.nnz
+        assert 2 * upper.nnz == full.nnz + 2 * n
+
+    def test_full_lu_does_not_outlive_the_build(self):
+        # the full LU's perm_c is a view of it: an array the pressure
+        # factor kept from it would keep all of it alive.  The one SuperLU
+        # object it keeps, directly or under an array, is the factor of U
+        factor = pressure_solver(unit_square_acute(2))
+        superlu = type(factor._upper)
+        for name, value in vars(factor).items():
+            while isinstance(value, np.ndarray):
+                value = value.base
+            assert not isinstance(value, superlu) or value is factor._upper, name
 
     def test_reports_its_build(self):
         mesh = unit_square_acute(1)
         factor = FactoredSolver(h_gram(mesh))
         assert factor.nnz == factor._lu.nnz > mesh.num_triangles
         assert 0.0 < factor.build_s < 10.0
+
+    def test_singular_matrix_raises_solver_error(self):
+        with pytest.raises(SolverError, match="^named: SuperLU: .*singular"):
+            FactoredSolver(sp.csr_matrix(np.ones((2, 2))), name="named")
+
+    def test_zero_diagonal_pivot_raises_solver_error(self):
+        # the grounded block [[0, 1], [1, 0]] is nonsingular but indefinite,
+        # so SuperLU must leave its diagonal
+        A = np.array([[2.0, -1.0, -1.0], [-1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]])
+        with pytest.raises(SolverError, match="^named: zero diagonal pivot"):
+            FactoredSolver(A, np.ones(3), name="named")
 
     def test_one_call_site(self):
         # every factor goes through FactoredSolver, so every one gets its
