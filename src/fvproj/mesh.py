@@ -1,7 +1,7 @@
 """Triangular meshes with circumcenter-based edge geometry.
 
-A mesh is admissible when every interior angle is strictly acute, which
-puts each circumcenter strictly inside its triangle and makes the
+A mesh is admissible when it is one piece of strictly acute triangles,
+which puts each circumcenter strictly inside its triangle and makes the
 circumcenter-to-circumcenter segment of neighbouring triangles orthogonal
 to their shared edge.  All edge weights (transmissibilities) of the
 two-point-flux operators are derived from that geometry.
@@ -34,6 +34,7 @@ class MeshQualityReport:
     min_tau: float
     min_d_over_edge: float
     min_edge_over_h: float
+    pieces: int     # a second one leaves a pressure constant to rounding
     admissible: bool
 
     def __str__(self):
@@ -41,7 +42,7 @@ class MeshQualityReport:
         return (
             f"angles [{self.min_angle * deg:.3f}, {self.max_angle * deg:.3f}] deg, "
             f"min tau {self.min_tau:.4g}, min d/|e| {self.min_d_over_edge:.4g}, "
-            f"min |e|/h {self.min_edge_over_h:.4g}, "
+            f"min |e|/h {self.min_edge_over_h:.4g}, pieces {self.pieces}, "
             f"admissible={self.admissible}"
         )
 
@@ -229,22 +230,32 @@ def _circumcenters(a, b, c, cross):
 def validate_mesh(mesh: Mesh) -> MeshQualityReport:
     """Quality report; never raises.
 
-    Admissibility requires strictly acute angles and positive
-    circumcenter distances on every edge.
+    Admissibility requires one piece (cells joined by interior edges),
+    strictly acute angles and positive circumcenter distances on every edge.
     """
+    K, L = mesh.edge_owner[mesh.interior_edges], mesh.edge_neighbor[mesh.interior_edges]
+    root = np.arange(mesh.num_triangles)  # hooked to the least label, then jumped
+    while not np.array_equal(root[K], root[L]):
+        np.minimum.at(root, root[K], root[L])
+        np.minimum.at(root, root[L], root[K])
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+    pieces = int(np.count_nonzero(root == np.arange(mesh.num_triangles)))
     ang = mesh.angles()
     tau = mesh.edge_tau
     with np.errstate(invalid="ignore"):
         d_over_edge = mesh.edge_d / mesh.edge_length
     edge_over_h = mesh.edge_length / mesh.h if mesh.h > 0 else np.zeros_like(mesh.edge_length)
     min_d = float(d_over_edge.min()) if len(d_over_edge) else 0.0
-    admissible = bool(ang.max() < 0.5 * np.pi and min_d > 0.0 and np.all(np.isfinite(tau)))
+    admissible = bool(pieces == 1 and ang.max() < 0.5 * np.pi and min_d > 0.0
+                      and np.all(np.isfinite(tau)))
     return MeshQualityReport(
         min_angle=float(ang.min()),
         max_angle=float(ang.max()),
         min_tau=float(tau.min()),
         min_d_over_edge=min_d,
         min_edge_over_h=float(edge_over_h.min()) if len(edge_over_h) else 0.0,
+        pieces=pieces,
         admissible=admissible,
     )
 

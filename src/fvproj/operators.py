@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
-                     h_gram, l2_inner, p1nc_mass)
-from .linalg import FactoredSolver, Tolerance
+                     h_gram, l2_inner, l2_norm, p1nc_mass)
+from .linalg import FactoredSolver, SolverError, Tolerance
 from .mesh import Mesh, per_mesh
 
 
@@ -117,14 +117,24 @@ def dual_norm(v: VectorP0) -> float:
 
 
 def leray_project(v: VectorP0, tol: Tolerance, where: str = "Leray projection"):
-    """Discrete Leray projection: remove the gradient part of a cellwise
-    field by one zero-mean pressure solve.  Returns (projected field,
-    potential); the caller certifies or trusts the projected field."""
-    mesh = v.mesh
-    phi, _ = pressure_solver(mesh).solve(
-        -(p1nc_mass(mesh) * divergence(v).values), tol, where)
-    phi = ScalarP1NC(mesh, phi)
-    return v - gradient(phi), phi
+    """Discrete Leray projection v - grad phi, (grad phi, grad r) = (v, grad r)
+    for all r, by one zero-mean pressure solve: every projection of the
+    scheme and the verification suite.  Returns (projected field, phi, the
+    solve's SolveInfo, |div v|); the caller certifies or trusts the field.
+    A right-hand side -(div v, r) whose sum is above rounding raises
+    SolverError naming ``where``; the rounding-level sum is removed, since
+    in the grounded row it fails the gate when div v is small against v."""
+    solver = pressure_solver(v.mesh)  # built before the field's temporaries
+    mass = p1nc_mass(v.mesh)
+    div = divergence(v)
+    weighted = mass * div.values
+    if abs(weighted.sum()) > 1e-12 * max(np.linalg.norm(weighted), 1.0):
+        raise SolverError(f"{where}: right-hand side incompatible: "
+                          f"(div v, 1) = {weighted.sum():.3e}")
+    weighted -= mass * (weighted.sum() / mass.sum())
+    phi, info = solver.solve(-weighted, tol, where)
+    phi = ScalarP1NC(v.mesh, phi)
+    return v - gradient(phi), phi, info, l2_norm(div)
 
 
 def laplacian_p0(v: VectorP0) -> VectorP0:

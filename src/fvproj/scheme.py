@@ -5,9 +5,9 @@ Each step advances (u^{n-1}, u^n, p^n) to (u_tilde, p^{n+1}, u^{n+1}):
 
 * predictor: (a0 u_tilde + a1 u^n + a2 u^{n-1}) / k - (1/Re) lap u_tilde
   + upwind(2 u^n - u^{n-1}, u_tilde) + grad p^n = f^{n+1},
-* pressure: (grad dp, grad r) = -(a0/k) (div u_tilde, r) on the
-  zero-mean subspace,
-* correction: u^{n+1} = u_tilde - (k/a0) grad dp,
+* pressure and correction, one discrete Leray projection of u_tilde
+  (``leray_project``): u^{n+1} = u_tilde - grad phi and p^{n+1} = p^n + dp,
+  dp = (a0/k) phi, so (grad dp, grad r) = -(a0/k) (div u_tilde, r),
 
 which leaves u^{n+1} divergence free up to the pressure-solve residual.
 (a0, a1, a2) = (3/2, -2, 1/2) is BDF2.  Start-up: u^0 is the discrete
@@ -18,13 +18,8 @@ step out of (u^{-1}, u^0, p^0) = (u^0, u^0, 0) with the BDF1 coefficients
 The predictor matrix a0/k M + H/Re + C(u*) has the pattern of H at every
 step, so it is assembled as a data array on H's index arrays; both velocity
 components are solved together by one lockstep BiCGStab from the
-extrapolated predictor, preconditioned with a lagged SuperLU factor.  The
-run's first momentum solve, the start-up step, builds a factor of the BDF2
-matrix 3/(2k) M + H/Re + C(u*).  Every solve runs with the current factor,
-capped at LAGGED_MAXITER (20) iterations per component.  A solve that does
-not converge within that cap is repeated at once with a fresh factor of the
-step's own matrix, uncapped (default 10 n), and that factor becomes the
-current one; only a failure of the repeat raises SolverError.
+extrapolated predictor, preconditioned with a lagged SuperLU factor that
+is rebuilt only for a capped solve that failed (``momentum_step``).
 """
 from __future__ import annotations
 
@@ -37,7 +32,7 @@ import scipy.sparse as sp
 
 from . import vtkio
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram, h_norm,
-                     l2_inner, l2_norm, mean_zero, p1nc_mass, project_p0)
+                     l2_inner, l2_norm, mean_zero, project_p0)
 from .linalg import FactoredSolver, SolverError, SparseOperator, Tolerance, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
 from .operators import (convection_matrix, divergence, gradient, h_diagonal,
@@ -354,38 +349,23 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
 
 
 def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
-                  ws: _Workspace, div_tilde: ScalarP1NC):
-    """Solve for the pressure increment; returns (p_next, dp) and leaves
-    the solve's normwise backward error in ``ws.p_backward_error``.
-    ``div_tilde`` is divergence(u_tilde)."""
-    mesh = u_tilde.mesh
-    mass = p1nc_mass(mesh)
-    weighted = mass * div_tilde.values
-    compat = abs(float(weighted.sum()))
-    scale = float(np.linalg.norm(weighted))
-    if compat > 1e-12 * max(scale, 1.0):
-        raise SchemeError(
-            f"pressure right-hand side incompatible: (div u, 1) = {compat:.3e}")
-    # the rounding-level sum that passes the check would stay in the
-    # grounded row of the zero-mean solve and, at small k, fail its gate
-    weighted -= mass * (weighted.sum() / mass.sum())
-    rhs = -_bdf_coefficients(state)[0] / config.k * weighted
-    dp_vals, info = pressure_solver(mesh).solve(rhs, PRESSURE_TOL,
-                                                f"pressure step {state.n + 1}")
+                  ws: _Workspace):
+    """Project u_tilde with ``leray_project``: returns (u^{n+1} = u_tilde -
+    grad phi, p^{n+1} = p^n + (a0/k) phi at zero mean, |div u_tilde|) and
+    leaves the solve's normwise backward error in ``ws.p_backward_error``."""
+    u_next, phi, info, div_l2 = leray_project(u_tilde, PRESSURE_TOL,
+                                              f"pressure step {state.n + 1}")
     ws.p_backward_error = info.backward_error
-    dp = ScalarP1NC(mesh, dp_vals)
-    p_next = mean_zero(state.p_curr + dp)
-    return p_next, dp
+    a0 = _bdf_coefficients(state)[0]
+    return u_next, mean_zero(state.p_curr + (a0 / config.k) * phi), div_l2
 
 
-def correction_step(state: SchemeState, u_tilde: VectorP0, p_next: ScalarP1NC,
-                    dp: ScalarP1NC, config: RunConfig, ws: _Workspace,
-                    div_tilde: ScalarP1NC) -> SchemeState:
-    """Subtract the increment gradient and rotate the state, which keeps
-    gradient(p_next) for the next step; ``div_tilde`` is divergence(u_tilde)."""
-    u_next = u_tilde - (config.k / _bdf_coefficients(state)[0]) * gradient(dp)
-    cert = ws.certify(u_next, f"correction step {state.n + 1}",
-                      div_scale=l2_norm(div_tilde))
+def correction_step(state: SchemeState, u_tilde: VectorP0, u_next: VectorP0,
+                    p_next: ScalarP1NC, config: RunConfig, ws: _Workspace,
+                    div_scale: float) -> SchemeState:
+    """Certify the projected u^{n+1} (``div_scale`` is |div u_tilde|) and
+    rotate the state, which keeps gradient(p_next) for the next step."""
+    cert = ws.certify(u_next, f"correction step {state.n + 1}", div_scale)
     history = (u_tilde.values,) + state.predictors
     return SchemeState(u_prev=state.u_curr, u_curr=cert, p_curr=p_next,
                        t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde,
@@ -397,9 +377,8 @@ def _substeps(state: SchemeState, config: RunConfig, ws: _Workspace,
     """The three substeps out of ``state`` (BDF1 at n = 0, BDF2 after);
     ``grad_p`` is gradient(state.p_curr)."""
     u_tilde = momentum_step(state, config, ws, grad_p=grad_p)
-    div_tilde = divergence(u_tilde)
-    p_next, dp = pressure_step(state, u_tilde, config, ws, div_tilde)
-    return correction_step(state, u_tilde, p_next, dp, config, ws, div_tilde)
+    u_next, p_next, div_scale = pressure_step(state, u_tilde, config, ws)
+    return correction_step(state, u_tilde, u_next, p_next, config, ws, div_scale)
 
 
 def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
@@ -461,10 +440,9 @@ def initialize(config: RunConfig, mesh: Mesh):
     ws = _Workspace(config, mesh)
     k = config.k
 
-    u0_raw = project_p0(ws.case.u0, mesh)
-    u0_field, _ = leray_project(u0_raw, PRESSURE_TOL, "initial projection")
-    u0 = ws.certify(u0_field, "initial projection",
-                    div_scale=l2_norm(divergence(u0_raw)))
+    u0_field, _, _, div_raw = leray_project(project_p0(ws.case.u0, mesh),
+                                            PRESSURE_TOL, "initial projection")
+    u0 = ws.certify(u0_field, "initial projection", div_raw)
     u0_l2, div_u0 = ws.u_l2, ws.div_residual
     # before the start-up step, so that the quadrature's temporaries are
     # gone before the momentum factor is built

@@ -262,17 +262,32 @@ class TestRun:
         assert main(["run", "--mesh", "acute:0", "steps=3"]) == EXIT_CHECK_FAILED
         assert "raised inside the run" in capsys.readouterr().err
 
-    def test_singular_pressure_factor_is_check_failure(self, tmp_path, capsys):
-        # two disjoint acute triangles pass mesh-check, but the grounded
-        # pressure Laplacian keeps the constants of the second one in its
-        # kernel, and SuperLU finds it exactly singular
-        path = tmp_path / "two.msh"
-        path.write_text("6 2\n0 0\n1 0\n0.6 0.7\n2 0\n3 0\n2.6 0.7\n0 1 2\n3 4 5\n")
-        assert main(["mesh-check", "--mesh", str(path)]) == EXIT_OK
-        assert main(["run", "--mesh", str(path), "steps=2"]) == EXIT_CHECK_FAILED
+    def test_disconnected_mesh_refused(self, tmp_path, capsys):
+        # two acute triangles apart, and two that share only a vertex: two
+        # pieces each, whose second pressure constant only rounding would
+        # set (the run once printed |p|=92532.1 and exited 0)
+        meshes = {"two.mesh": "6 2\n0 0\n1 0\n0.5 0.9\n3 0\n4 0\n3.5 0.9\n0 1 2\n3 4 5\n",
+                  "bowtie.mesh": "5 2\n0 0\n1 0\n0.5 0.9\n2 0\n1.5 0.9\n0 1 2\n1 3 4\n"}
+        for name, text in meshes.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["mesh-check", "--mesh", str(path)]) == EXIT_CHECK_FAILED
+            assert "pieces 2, admissible=False" in capsys.readouterr().out
+            assert main(["run", "--mesh", str(path), "steps=2"]) == EXIT_CHECK_FAILED
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: mesh is not admissible: ")
+            assert "Traceback" not in captured.err
+
+    def test_solver_failure_inside_run_is_check_failure(self, capsys, monkeypatch):
+        # no solve meets rtol 1e-30: the start-up projection's SolverError
+        # names it in one error line
+        from fvproj.linalg import Tolerance
+        monkeypatch.setattr(cli.scheme, "PRESSURE_TOL", Tolerance(rtol=1e-30, atol=1e-300))
+        assert main(["run", "--mesh", "acute:0", "steps=3"]) == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
-        assert "error: pressure Laplacian: SuperLU: Factor is exactly singular" in err
-        assert "Traceback" not in err
+        assert err.startswith("error: initial projection: factored solve failed")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("mesh, overrides", [
         ("acute:1", []),

@@ -7,8 +7,9 @@ from fvproj import mesh as meshmod
 from fvproj import reference
 from fvproj.mesh import (Mesh, MeshFormatError, MeshOrientationError,
                          MeshTopologyError, load_mesh, refine_uniform,
-                         unit_square_acute, validate_mesh)
-from fixture_meshes import save_mesh, square_two_triangles, unit_square_crisscross
+                         require_admissible, unit_square_acute, validate_mesh)
+from fixture_meshes import (save_mesh, single_triangle, square_two_triangles,
+                            unit_square_crisscross)
 
 
 class TestGeometry:
@@ -88,6 +89,40 @@ class TestValidation:
         assert abs(report.max_angle - np.pi / 2) < 1e-12
         assert abs(report.min_angle - np.pi / 4) < 1e-12
         assert not report.admissible
+
+    def test_pieces_joined_by_interior_edges(self):
+        # apart, or sharing only a vertex (a bow-tie): two pieces, however
+        # acute; the built-in family and one triangle are one piece
+        tri = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.9]]
+        apart = Mesh(np.array(tri + [[3.0, 0.0], [4.0, 0.0], [3.5, 0.9]]),
+                     np.array([[0, 1, 2], [3, 4, 5]]))
+        bowtie = Mesh(np.array(tri + [[2.0, 0.0], [1.5, 0.9]]),
+                      np.array([[0, 1, 2], [1, 3, 4]]))
+        for mesh in (apart, bowtie):
+            report = validate_mesh(mesh)
+            assert report.pieces == 2 and report.max_angle < np.pi / 2
+            assert not report.admissible
+            with pytest.raises(MeshTopologyError, match="pieces 2"):
+                require_admissible(mesh)
+        assert validate_mesh(single_triangle()).pieces == 1
+        assert validate_mesh(unit_square_acute(2)).pieces == 1
+
+    def test_pieces_against_csgraph(self):
+        # three apart copies of acute:2, cells shuffled so that labels do
+        # not follow the pieces; scipy's component count is the reference
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+        base = unit_square_acute(2)
+        nv = base.num_vertices
+        order = np.random.default_rng(5).permutation(3 * base.num_triangles)
+        mesh = Mesh(np.concatenate([base.vertices + [2.0 * i, 0.0] for i in range(3)]),
+                    np.concatenate([base.triangles + i * nv for i in range(3)])[order])
+        ii = mesh.interior_edges
+        K, L = mesh.edge_owner[ii], mesh.edge_neighbor[ii]
+        n = mesh.num_triangles
+        joined = coo_matrix((np.ones(len(ii)), (K, L)), shape=(n, n))
+        assert connected_components(joined, directed=False)[0] == 3
+        assert validate_mesh(mesh).pieces == 3
 
     def test_crisscross_rejected(self):
         mesh = unit_square_crisscross(2)

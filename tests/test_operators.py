@@ -124,11 +124,41 @@ class TestPressureLaplacian:
     def test_leray_project_splits_off_a_gradient(self, family, rng):
         mesh = family[1]
         v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
-        u, phi = leray_project(v, Tolerance(rtol=1e-13))
+        u, phi, info, div_l2 = leray_project(v, Tolerance(rtol=1e-13))
         assert l2_norm(divergence(u)) <= 1e-11 * l2_norm(v)
+        assert div_l2 == l2_norm(divergence(v))
+        assert 0.0 < info.backward_error <= 1e-13
         gap = (v - u).values - gradient(phi).values
         assert np.abs(gap).max() <= 1e-14 * np.abs(v.values).max()
         assert abs(p1nc_mass(mesh) @ phi.values) <= 1e-13 * np.abs(phi.values).max()
+
+    def test_only_projections_solve_with_the_pressure_factor(self):
+        # every projection goes through leray_project; the one other solve
+        # with the pressure factor is an eigen operator of the Poincare
+        # constant, not a projection
+        import ast
+        from pathlib import Path
+        import fvproj
+
+        def is_factor(node, names):
+            return ((isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "pressure_solver")
+                    or (isinstance(node, ast.Name) and node.id in names))
+
+        sites = set()
+        for path in Path(fvproj.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                nodes = list(ast.walk(fn))
+                names = {t.id for n in nodes if isinstance(n, ast.Assign)
+                         and is_factor(n.value, ()) for t in n.targets
+                         if isinstance(t, ast.Name)}
+                if any(isinstance(n, ast.Attribute) and n.attr == "solve"
+                       and is_factor(n.value, names) for n in nodes):
+                    sites.add(f"{path.stem}.{fn.name}")
+        assert sites == {"operators.leray_project",
+                         "analysis.poincare_inverse_constants"}
 
     def test_mean_zero_solve_converges(self, family, rng):
         mesh = family[1]

@@ -10,7 +10,8 @@ from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram,
                            h_norm, l2_norm, p1nc_mass)
 from fvproj.linalg import SolverError, Tolerance
 from fvproj.mesh import unit_square_acute
-from fvproj.operators import divergence, gradient, pressure_stiffness
+from fvproj.operators import (divergence, gradient, leray_project,
+                              pressure_stiffness)
 from fvproj.scheme import (RunConfig, SchemeError, _Workspace, advance,
                            correction_step, initialize, make_case,
                            momentum_step, pressure_step, run)
@@ -259,23 +260,38 @@ class TestStepProperties:
         state, _, ws = initialize(cfg, mesh)
         # feed the (already divergence-free) current velocity as predictor
         ut = VectorP0(mesh, state.u_curr.values.copy())
-        p_next, dp = pressure_step(state, ut, cfg, ws, divergence(ut))
+        u_next, p_next, div_scale = pressure_step(state, ut, cfg, ws)
+        dp = p_next - state.p_curr
         assert l2_norm(gradient(dp)) < 1e-10 * max(l2_norm(ut), 1e-3)
-        new = correction_step(state, ut, p_next, dp, cfg, ws, divergence(ut))
+        new = correction_step(state, ut, u_next, p_next, cfg, ws, div_scale)
         assert np.abs(new.u_curr.values - ut.values).max() < 1e-10
 
     def test_pressure_solution_unique_across_methods(self):
-        # the factored increment against a dense solve of the same system
+        # the increment dp = (a0/k) phi of the projection's potential
+        # against a dense solve of (grad dp, grad r) = -(a0/k) (div ut, r)
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=3)
         mesh = unit_square_acute(1)
         state, _, ws = initialize(cfg, mesh)
         ut = momentum_step(state, cfg, ws, gradient(state.p_curr))
-        _, dp = pressure_step(state, ut, cfg, ws, divergence(ut))
+        dp = 1.5 / cfg.k * leray_project(ut, scheme.PRESSURE_TOL)[1].values
         rhs = -1.5 / cfg.k * p1nc_mass(mesh) * divergence(ut).values
         dp_dense = reference.zero_mean_solve_dense(
             pressure_stiffness(mesh).toarray(), rhs, p1nc_mass(mesh))
         denom = max(np.abs(dp_dense).max(), 1e-12)
-        assert np.abs(dp.values - dp_dense).max() < 1e-10 * denom
+        assert np.abs(dp - dp_dense).max() < 1e-10 * denom
+
+    def test_step_is_the_leray_projection(self):
+        # u^{n+1} is leray_project(u_tilde) itself, and p^{n+1} - p^n its
+        # potential times a0/k, up to the rounding of the zero-mean shift
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=3)
+        state, _, ws = initialize(cfg, unit_square_acute(1))
+        new, rec = advance(state, cfg, ws)
+        u, phi, info, div_l2 = leray_project(new.u_tilde, scheme.PRESSURE_TOL)
+        assert np.array_equal(new.u_curr.values, u.values)
+        dp = (new.p_curr - state.p_curr).values
+        assert np.abs(dp - 1.5 / cfg.k * phi.values).max() <= 1e-13 * np.abs(dp).max()
+        assert rec.p_backward_error == info.backward_error
+        assert div_l2 == l2_norm(divergence(new.u_tilde))
 
     def test_small_time_step_meets_pressure_rtol(self):
         # at k = 1e-4 the right-hand side's rounding-level sum, left in the
@@ -310,7 +326,25 @@ class TestStepProperties:
         ut = momentum_step(state, cfg, ws, gradient(state.p_curr))
         monkeypatch.setattr(scheme, "PRESSURE_TOL", strict)
         with pytest.raises(SolverError, match="^pressure step 2: "):
-            pressure_step(state, ut, cfg, ws, divergence(ut))
+            pressure_step(state, ut, cfg, ws)
+
+    def test_incompatible_projection_names_its_caller(self, monkeypatch):
+        # a divergence off by a constant has (div u, 1) != 0: the projection
+        # refuses it, in the start-up projection and in a step
+        from fvproj import operators
+        div = operators.divergence
+        shifted = lambda v: ScalarP1NC(v.mesh, div(v).values + 1.0)
+        cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=3)
+        mesh = unit_square_acute(0)
+        incompatible = "right-hand side incompatible"
+        with monkeypatch.context() as m:
+            m.setattr(operators, "divergence", shifted)
+            with pytest.raises(SolverError, match=f"^initial projection: {incompatible}"):
+                initialize(cfg, mesh)
+        state, _, ws = initialize(cfg, mesh)
+        monkeypatch.setattr(operators, "divergence", shifted)
+        with pytest.raises(SolverError, match=f"^pressure step 2: {incompatible}"):
+            advance(state, cfg, ws)
 
     def test_forcing_projected_once_per_run(self, monkeypatch):
         # the forcing is steady: one projection of it and one of the
@@ -604,43 +638,65 @@ class TestStepRecordTelemetry:
         assert len(built) == 5 and len(pairings) == len(traj.records) == 4
 
 
+def _count_divgrad(monkeypatch, calls):
+    """Record (name, argument) of every gradient and divergence that scheme
+    and operators (``leray_project``) call."""
+    from fvproj import operators
+    for module in (scheme, operators):
+        for name in ("gradient", "divergence"):
+            op = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda x, op=op, name=name:
+                                calls.append((name, x)) or op(x))
+
+
 class TestPerStepWork:
     def test_each_quantity_computed_once(self, monkeypatch):
-        # div(u_tilde) serves the pressure step and the certificate's scale;
+        # div(u_tilde) serves the projection and the certificate's scale;
         # div(u^{n+1}) the certificate and the record; |u_tilde|_h the
         # record and the energy term
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
         state, _, ws = initialize(cfg, unit_square_acute(1))
-        divs, hnorms = [], []
-        div, hn = scheme.divergence, scheme.h_norm
-        monkeypatch.setattr(scheme, "divergence", lambda v: divs.append(v) or div(v))
+        calls, hnorms = [], []
+        hn = scheme.h_norm
+        _count_divgrad(monkeypatch, calls)
         monkeypatch.setattr(scheme, "h_norm", lambda v: hnorms.append(v) or hn(v))
         for _ in range(2):
-            divs.clear()
+            calls.clear()
             hnorms.clear()
             state, rec = advance(state, cfg, ws)
+            divs = [x for name, x in calls if name == "divergence"]
             assert len(divs) == 2 and len(hnorms) == 1
             assert divs[0] is hnorms[0] is state.u_tilde
             assert divs[1] is state.u_curr.field
-            assert rec.div_residual == l2_norm(div(state.u_curr.field))
+            assert rec.div_residual == l2_norm(divergence(state.u_curr.field))
             assert rec.ut_hnorm == h_norm(state.u_tilde)
 
     def test_two_gradients_and_two_divergences_per_step(self, monkeypatch):
-        # gradient(dp) and gradient(p^{n+1}), div(u_tilde) and div(u^{n+1});
+        # gradient(phi) and gradient(p^{n+1}), div(u_tilde) and div(u^{n+1});
         # gradient(p^n) is the one the previous step (or start-up) kept
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
         calls = []
-        for name in ("gradient", "divergence"):
-            op = getattr(scheme, name)
-            monkeypatch.setattr(scheme, name,
-                                lambda x, op=op, name=name: calls.append(name) or op(x))
+        _count_divgrad(monkeypatch, calls)
         state, _, ws = initialize(cfg, unit_square_acute(1))
         for _ in range(2):
             calls.clear()
             state, _ = advance(state, cfg, ws)
-            assert sorted(calls) == ["divergence"] * 2 + ["gradient"] * 2
+            assert sorted(name for name, _ in calls) == (["divergence"] * 2
+                                                         + ["gradient"] * 2)
             assert np.array_equal(state.grad_p.values,
                                   gradient(state.p_curr).values)
+
+    def test_start_up_takes_each_divergence_once(self, monkeypatch):
+        # the projections of the data and of the start-up predictor and the
+        # certificates of u^0 and u^1: four fields, each divergence once;
+        # the certificate's scale |div| comes from the projection
+        calls = []
+        _count_divgrad(monkeypatch, calls)
+        initialize(RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4),
+                   unit_square_acute(1))
+        divs = [id(x) for name, x in calls if name == "divergence"]
+        assert len(divs) == len(set(divs)) == 4
+        assert len(calls) == 8  # gradients of phi^0, p^0, phi^1 and p^1
 
 
 class TestExtrapolatedAdvection:
