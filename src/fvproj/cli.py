@@ -92,7 +92,9 @@ def _cmd_run(args) -> int:
           f"div-residual={last.div_residual:.3e}")
     counts = [traj.init_diagnostics] + [vars(r) for r in traj.records]
     print(f"  momentum: {sum(c['mom_iters'] for c in counts)} BiCGStab iterations in "
-          f"{traj.mom_solves} solves, {sum(c['mom_refactor'] for c in counts)} factor builds")
+          f"{traj.mom_solves} solves, {sum(c['mom_refactor'] for c in counts)} factor "
+          f"builds; {traj.mom_failed} capped solves failed after "
+          f"{traj.mom_failed_iters} iterations")
     (p_nnz, p_s), (m_nnz, m_s) = traj.pressure_factor, traj.momentum_factor
     print(f"  factors: pressure {p_nnz} entries in {p_s:.3g}s; "
           f"momentum {m_nnz} entries in {m_s:.3g}s")

@@ -215,7 +215,9 @@ def h_gram(mesh: Mesh) -> sp.csr_matrix:
     H = sp.csr_matrix((vals, (rows, cols)),
                       shape=(mesh.num_triangles, mesh.num_triangles))
     H.sum_duplicates()
-    return H
+    # the summed data and indices are views of the longer COO-length
+    # arrays, and every momentum matrix shares these indices
+    return H.copy()
 
 
 def h_norm(v) -> float:

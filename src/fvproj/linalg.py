@@ -7,8 +7,9 @@ preconditioned by and started from what its ``SparseOperator`` carries
 ``FactoredSolver`` factors a fixed matrix once with SuperLU, so each later
 solve with it is two triangular solves (four for a zero-mean solve, which
 refines once): the pressure Laplacian on its zero-mean subspace, grounded
-at one unknown; the discrete H1 Gram matrix of the dual norm and the
-verification suite; and the momentum matrix of that preconditioner.
+at one unknown; and the discrete H1 Gram matrix of the dual norm and the
+verification suite.  ``LUFactor`` is such a factor alone, without its
+matrix or a gate: the preconditioner's factor of the momentum matrix.
 """
 from __future__ import annotations
 
@@ -176,7 +177,9 @@ def solve(A, b, tol: Tolerance, zero_mean_weights=None):
     """Solve A x = b for the m right-hand sides of b (n, m) by BiCGStab,
     capped at ``tol.maxiter`` (default 10 n) iterations per column,
     preconditioned by ``A.preconditioner`` and started from ``A.guess`` (A
-    a SparseOperator; a NaN or Inf guess raises SolverError); returns
+    a SparseOperator; a NaN or Inf guess raises SolverError); it iterates
+    on the rows of b.T and of the guess's transpose, which are views when
+    the caller builds both as (m, n) C-ordered arrays.  Returns
     (x, SolveInfo), and the caller judges ``SolveInfo.converged`` (all
     columns converged; ``iterations`` is their sum and ``columns`` holds
     each one's SolveInfo).  With ``zero_mean_weights`` (the diagonal mass
@@ -213,29 +216,34 @@ def _superlu(M, permc_spec: str, name: str, **options):
         raise SolverError(f"{name}: SuperLU: {exc}") from None
 
 
-def _upper_factor(M, name: str):
-    """(SuperLU of U, D, p) for a symmetric positive definite CSC matrix M:
-    M[i, j] = (U^T D^{-1} U)[p[i], p[j]] with D = diag(U), from SuperLU's
-    LU of M with diagonal pivots only.  The SuperLU object of U has L = I,
-    so it stores nnz(U) + n entries; the full LU of M dies here (its
-    ``perm_c`` is a view of it, so p is a copy)."""
+def _upper_factor(A, name: str):
+    """(SuperLU of U, D, p) for the grounded block M = A[1:, 1:] of a CSR
+    matrix A, M symmetric positive definite: M[i, j] = (U^T D^{-1} U)[p[i],
+    p[j]] with D = diag(U), from SuperLU's LU of M with diagonal pivots
+    only.  The SuperLU object of U has L = I, so it stores nnz(U) + n
+    entries; M and the full LU of M die here, before the second pass would
+    sit on top of them (``perm_c`` is a view of the LU, so p is a copy)."""
+    M = A[1:, 1:].tocsc()
     lu = _superlu(M, "MMD_AT_PLUS_A", name, SymmetricMode=True, DiagPivotThresh=0.0)
+    del M
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"{name}: zero diagonal pivot: the matrix is not "
                           "positive definite")
     U, perm = lu.U, lu.perm_c.copy()
-    del lu  # before the second pass, which would otherwise sit on top of it
+    del lu
     return _superlu(U, "NATURAL", name, DiagPivotThresh=0.0), U.diagonal(), perm
 
 
-class FactoredSolver:
-    """Direct solver of A x = b for a fixed A, factored once by SuperLU
-    with a minimum-degree ordering of its symmetric pattern (the default
-    COLAMD ordering fills about twice as much on the pressure Laplacian)
-    and diagonal pivots preferred.  That suits the symmetric H1 matrix and
-    the nonsymmetric momentum matrix, which is structurally symmetric and
+class LUFactor:
+    """SuperLU's factor of a nonsingular matrix A, with a minimum-degree
+    ordering of its symmetric pattern (the default COLAMD ordering fills
+    about twice as much on the pressure Laplacian) and diagonal pivots
+    preferred, kept without A.  That suits the symmetric H1 matrix and the
+    nonsymmetric momentum matrix, which is structurally symmetric and
     column diagonally dominant (SuperLU keeps its diagonal pivots on
-    acute:3 and acute:5).
+    acute:3 and acute:5).  ``apply`` is the two triangular solves alone,
+    with no gate: an approximate inverse for a preconditioner, the lagged
+    momentum factor.
 
     Supernodes are not relaxed and panels are one column wide (SuperLU's
     ``relax`` and ``panel_size``; Demmel, Eisenstat, Gilbert, Li and Liu,
@@ -247,25 +255,41 @@ class FactoredSolver:
     with the same solve times and backward errors.  ``nnz`` is the entries
     the factor stores and ``build_s`` the wall time of its build; ``name``
     names the matrix in a SolverError when SuperLU finds it singular.
+    """
 
-    Without weights A must be nonsingular.  With weights w, A is symmetric
-    positive semidefinite with the constants as kernel, and the solve is on
-    the subspace w . x = 0.  Unknown 0 is grounded: the factor is of A with
-    its row and column 0 deleted (Bochev and Lehoucq, SIAM Review 47(1),
-    2005), which keeps the sparsity that a dense border [[A, w], [w', 0]]
-    would spoil.  That block is positive definite, so SuperLU factors it
-    with diagonal pivots only, U = D L^T, and the factor keeps U alone
-    (George and Liu, Computer Solution of Large Sparse Positive Definite
-    Systems, 1981): A_00^{-1} = P U^{-1} D U^{-T} P^T is a transposed and a
-    plain solve with the SuperLU object of U.  At acute:5 that stores
-    760,542 entries against the LU's 1,440,830, solves about 15% faster
-    and builds 60-100 ms slower (a second SuperLU pass, over U).  A solve
-    takes x0 = [0; A_00^{-1} b_0], shifts it to zero weighted mean, and
-    refines it once (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 12) by the same solve of r - w sum(r) / sum(w),
-    r = b - A x0: the grounded solve leaves the rounding of every row in
-    row 0, and the correction spreads it along w.  An incompatible
-    right-hand side (sum b != 0) keeps its sum in row 0 and fails the gate.
+    def __init__(self, A, name: str = "LUFactor"):
+        start = time.perf_counter()
+        self._lu = _superlu(sp.csc_matrix(A), "MMD_AT_PLUS_A", name,
+                            SymmetricMode=True)
+        self.nnz = self._lu.nnz
+        self.build_s = time.perf_counter() - start
+
+    def apply(self, b):
+        return self._lu.solve(b)
+
+
+class FactoredSolver(LUFactor):
+    """Direct solver of A x = b for a fixed A, factored once with the ordering
+    and pivots of ``LUFactor`` and kept for the gate.  Without weights A
+    must be nonsingular and its factor is the ``LUFactor`` of A (``apply``
+    serves this plain factor only).  With weights w, A is symmetric positive
+    semidefinite with the constants as kernel, and the solve is on the
+    subspace w . x = 0.  Unknown 0 is grounded: the factor is of A with its
+    row and column 0 deleted (Bochev and Lehoucq, SIAM Review 47(1), 2005),
+    which keeps the sparsity that a dense border [[A, w], [w', 0]] would
+    spoil.  That block is positive definite, so SuperLU factors it with
+    diagonal pivots only, U = D L^T, and the factor keeps U alone (George
+    and Liu, Computer Solution of Large Sparse Positive Definite Systems,
+    1981): A_00^{-1} = P U^{-1} D U^{-T} P^T is a transposed and a plain
+    solve with the SuperLU object of U.  At acute:5 that stores 760,542
+    entries against the LU's 1,440,830, solves about 15% faster and builds
+    60-100 ms slower (a second SuperLU pass, over U).  A solve takes x0 =
+    [0; A_00^{-1} b_0], shifts it to zero weighted mean, and refines it once
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12) by the
+    same solve of r - w sum(r) / sum(w), r = b - A x0: the grounded solve
+    leaves the rounding of every row in row 0, and the correction spreads it
+    along w.  An incompatible right-hand side (sum b != 0) keeps its sum in
+    row 0 and fails the gate.
 
     Each solve is gated, column by column, on its normwise backward error
     |b - A x| <= max(rtol (|A| |x| + |b|), atol) in the infinity norm
@@ -284,14 +308,13 @@ class FactoredSolver:
         self.weights = w
         self._unit = None if w is None else w / w.sum()  # unit-sum weights
         self.norm_inf = float(spla.norm(A, np.inf))
-        start = time.perf_counter()
         if w is None:
-            self._lu = _superlu(A.tocsc(), "MMD_AT_PLUS_A", name, SymmetricMode=True)
-            self.nnz = self._lu.nnz
+            super().__init__(A, name)
         else:
-            self._upper, self._diag, self._perm = _upper_factor(A[1:, 1:].tocsc(), name)
+            start = time.perf_counter()
+            self._upper, self._diag, self._perm = _upper_factor(A, name)
             self.nnz = self._upper.nnz
-        self.build_s = time.perf_counter() - start
+            self.build_s = time.perf_counter() - start
 
     def _grounded(self, b):
         """[0; A_00^{-1} b_0] shifted to zero weighted mean."""
@@ -314,7 +337,7 @@ class FactoredSolver:
             raise ValueError(f"rhs of shape {b.shape} does not match a system of size {n}")
         _require_finite(b)
         if self.weights is None:
-            x = self._lu.solve(b)
+            x = self.apply(b)
         else:
             x = self._grounded(b)
             r = b - self.matrix @ x
@@ -332,8 +355,3 @@ class FactoredSolver:
                 f"{where}: factored solve failed: {info}, backward error "
                 f"{backward:.3e} > rtol {tol.rtol:.1e}")
         return x, info
-
-    def apply(self, b):
-        """The triangular solves alone, with no gate: an approximate
-        inverse for a preconditioner (plain factor only)."""
-        return self._lu.solve(b)

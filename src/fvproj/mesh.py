@@ -56,15 +56,15 @@ class Mesh:
     triangles : (nt, 3) int array, counterclockwise
     tri_area : (nt,) areas
     tri_center : (nt, 2) circumcenters
-    tri_diameter : (nt,) circumcircle diameters
+    tri_diameter : (nt,) circumcircle diameters, derived on access
     tri_edges : (nt, 3) edge id opposite each local vertex
     edges : (ne, 2) vertex pairs, sorted lexicographically
     edge_length, edge_midpoint : per-edge geometry
     edge_owner, edge_neighbor : adjacent triangle ids (-1 when boundary)
     edge_normal : (ne, 2) unit normal pointing out of the owner
-    edge_d : circumcenter distance (owner-to-neighbor, or owner-to-midpoint
-        on the boundary)
-    edge_tau : edge_length / edge_d (inf when edge_d == 0)
+    edge_tau : edge_length / d (inf when d == 0), d the circumcenter
+        distance (owner-to-neighbor, or owner-to-midpoint on the boundary)
+    edge_d : edge_length / edge_tau, that distance, derived on access
     interior_edges, boundary_edges : index arrays
     h : largest circumcircle diameter
     """
@@ -101,8 +101,6 @@ class Mesh:
         self.tri_area.setflags(write=False)
         self.tri_center = _circumcenters(a, b, c, cross)
         self.tri_center.setflags(write=False)
-        self.tri_diameter = 2.0 * np.linalg.norm(a - self.tri_center, axis=1)
-        self.tri_diameter.setflags(write=False)
         self.h = float(self.tri_diameter.max()) if len(triangles) else 0.0
 
         self._build_edges()
@@ -160,17 +158,25 @@ class Mesh:
         d[~interior] = np.linalg.norm(
             self.edge_midpoint[~interior] - self.tri_center[self.edge_owner[~interior]],
             axis=1)
-        self.edge_d = d
         with np.errstate(divide="ignore"):
             self.edge_tau = np.where(d > 0, self.edge_length / np.where(d > 0, d, 1.0), np.inf)
         self.interior_edges = np.nonzero(interior)[0]
         self.boundary_edges = np.nonzero(~interior)[0]
         for arr in (self.edges, self.edge_owner, self.edge_neighbor, self.tri_edges,
                     self.edge_midpoint, self.edge_length, self.edge_normal,
-                    self.edge_d, self.edge_tau, self.interior_edges, self.boundary_edges):
+                    self.edge_tau, self.interior_edges, self.boundary_edges):
             arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------------
+
+    @property
+    def tri_diameter(self):
+        return 2.0 * np.linalg.norm(self.vertices[self.triangles[:, 0]]
+                                    - self.tri_center, axis=1)
+
+    @property
+    def edge_d(self):
+        return self.edge_length / self.edge_tau
 
     @property
     def num_vertices(self):
@@ -243,8 +249,8 @@ def validate_mesh(mesh: Mesh) -> MeshQualityReport:
     pieces = int(np.count_nonzero(root == np.arange(mesh.num_triangles)))
     ang = mesh.angles()
     tau = mesh.edge_tau
-    with np.errstate(invalid="ignore"):
-        d_over_edge = mesh.edge_d / mesh.edge_length
+    with np.errstate(divide="ignore"):
+        d_over_edge = 1.0 / tau
     edge_over_h = mesh.edge_length / mesh.h if mesh.h > 0 else np.zeros_like(mesh.edge_length)
     min_d = float(d_over_edge.min()) if len(d_over_edge) else 0.0
     admissible = bool(pieces == 1 and ang.max() < 0.5 * np.pi and min_d > 0.0

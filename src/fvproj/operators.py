@@ -2,9 +2,10 @@
 
 Gradient (edge-midpoint scalars -> cellwise vectors) and divergence
 (cellwise vectors -> edge-midpoint scalars) are exact adjoints under the
-cellwise and diagonal edge masses.  The boundary rows of the divergence
-carry the weight 3|e|/|K| so that adjointness holds identically; the
-interior rows carry 3|e|/(|K|+|L|).
+cellwise and diagonal edge masses.  The gradient is a sparse matrix; the
+divergence is its edge formula, 3|e|/(|K|+|L|) times the jump of v . n
+across an interior edge and -3|e|/|K| v_K . n on a boundary edge, the
+weight that makes adjointness hold identically.
 
 Two Laplacians: the pressure Laplacian is the composition div(grad) with
 an SPD weak form (grad, grad); the velocity Laplacian is the two-point
@@ -14,8 +15,8 @@ each factored once per mesh; the factored pressure Laplacian also gives
 the one discrete Leray projection, and the factored Gram matrix the dual
 norm ``dual_norm``.  The upwind convection matrix is filled straight into
 the CSR pattern of that Gram matrix, so that the momentum matrix of every
-step is one data array on it.  Every matrix, factor and index array here
-is built once per mesh and kept on it through ``mesh.per_mesh``.
+step is one data array on it.  Every matrix, factor, weight and index
+array here is built once per mesh and kept on it through ``mesh.per_mesh``.
 """
 from __future__ import annotations
 
@@ -60,26 +61,26 @@ def norm_1h(q: ScalarP1NC) -> float:
 
 
 @per_mesh
-def divergence_matrices(mesh: Mesh):
-    """Component matrices (Dx, Dy), each ne x nt, of the edgewise divergence."""
-    ne, nt = mesh.num_edges, mesh.num_triangles
-    ii = mesh.interior_edges
-    bb = mesh.boundary_edges
-    K, L = mesh.edge_owner[ii], mesh.edge_neighbor[ii]
-    coef_i = 3.0 * mesh.edge_length[ii] / (mesh.tri_area[K] + mesh.tri_area[L])
-    coef_b = 3.0 * mesh.edge_length[bb] / mesh.tri_area[mesh.edge_owner[bb]]
-    rows = np.concatenate([ii, ii, bb])
-    cols = np.concatenate([L, K, mesh.edge_owner[bb]])
-    vals = np.concatenate([coef_i, -coef_i, -coef_b])
-    n_rows = mesh.edge_normal[rows]
-    Dx = sp.csr_matrix((vals * n_rows[:, 0], (rows, cols)), shape=(ne, nt))
-    Dy = sp.csr_matrix((vals * n_rows[:, 1], (rows, cols)), shape=(ne, nt))
-    return Dx, Dy
+def divergence_weights(mesh: Mesh) -> np.ndarray:
+    """(ne, 2) weights of the edgewise divergence, read-only: 3|e| n /
+    (|K| + |L|) on an interior edge, 3|e| n / |K| on a boundary edge."""
+    K, L = mesh.edge_owner, mesh.edge_neighbor
+    cells = mesh.tri_area[K] + np.where(L >= 0, mesh.tri_area[L], 0.0)
+    w = (3.0 * mesh.edge_length / cells)[:, None] * mesh.edge_normal
+    w.flags.writeable = False
+    return w
 
 
 def divergence(v: VectorP0) -> ScalarP1NC:
-    Dx, Dy = divergence_matrices(v.mesh)
-    return ScalarP1NC(v.mesh, Dx @ v.values[:, 0] + Dy @ v.values[:, 1])
+    """Edgewise divergence: the weight times the jump (v_L - v_K) . n, with
+    a zero cell behind every boundary edge (its neighbour -1 reads it)."""
+    mesh = v.mesh
+    cells = np.zeros((mesh.num_triangles + 1, 2))
+    cells[:-1] = v.values
+    jump = np.take(cells, mesh.edge_neighbor, axis=0)
+    jump -= np.take(cells, mesh.edge_owner, axis=0)
+    jump *= divergence_weights(mesh)
+    return ScalarP1NC(mesh, jump[:, 0] + jump[:, 1])
 
 
 @per_mesh

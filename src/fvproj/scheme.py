@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from . import vtkio
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram, h_norm,
                      l2_inner, l2_norm, mean_zero, project_p0)
-from .linalg import FactoredSolver, SolverError, SparseOperator, Tolerance, solve
+from .linalg import LUFactor, SolverError, SparseOperator, Tolerance, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
 from .operators import (convection_matrix, divergence, gradient, h_diagonal,
                         leray_project, pressure_solver, trilinear_form)
@@ -223,6 +223,8 @@ class Trajectory:
     snapshot_bytes: int = 0
     snapshot_s: float = 0.0
     mom_solves: int = 0         # momentum solves, start-up and retries included
+    mom_failed: int = 0         # capped momentum solves that failed
+    mom_failed_iters: int = 0   # and the BiCGStab iterations they spent
     # (stored entries, build seconds) of the pressure factor and of the
     # last momentum factor built
     pressure_factor: tuple = (0, 0.0)
@@ -254,6 +256,7 @@ class _Workspace:
         self.forcing = project_p0(self.case.forcing, mesh)
         self.mom_factor = None
         self.mom_iters = self.mom_refactor = self.mom_solves = 0
+        self.mom_failed = self.mom_failed_iters = 0
         self.convection = None      # weighted C(u*) of the last momentum step
         self.p_backward_error = 0.0
         self.div_residual = 0.0     # |div u| of the last certified field
@@ -304,7 +307,8 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     ``ws.convection`` and |u*| in ``ws.u_star_l2``, the step's BiCGStab
     iterations (every solve, both components) in ``ws.mom_iters`` and the
     number of factors it built in ``ws.mom_refactor``; adds its solves to
-    ``ws.mom_solves``.
+    ``ws.mom_solves``, and a failed capped solve and its iterations to
+    ``ws.mom_failed`` and ``ws.mom_failed_iters``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
@@ -313,33 +317,40 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     ws.convection = convection_matrix(SolenoidalP0.trusted(u_star))
     mesh = ws.mesh
     H = h_gram(mesh)
-    base = (1.0 / config.re) * H.data + ws.convection.data
 
     def with_mass(shift):
-        data = base.copy()
+        # (1/Re) H + C(u*) + shift M, its one data array written in place
+        data = np.multiply(H.data, 1.0 / config.re)
+        data += ws.convection.data
         data[h_diagonal(mesh)] += shift * mesh.tri_area
         return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape)
 
     ws.mom_refactor = 0
     if ws.mom_factor is None:  # the start-up step
-        ws.mom_factor = FactoredSolver(with_mass(1.5 / k), name="momentum matrix")
+        ws.mom_factor = LUFactor(with_mass(1.5 / k), name="momentum matrix")
         ws.mom_refactor = 1
-    guess = (sum(w * v for w, v in zip(GUESS_WEIGHTS, state.predictors))
-             if len(state.predictors) == len(GUESS_WEIGHTS) else u_star.values)
-    A = SparseOperator(with_mass(a0 / k), ws.mom_factor.apply, guess)
-    rhs = (ws.forcing.values
-           - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
-           - grad_p.values) * mesh.tri_area[:, None]
-    out, info = solve(A, rhs, replace(MOMENTUM_TOL, maxiter=LAGGED_MAXITER))
+    # the right-hand sides and the guess are built as (2, n) arrays, the
+    # layout that ``solve`` iterates on, and passed as their transposes
+    rhs = np.empty((2, mesh.num_triangles))
+    np.multiply(ws.forcing.values
+                - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
+                - grad_p.values, mesh.tri_area[:, None], out=rhs.T)
+    guess = np.empty_like(rhs)
+    guess.T[...] = (sum(w * v for w, v in zip(GUESS_WEIGHTS, state.predictors))
+                    if len(state.predictors) == len(GUESS_WEIGHTS) else u_star.values)
+    A = SparseOperator(with_mass(a0 / k), ws.mom_factor.apply, guess.T)
+    out, info = solve(A, rhs.T, replace(MOMENTUM_TOL, maxiter=LAGGED_MAXITER))
     ws.mom_iters = info.iterations
     ws.mom_solves += 1
     if not info.converged:
         # u* has moved too far from the factor's: factor this matrix
+        ws.mom_failed += 1
+        ws.mom_failed_iters += info.iterations
         A.preconditioner = ws.mom_factor = None
-        ws.mom_factor = FactoredSolver(A.matrix, name="momentum matrix")
+        ws.mom_factor = LUFactor(A.matrix, name="momentum matrix")
         A.preconditioner = ws.mom_factor.apply
         ws.mom_refactor += 1
-        out, info = solve(A, rhs, MOMENTUM_TOL)
+        out, info = solve(A, rhs.T, MOMENTUM_TOL)
         ws.mom_iters += info.iterations
         ws.mom_solves += 1
     if not info.converged:
@@ -451,7 +462,8 @@ def initialize(config: RunConfig, mesh: Mesh):
     state = SchemeState(u_prev=u0, u_curr=u0,
                         p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
                         t=0.0, n=0)
-    state = _substeps(state, config, ws, gradient(state.p_curr))
+    grad_p0 = VectorP0(mesh, np.zeros((mesh.num_triangles, 2)))  # of p^0 = 0
+    state = _substeps(state, config, ws, grad_p0)
     k_grad_p1_l2 = k * l2_norm(state.grad_p)
 
     diagnostics = {
@@ -508,6 +520,7 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
                       snapshot_files=len(snapshots),
                       snapshot_bytes=sum(p.stat().st_size for p in snapshots),
                       snapshot_s=snapshot_s, mom_solves=ws.mom_solves,
+                      mom_failed=ws.mom_failed, mom_failed_iters=ws.mom_failed_iters,
                       pressure_factor=(p_factor.nnz, p_factor.build_s),
                       momentum_factor=(m_factor.nnz, m_factor.build_s))
     if out:

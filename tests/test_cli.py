@@ -124,12 +124,14 @@ class TestRun:
         # the counts of every momentum solve and factor of the run, the
         # start-up step's and the repeated solves included
         from fvproj import linalg, scheme
-        iters, factors = [], []
-        factor = scheme.FactoredSolver
+        iters, failed, factors = [], [], []
+        factor = scheme.LUFactor
 
         def counting_solve(A, b, config=None, **kwargs):
             x, info = linalg.solve(A, b, config, **kwargs)
             iters.append(info.iterations)
+            if not info.converged:
+                failed.append(info.iterations)
             return x, info
 
         def counting_factor(*args, **kwargs):
@@ -137,12 +139,25 @@ class TestRun:
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(scheme, "solve", counting_solve)
-        monkeypatch.setattr(scheme, "FactoredSolver", counting_factor)
+        monkeypatch.setattr(scheme, "LUFactor", counting_factor)
         assert main(["run", "--mesh", mesh, "case=manufactured-A", "steps=6"]
                     + overrides) == EXIT_OK
         assert (len(iters) > 6) == retries and sum(iters) > 0 and factors
+        assert bool(failed) == retries
         assert (f"  momentum: {sum(iters)} BiCGStab iterations in {len(iters)} "
-                f"solves, {len(factors)} factor builds\n") in capsys.readouterr().out
+                f"solves, {len(factors)} factor builds; {len(failed)} capped "
+                f"solves failed after {sum(failed)} iterations\n"
+                ) in capsys.readouterr().out
+
+    def test_reports_failed_capped_solves(self, capsys):
+        # at Re = 1e6 and k = 1 the lagged factor fails its capped solve at
+        # each BDF2 step, at the cap of 20 iterations per component: 200 of
+        # the run's 226 iterations
+        assert main(["run", "--mesh", "acute:2", "re=1e6", "k=1",
+                     "steps=6"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert ("  momentum: 226 BiCGStab iterations in 11 solves, 6 factor "
+                "builds; 5 capped solves failed after 200 iterations\n") in out
 
     @pytest.mark.parametrize("factor, code", [(10.0, EXIT_OK), (1.5, EXIT_CHECK_FAILED)])
     def test_monitor_lines_are_the_report_rows(self, capsys, monkeypatch, factor,
@@ -298,7 +313,7 @@ class TestRun:
         # entries and build times
         from fvproj import operators, scheme
         built, runs = [], []
-        factor, run = scheme.FactoredSolver, scheme.run
+        factor, run = scheme.LUFactor, scheme.run
 
         def recording_factor(*args, **kwargs):
             built.append(factor(*args, **kwargs))
@@ -308,7 +323,7 @@ class TestRun:
             runs.append(run(config))
             return runs[-1]
 
-        monkeypatch.setattr(scheme, "FactoredSolver", recording_factor)
+        monkeypatch.setattr(scheme, "LUFactor", recording_factor)
         monkeypatch.setattr(scheme, "run", capturing)
         assert main(["run", "--mesh", mesh, "case=manufactured-A", "steps=6"]
                     + overrides) == EXIT_OK
@@ -323,7 +338,7 @@ class TestRun:
                 (built[-1], m_nnz, m_s)]:
             assert int(nnz) == factor.nnz
             assert float(seconds) == pytest.approx(factor.build_s, rel=5e-3)
-        assert f"{len(built)} factor builds\n" in out
+        assert f"{len(built)} factor builds; " in out
 
     def test_reports_distance_to_steady(self, capsys, monkeypatch):
         # the last increment and the least-squares slope of its log

@@ -192,6 +192,16 @@ class TestInnerProductsAndNorms:
         assert np.abs(off).max() < 1e-13
         assert np.allclose(np.diag(dense), diag, atol=1e-13)
 
+    def test_h_gram_owns_compact_arrays(self, family):
+        # its data and indices, which every momentum matrix shares, are not
+        # views of the longer arrays that summed its duplicate entries
+        for mesh in family:
+            H = h_gram(mesh)
+            for arr in (H.data, H.indices):
+                while arr.base is not None:
+                    arr = arr.base
+                assert arr.size == H.nnz
+
     def test_p1nc_mass_cached_read_only(self):
         mesh = unit_square_acute(1)
         m = p1nc_mass(mesh)

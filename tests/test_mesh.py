@@ -77,6 +77,21 @@ class TestGeometry:
             assert np.all(np.isfinite(mesh.edge_tau))
             assert np.all(mesh.edge_tau > 0)
 
+    def test_diameter_and_distance_are_derived_not_stored(self, family):
+        # neither is kept on the mesh, and both still equal their formulas:
+        # the circumcircle diameter, and the circumcenter distance
+        # owner-to-neighbour (owner-to-midpoint on the boundary)
+        for mesh in family:
+            assert not {"edge_d", "tri_diameter"} & set(vars(mesh))
+            a = mesh.vertices[mesh.triangles[:, 0]]
+            diameter = 2.0 * np.linalg.norm(a - mesh.tri_center, axis=1)
+            assert np.array_equal(mesh.tri_diameter, diameter)
+            assert mesh.h == diameter.max()
+            K, L = mesh.edge_owner, mesh.edge_neighbor
+            far = np.where((L >= 0)[:, None], mesh.tri_center[L], mesh.edge_midpoint)
+            d = np.linalg.norm(far - mesh.tri_center[K], axis=1)
+            assert np.allclose(mesh.edge_d, d, rtol=1e-14, atol=0)
+
 
 class TestValidation:
     def test_equilateral_admissible(self, equilateral):

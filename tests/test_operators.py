@@ -6,9 +6,8 @@ from fvproj import reference
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
                            h_gram, h_norm, l2_inner, l2_norm, mean_zero, p1nc_mass)
 from fvproj.linalg import Tolerance, solve
-from fvproj.mesh import unit_square_acute
-from fvproj.operators import (convection_matrix, divergence,
-                              divergence_matrices, gradient,
+from fvproj.mesh import Mesh, unit_square_acute
+from fvproj.operators import (convection_matrix, divergence, gradient,
                               gradient_matrices, laplacian_p0, leray_project,
                               pressure_stiffness, trilinear_form,
                               upwind_convection)
@@ -72,6 +71,46 @@ class TestDivergence:
         d_ref = reference.divergence_direct(pair, vals)
         assert np.abs(d.values - d_ref).max() < 1e-13
 
+    def test_edge_formula_against_direct_assembly(self, family, rng):
+        # the production formula (per-mesh weights, a zero cell behind the
+        # boundary) against the loop that recomputes areas and normals
+        for mesh in family:
+            vals = rng.standard_normal((mesh.num_triangles, 2))
+            d = divergence(VectorP0(mesh, vals)).values
+            d_ref = reference.divergence_direct(mesh, vals)
+            assert np.abs(d - d_ref).max() <= 1e-13 * np.abs(d_ref).max()
+
+    def test_one_boundary_cell(self, family):
+        # a field that is nonzero in one boundary cell only, numbered last:
+        # its three edges see it, and no other boundary edge (neighbour -1)
+        # reads the last cell
+        base = family[0]
+        cell = base.edge_owner[base.boundary_edges[0]]
+        order = np.append(np.delete(np.arange(base.num_triangles), cell), cell)
+        mesh = Mesh(base.vertices, base.triangles[order])
+        K = mesh.num_triangles - 1
+        vals = np.zeros((mesh.num_triangles, 2))
+        vals[K] = [0.3, -1.7]
+        d = divergence(VectorP0(mesh, vals)).values
+        assert set(np.flatnonzero(d)) == set(mesh.tri_edges[K])
+        on_boundary = [e for e in mesh.tri_edges[K] if mesh.edge_neighbor[e] < 0]
+        assert on_boundary
+        for e in on_boundary:
+            assert d[e] == pytest.approx(-3.0 * mesh.edge_length[e] / mesh.tri_area[K]
+                                         * (vals[K] @ mesh.edge_normal[e]), rel=1e-14)
+        assert np.abs(d - reference.divergence_direct(mesh, vals)).max() < 1e-13
+
+    def test_cache_holds_no_divergence_matrix(self):
+        # the divergence keeps its (ne, 2) edge weights per mesh, and no
+        # matrix beside the gradient's
+        mesh = unit_square_acute(1)
+        divergence(VectorP0(mesh, np.ones((mesh.num_triangles, 2))))
+        assert list(mesh._cache) == ["divergence_weights"]
+        held = [x for v in mesh._cache.values()
+                for x in (v if isinstance(v, tuple) else (v,))]
+        assert not any(sp.issparse(x) for x in held)
+        assert held[0].shape == (mesh.num_edges, 2)
+
     def test_adjointness_battery(self, family, rng):
         from fvproj.operators import norm_1h
         for mesh in family:
@@ -83,14 +122,19 @@ class TestDivergence:
                 assert abs(lhs - rhs) <= 1e-12 * l2_norm(v) * norm_1h(q)
 
     def test_matrix_adjointness_identity(self, family):
-        # G' M_v = -M_p D in the max norm
+        # G' M_v = -M_p D in the max norm, column K of D the divergence of
+        # the unit field of cell K in one component
         for mesh in family[:2]:
-            Gx, Gy = gradient_matrices(mesh)
-            Dx, Dy = divergence_matrices(mesh)
             Mv = mesh.tri_area
             Mp = p1nc_mass(mesh)
-            for G, D in ((Gx, Dx), (Gy, Dy)):
-                resid = (G.T.multiply(Mv)).toarray() + (D.multiply(Mp[:, None])).toarray()
+            for c, G in enumerate(gradient_matrices(mesh)):
+                D = np.empty((mesh.num_edges, mesh.num_triangles))
+                unit = np.zeros((mesh.num_triangles, 2))
+                for K in range(mesh.num_triangles):
+                    unit[K, c] = 1.0
+                    D[:, K] = divergence(VectorP0(mesh, unit)).values
+                    unit[K, c] = 0.0
+                resid = G.T.multiply(Mv).toarray() + Mp[:, None] * D
                 assert np.abs(resid).max() < 1e-12
 
 

@@ -15,7 +15,7 @@ PACKAGE = Path(fvproj.__file__).resolve().parent
 
 # every builder the package decorates with ``per_mesh``
 BUILDERS = (fields.p1nc_mass, fields.h_gram, operators.gradient_matrices,
-            operators.divergence_matrices, operators.pressure_stiffness,
+            operators.divergence_weights, operators.pressure_stiffness,
             operators.pressure_solver, operators.h_solver, operators.h_diagonal,
             operators._convection_positions)
 

@@ -1,9 +1,11 @@
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fvproj import reference, scheme
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram,
@@ -421,7 +423,7 @@ class TestMomentumPreconditioner:
     def _counted_run(self, monkeypatch, n_steps):
         from fvproj import linalg
         factors, solves = [], []
-        factor = scheme.FactoredSolver
+        factor = scheme.LUFactor
 
         def counting_factor(*args, **kwargs):
             factors.append(1)
@@ -433,7 +435,7 @@ class TestMomentumPreconditioner:
                            [col.iterations for col in info.columns]))
             return x, info
 
-        monkeypatch.setattr(scheme, "FactoredSolver", counting_factor)
+        monkeypatch.setattr(scheme, "LUFactor", counting_factor)
         monkeypatch.setattr(scheme, "solve", recording_solve)
         cfg = RunConfig(mesh_spec="acute:3", k=0.01, n_steps=n_steps, re=1.0,
                         case="manufactured-A")
@@ -450,6 +452,47 @@ class TestMomentumPreconditioner:
         assert all(it == sum(cols) for it, _, cols in solves)
         assert [r.mom_iters for r in traj.records] == [it for it, _, _ in solves[1:]]
         assert [r.mom_refactor for r in traj.records] == [0] * 19
+
+    def test_preconditioner_holds_no_matrix(self, monkeypatch):
+        # the lagged factor keeps its SuperLU object, not the matrix it was
+        # built from, at start-up and after a rebuild
+        monkeypatch.setattr(scheme, "LAGGED_MAXITER", 1)
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
+        state, diagnostics, ws = initialize(cfg, unit_square_acute(1))
+        assert diagnostics["mom_refactor"] == 2
+        for _ in range(2):
+            factor = ws.mom_factor
+            assert not [v for v in vars(factor).values() if sp.issparse(v)]
+            assert factor.nnz > 0 and factor.build_s > 0
+            state, _ = advance(state, cfg, ws)
+            assert ws.mom_factor is not factor
+
+    def test_one_data_array_per_matrix(self, monkeypatch):
+        # each momentum matrix is written into the data array it holds: no
+        # second array of H's pattern (such as a shared (1/Re) H + C to
+        # shift) stays alive in the step through its solves; and the
+        # right-hand sides and guess come in the layout solve iterates on
+        from fvproj import linalg
+        mesh = unit_square_acute(1)
+        H = h_gram(mesh)
+        spare = []
+
+        def inspecting_solve(A, b, config=None, **kwargs):
+            step = sys._getframe(1).f_locals
+            reached = list(step.values())
+            for v in step.values():
+                for cell in getattr(v, "__closure__", None) or ():
+                    reached.append(cell.cell_contents)
+            spare.extend(v for v in reached if isinstance(v, np.ndarray)
+                         and v.shape == H.data.shape and v is not H.data)
+            assert A.matrix.data.shape == H.data.shape
+            assert b.T.flags.c_contiguous and A.guess.T.flags.c_contiguous
+            return linalg.solve(A, b, config, **kwargs)
+
+        monkeypatch.setattr(scheme, "solve", inspecting_solve)
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=8)
+        run(cfg, mesh)
+        assert spare == []
 
     def test_refactor_each_step_still_meets_rtol(self, monkeypatch):
         # a cap of one iteration fails every capped solve, so every step,
@@ -480,7 +523,7 @@ class TestMomentumPreconditioner:
         assert ws.mom_factor is first and rec.mom_refactor == 0
         # a factor of H alone does not bring the step's solve to
         # convergence within the cap
-        ws.mom_factor = lagged = scheme.FactoredSolver(h_gram(mesh))
+        ws.mom_factor = lagged = scheme.LUFactor(h_gram(mesh))
         state, rec = advance(state, cfg, ws)
         assert rec.mom_refactor == 1 and rec.mom_iters > 2 * scheme.LAGGED_MAXITER
         fresh = ws.mom_factor
@@ -543,7 +586,7 @@ class TestMomentumRetry:
         # repeat of a capped solve that failed: nothing builds ahead
         from fvproj import linalg
         events = []
-        factor = scheme.FactoredSolver
+        factor = scheme.LUFactor
 
         def recording_factor(*args, **kwargs):
             events.append("build")
@@ -554,7 +597,7 @@ class TestMomentumRetry:
             events.append((info.converged, config.maxiter))
             return x, info
 
-        monkeypatch.setattr(scheme, "FactoredSolver", recording_factor)
+        monkeypatch.setattr(scheme, "LUFactor", recording_factor)
         monkeypatch.setattr(scheme, "solve", recording_solve)
         run(RunConfig(mesh_spec="acute:2", k=1.0, n_steps=10, re=1e6,
                       case="manufactured-A"))
@@ -570,13 +613,13 @@ class TestMomentumRetry:
         cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=3)
         state, _, ws = initialize(cfg, unit_square_acute(0))
         factors = []
-        factor = scheme.FactoredSolver
+        factor = scheme.LUFactor
 
         def counting_factor(*args, **kwargs):
             factors.append(1)
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "FactoredSolver", counting_factor)
+        monkeypatch.setattr(scheme, "LUFactor", counting_factor)
         monkeypatch.setattr(scheme, "MOMENTUM_TOL",
                             Tolerance(rtol=1e-30, atol=1e-300))
         with pytest.raises(SolverError, match=r"^momentum solve \(component 0\)"):
@@ -696,7 +739,8 @@ class TestPerStepWork:
                    unit_square_acute(1))
         divs = [id(x) for name, x in calls if name == "divergence"]
         assert len(divs) == len(set(divs)) == 4
-        assert len(calls) == 8  # gradients of phi^0, p^0, phi^1 and p^1
+        # gradients of phi^0, phi^1 and p^1; that of p^0 = 0 is a zero field
+        assert len(calls) == 7
 
 
 class TestExtrapolatedAdvection:
@@ -708,7 +752,6 @@ class TestExtrapolatedAdvection:
         state, _, ws = initialize(cfg, mesh)
         state, _ = advance(state, cfg, ws)  # now u_prev != u_curr
 
-        import scipy.sparse as sp
         from fvproj.operators import convection_matrix
 
         ut = momentum_step(state, cfg, ws, gradient(state.p_curr))
