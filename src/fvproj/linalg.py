@@ -216,22 +216,29 @@ def _superlu(M, permc_spec: str, name: str, **options):
         raise SolverError(f"{name}: SuperLU: {exc}") from None
 
 
-def _upper_factor(A, name: str):
-    """(SuperLU of U, D, p) for the grounded block M = A[1:, 1:] of a CSR
-    matrix A, M symmetric positive definite: M[i, j] = (U^T D^{-1} U)[p[i],
-    p[j]] with D = diag(U), from SuperLU's LU of M with diagonal pivots
-    only.  The SuperLU object of U has L = I, so it stores nnz(U) + n
-    entries; M and the full LU of M die here, before the second pass would
-    sit on top of them (``perm_c`` is a view of the LU, so p is a copy)."""
+def _cholesky_factor(A, name: str):
+    """(SuperLU of R, p) for the grounded block M = A[1:, 1:] of a CSR
+    matrix A, M symmetric positive definite: M[i, j] = (R^T R)[p[i], p[j]]
+    with R = D^{-1/2} U, from SuperLU's LU of M with diagonal pivots only,
+    U its upper triangle and D = diag(U).  A pivot that is not positive
+    raises SolverError naming ``name``.  The SuperLU object of R has L = I,
+    so it stores nnz(U) + n entries; M and the full LU of M die here,
+    before the second pass would sit on top of them (``perm_c`` is a view
+    of the LU, so p is a copy)."""
     M = A[1:, 1:].tocsc()
     lu = _superlu(M, "MMD_AT_PLUS_A", name, SymmetricMode=True, DiagPivotThresh=0.0)
     del M
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"{name}: zero diagonal pivot: the matrix is not "
                           "positive definite")
-    U, perm = lu.U, lu.perm_c.copy()
+    R, perm = lu.U, lu.perm_c.copy()
     del lu
-    return _superlu(U, "NATURAL", name, DiagPivotThresh=0.0), U.diagonal(), perm
+    pivots = R.diagonal()
+    if not np.all(pivots > 0):
+        raise SolverError(f"{name}: non-positive pivot {pivots.min():.3e}: the "
+                          "matrix is not positive definite")
+    R.data /= np.sqrt(pivots)[R.indices]  # its rows, in place
+    return _superlu(R, "NATURAL", name, DiagPivotThresh=0.0), perm
 
 
 class LUFactor:
@@ -278,18 +285,22 @@ class FactoredSolver(LUFactor):
     row and column 0 deleted (Bochev and Lehoucq, SIAM Review 47(1), 2005),
     which keeps the sparsity that a dense border [[A, w], [w', 0]] would
     spoil.  That block is positive definite, so SuperLU factors it with
-    diagonal pivots only, U = D L^T, and the factor keeps U alone (George
-    and Liu, Computer Solution of Large Sparse Positive Definite Systems,
-    1981): A_00^{-1} = P U^{-1} D U^{-T} P^T is a transposed and a plain
-    solve with the SuperLU object of U.  At acute:5 that stores 760,542
-    entries against the LU's 1,440,830, solves about 15% faster and builds
-    60-100 ms slower (a second SuperLU pass, over U).  A solve takes x0 =
-    [0; A_00^{-1} b_0], shifts it to zero weighted mean, and refines it once
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12) by the
-    same solve of r - w sum(r) / sum(w), r = b - A x0: the grounded solve
-    leaves the rounding of every row in row 0, and the correction spreads it
-    along w.  An incompatible right-hand side (sum b != 0) keeps its sum in
-    row 0 and fails the gate.
+    diagonal pivots only, U = D L^T, and the factor keeps the Cholesky
+    factor R = D^{-1/2} U alone, its rows scaled in place (George and Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981):
+    A_00^{-1} = P R^{-1} R^{-T} P^T is a transposed and a plain solve with
+    the SuperLU object of R, and D is held only inside R.  At acute:5 that
+    stores 760,542 entries against the LU's 1,440,830, solves about 15%
+    faster and builds 60-100 ms slower (a second SuperLU pass, over R).
+    scipy's ``SuperLU.U`` builds and caches L's CSC too, so while U is
+    taken out the full LU and both triangles are alive together: that
+    moment, or the end of the time loop, sets the peak memory of an acute:5
+    run.  A solve takes x0 = [0; A_00^{-1} b_0], shifts it to zero weighted
+    mean, and refines it once (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 12) by the same solve of r - w sum(r) / sum(w), r = b -
+    A x0: the grounded solve leaves the rounding of every row in row 0, and
+    the correction spreads it along w.  An incompatible right-hand side
+    (sum b != 0) keeps its sum in row 0 and fails the gate.
 
     Each solve is gated, column by column, on its normwise backward error
     |b - A x| <= max(rtol (|A| |x| + |b|), atol) in the infinity norm
@@ -306,24 +317,24 @@ class FactoredSolver(LUFactor):
             raise ValueError("need a square matrix and one weight per unknown")
         self.matrix = A
         self.weights = w
-        self._unit = None if w is None else w / w.sum()  # unit-sum weights
+        self._weight_sum = None if w is None else float(w.sum())
         self.norm_inf = float(spla.norm(A, np.inf))
         if w is None:
             super().__init__(A, name)
         else:
             start = time.perf_counter()
-            self._upper, self._diag, self._perm = _upper_factor(A, name)
-            self.nnz = self._upper.nnz
+            self._cholesky, self._perm = _cholesky_factor(A, name)
+            self.nnz = self._cholesky.nnz
             self.build_s = time.perf_counter() - start
 
     def _grounded(self, b):
         """[0; A_00^{-1} b_0] shifted to zero weighted mean."""
         c = np.empty_like(b[1:])
         c[self._perm] = b[1:]
-        y = self._upper.solve(c, trans="T")
+        y = self._cholesky.solve(c, trans="T")
         x = np.zeros_like(b)
-        x[1:] = self._upper.solve((y.T * self._diag).T)[self._perm]
-        x -= self._unit @ x
+        x[1:] = self._cholesky.solve(y)[self._perm]
+        x -= (self.weights @ x) / self._weight_sum
         return x
 
     def solve(self, b, tol: Tolerance, where: str = "FactoredSolver"):
@@ -341,7 +352,7 @@ class FactoredSolver(LUFactor):
         else:
             x = self._grounded(b)
             r = b - self.matrix @ x
-            r -= np.multiply.outer(self._unit, r.sum(axis=0))
+            r -= np.multiply.outer(self.weights, r.sum(axis=0) / self._weight_sum)
             x += self._grounded(r)
         r = b - self.matrix @ x
         r_inf = np.abs(r).max(axis=0)

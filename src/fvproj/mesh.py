@@ -53,13 +53,14 @@ class Mesh:
     Attributes
     ----------
     vertices : (nv, 2) float array
-    triangles : (nt, 3) int array, counterclockwise
+    triangles : (nt, 3) int32 array, counterclockwise
     tri_area : (nt,) areas
-    tri_center : (nt, 2) circumcenters
+    tri_center : (nt, 2) circumcenters, derived on access
     tri_diameter : (nt,) circumcircle diameters, derived on access
-    tri_edges : (nt, 3) edge id opposite each local vertex
-    edges : (ne, 2) vertex pairs, sorted lexicographically
-    edge_length, edge_midpoint : per-edge geometry
+    tri_edges : (nt, 3) int32 edge id opposite each local vertex
+    edges : (ne, 2) int32 vertex pairs, sorted lexicographically
+    edge_length : per-edge length
+    edge_midpoint : (ne, 2) edge midpoints, derived on access
     edge_owner, edge_neighbor : adjacent triangle ids (-1 when boundary)
     edge_normal : (ne, 2) unit normal pointing out of the owner
     edge_tau : edge_length / d (inf when d == 0), d the circumcenter
@@ -67,6 +68,10 @@ class Mesh:
     edge_d : edge_length / edge_tau, that distance, derived on access
     interior_edges, boundary_edges : index arrays
     h : largest circumcircle diameter
+
+    The connectivity only set-up reads (``triangles``, ``edges``,
+    ``tri_edges``) is 32-bit; the index arrays of every time step stay
+    intp, which numpy's fancy indexing takes without a conversion.
     """
 
     def __init__(self, vertices, triangles):
@@ -77,8 +82,12 @@ class Mesh:
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshFormatError("triangles must be an (nt, 3) array")
         nv = len(vertices)
+        # on the caller's integers, before the 32-bit cast could wrap one
         if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
             raise MeshTopologyError("triangle vertex index out of range")
+        if max(nv, 3 * len(triangles)) > _INDEX_LIMIT:
+            raise MeshTopologyError("mesh too large for 32-bit connectivity")
+        triangles = triangles.astype(np.int32)
         keys = np.sort(triangles, axis=1)
         keys = keys[np.lexsort(keys.T[::-1])]
         if np.any(np.all(keys[1:] == keys[:-1], axis=1)):
@@ -99,16 +108,15 @@ class Mesh:
             )
         self.tri_area = 0.5 * cross
         self.tri_area.setflags(write=False)
-        self.tri_center = _circumcenters(a, b, c, cross)
-        self.tri_center.setflags(write=False)
-        self.h = float(self.tri_diameter.max()) if len(triangles) else 0.0
+        center = _circumcenters(a, b, c, cross)
+        self.h = 2.0 * float(np.linalg.norm(a - center, axis=1).max()) if len(triangles) else 0.0
 
-        self._build_edges()
+        self._build_edges(center)
         self._cache = {}
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_edges(self):
+    def _build_edges(self, center):
         nt = len(self.triangles)
         # half-edge h = 3k + j is the edge opposite local vertex j of
         # triangle k, i.e. (v_{j+1}, v_{j+2}); a stable sort by its vertex
@@ -131,48 +139,56 @@ class Mesh:
         ne = len(starts)
         owner_half = order[starts]
         self.edge_owner = owner_half // 3
-        self.edge_neighbor = np.full(ne, -1, dtype=np.int64)
+        self.edge_neighbor = np.full(ne, -1, dtype=np.intp)
         pair = counts == 2
         self.edge_neighbor[pair] = order[starts[pair] + 1] // 3
-        tri_edges = np.empty(3 * nt, dtype=np.int64)
+        tri_edges = np.empty(3 * nt, dtype=np.int32)
         tri_edges[order] = np.cumsum(first) - 1
         self.tri_edges = tri_edges.reshape(nt, 3)
 
         va = self.vertices[self.edges[:, 0]]
         vb = self.vertices[self.edges[:, 1]]
-        self.edge_midpoint = 0.5 * (va + vb)
+        midpoint = 0.5 * (va + vb)
         self.edge_length = np.linalg.norm(vb - va, axis=1)
         tang = (vb - va) / self.edge_length[:, None]
         normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
         # orient out of the owner: away from the opposite vertex
         opp = self.vertices[tri.ravel()[owner_half]]
-        flip = np.einsum("ed,ed->e", normal, self.edge_midpoint - opp) < 0
+        flip = np.einsum("ed,ed->e", normal, midpoint - opp) < 0
         normal[flip] *= -1.0
         self.edge_normal = normal
 
         interior = self.edge_neighbor >= 0
         d = np.empty(ne)
         d[interior] = np.linalg.norm(
-            self.tri_center[self.edge_neighbor[interior]]
-            - self.tri_center[self.edge_owner[interior]], axis=1)
+            center[self.edge_neighbor[interior]]
+            - center[self.edge_owner[interior]], axis=1)
         d[~interior] = np.linalg.norm(
-            self.edge_midpoint[~interior] - self.tri_center[self.edge_owner[~interior]],
-            axis=1)
+            midpoint[~interior] - center[self.edge_owner[~interior]], axis=1)
         with np.errstate(divide="ignore"):
             self.edge_tau = np.where(d > 0, self.edge_length / np.where(d > 0, d, 1.0), np.inf)
         self.interior_edges = np.nonzero(interior)[0]
         self.boundary_edges = np.nonzero(~interior)[0]
         for arr in (self.edges, self.edge_owner, self.edge_neighbor, self.tri_edges,
-                    self.edge_midpoint, self.edge_length, self.edge_normal,
+                    self.edge_length, self.edge_normal,
                     self.edge_tau, self.interior_edges, self.boundary_edges):
             arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------------
 
     @property
+    def tri_center(self):
+        a, b, c = (self.vertices[self.triangles[:, j]] for j in range(3))
+        return _circumcenters(a, b, c, 2.0 * self.tri_area)
+
+    @property
     def tri_diameter(self):
         return 2.0 * np.linalg.norm(self.vertices[self.triangles[:, 0]]
                                     - self.tri_center, axis=1)
+
+    @property
+    def edge_midpoint(self):
+        return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
 
     @property
     def edge_d(self):
@@ -219,6 +235,11 @@ def per_mesh(build):
             mesh._cache[key] = build(mesh)
         return mesh._cache[key]
     return cached
+
+
+# largest vertex count, and three times the triangle count (which bounds
+# the edge count), that 32-bit connectivity holds
+_INDEX_LIMIT = np.iinfo(np.int32).max
 
 
 def _circumcenters(a, b, c, cross):
@@ -375,7 +396,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     Child angles equal parent angles, so admissibility and all quality
     ratios survive refinement; h halves exactly.
     """
-    corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh.tri_edges])
+    corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh.tri_edges.astype(np.intp)])
     tris = corners[:, _CHILDREN].reshape(-1, 3)
     verts = np.vstack([mesh.vertices, mesh.edge_midpoint])
     return Mesh(verts, tris)

@@ -32,20 +32,20 @@ from .mesh import Mesh, per_mesh
 @per_mesh
 def gradient_matrices(mesh: Mesh):
     """Component matrices (Gx, Gy), each nt x ne, of the broken gradient
-    of the affine reconstruction: grad q|_K = (1/|K|) sum |e| q(m_e) n_{K,e}."""
+    of the affine reconstruction: grad q|_K = (1/|K|) sum |e| q(m_e) n_{K,e}.
+    Row K holds the three edges of K in increasing order; Gy shares Gx's
+    index arrays."""
+    nt = mesh.num_triangles
+    edges = np.sort(mesh.tri_edges, axis=1)
     # sign of the outward normal relative to the stored edge normal: +1
     # where the triangle owns the edge
-    sign = np.where(
-        mesh.edge_owner[mesh.tri_edges] == np.arange(mesh.num_triangles)[:, None],
-        1.0, -1.0)
-    rows = np.repeat(np.arange(mesh.num_triangles), 3)
-    cols = mesh.tri_edges.ravel()
-    base = (sign * mesh.edge_length[mesh.tri_edges]
-            / mesh.tri_area[:, None]).ravel()
-    n = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2)
-    shape = (mesh.num_triangles, mesh.num_edges)
-    Gx = sp.csr_matrix((base * n[:, :, 0].ravel(), (rows, cols)), shape=shape)
-    Gy = sp.csr_matrix((base * n[:, :, 1].ravel(), (rows, cols)), shape=shape)
+    sign = np.where(mesh.edge_owner[edges] == np.arange(nt)[:, None], 1.0, -1.0)
+    base = sign * mesh.edge_length[edges] / mesh.tri_area[:, None]
+    n = mesh.edge_normal[edges]  # (nt, 3, 2)
+    shape = (nt, mesh.num_edges)
+    Gx = sp.csr_matrix(((base * n[:, :, 0]).ravel(), edges.ravel(),
+                        np.arange(0, 3 * nt + 1, 3)), shape=shape)
+    Gy = sp.csr_matrix(((base * n[:, :, 1]).ravel(), Gx.indices, Gx.indptr), shape=shape)
     return Gx, Gy
 
 

@@ -262,18 +262,29 @@ class _Workspace:
         self.div_residual = 0.0     # |div u| of the last certified field
         self.u_l2 = 0.0             # |u| of the last certified field
         self.u_star_l2 = 0.0        # |u*| of the last momentum step
+        self.cadence = config.cadence if config.out_dir else 0
+        self.snapshot_div = None    # div u of a certified field a snapshot writes
 
-    def certify(self, v: VectorP0, where: str, div_scale: float = 0.0) -> SolenoidalP0:
+    def snapshot_due(self, n: int) -> bool:
+        """Whether the run writes a snapshot of step n's state (never of the
+        start-up states u^0 and u^1)."""
+        return n >= 2 and self.cadence > 0 and n % self.cadence == 0
+
+    def certify(self, v: VectorP0, where: str, div_scale: float = 0.0,
+                keep_div: bool = False) -> SolenoidalP0:
         """Gate a projected field on its remaining divergence.
 
         The projection solve can only reduce the divergence by its relative
         tolerance, so the gate scales with the larger of the field norm and
         the divergence that was removed.  Leaves |div v| and |v| in
-        ``div_residual`` and ``u_l2`` for the step record.
+        ``div_residual`` and ``u_l2`` for the step record, and with
+        ``keep_div`` div v in ``snapshot_div`` for the snapshot.
         """
         if not np.all(np.isfinite(v.values)):
             raise SchemeError(f"{where}: field has NaN or Inf entries")
-        div_l2 = self.div_residual = l2_norm(divergence(v))
+        div = divergence(v)
+        self.snapshot_div = div if keep_div else None
+        div_l2 = self.div_residual = l2_norm(div)
         self.u_l2 = l2_norm(v)
         scale = max(self.u_l2, div_scale)
         if div_l2 > self.cert_tol * scale:
@@ -376,7 +387,8 @@ def correction_step(state: SchemeState, u_tilde: VectorP0, u_next: VectorP0,
                     div_scale: float) -> SchemeState:
     """Certify the projected u^{n+1} (``div_scale`` is |div u_tilde|) and
     rotate the state, which keeps gradient(p_next) for the next step."""
-    cert = ws.certify(u_next, f"correction step {state.n + 1}", div_scale)
+    cert = ws.certify(u_next, f"correction step {state.n + 1}", div_scale,
+                      keep_div=ws.snapshot_due(state.n + 1))
     history = (u_tilde.values,) + state.predictors
     return SchemeState(u_prev=state.u_curr, u_curr=cert, p_curr=p_next,
                        t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde,
@@ -509,9 +521,10 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
     for _ in range(1, config.n_steps):
         state, rec = advance(state, config, ws)
         records.append(rec)
-        if out and config.cadence and (state.n % config.cadence == 0):
+        if ws.snapshot_due(state.n):
             t_snap = time.perf_counter()
-            snapshots += _snapshot(out, state)
+            snapshots += _snapshot(out, state, ws.snapshot_div)
+            ws.snapshot_div = None
             snapshot_s += time.perf_counter() - t_snap
     p_factor, m_factor = pressure_solver(mesh), ws.mom_factor
     traj = Trajectory(config=config, mesh=mesh, records=records,
@@ -528,10 +541,10 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
     return traj
 
 
-def _snapshot(out: Path, state: SchemeState) -> list:
-    """Write the state's velocity and pressure files; return their paths."""
+def _snapshot(out: Path, state: SchemeState, div: ScalarP1NC) -> list:
+    """Write the state's velocity and pressure files, with ``div`` the
+    certificate's divergence of its velocity; return their paths."""
     mesh = state.u_curr.mesh
-    div = divergence(state.u_curr.field)
     grid = out / f"state_{state.n:06d}.vtk"
     cloud = out / f"pressure_{state.n:06d}.vtk"
     vtkio.write_unstructured(

@@ -546,8 +546,8 @@ class TestStartingGuess:
 class TestFactorStorage:
     """Every SuperLU factor has unrelaxed supernodes: it stores the entries
     of its triangles and no explicit zeros of padding.  The pressure factor
-    keeps the upper triangle U of the grounded block alone, as a SuperLU
-    object with L = I."""
+    keeps the Cholesky factor R = D^{-1/2} U of the grounded block alone, as
+    a SuperLU object with L = I."""
 
     @staticmethod
     def _momentum_factor(mesh):
@@ -560,7 +560,7 @@ class TestFactorStorage:
         mesh = unit_square_acute(level)
         factor = {"pressure": pressure_solver, "h": h_solver,
                   "momentum": self._momentum_factor}[which](mesh)
-        lu = factor._upper if which == "pressure" else factor._lu
+        lu = factor._cholesky if which == "pressure" else factor._lu
         assert factor.nnz == lu.nnz == lu.L.nnz + lu.U.nnz
 
     @pytest.mark.parametrize("level", [2, 3])
@@ -568,7 +568,7 @@ class TestFactorStorage:
         # nnz(U) + n entries (L = I), with the fill of the full LU's U
         mesh = unit_square_acute(level)
         factor, n = pressure_solver(mesh), mesh.num_edges - 1
-        upper = factor._upper
+        upper = factor._cholesky
         assert factor.nnz == upper.U.nnz + n
         assert upper.L.nnz == n
         assert np.array_equal(upper.perm_r, np.arange(n))
@@ -583,11 +583,11 @@ class TestFactorStorage:
         # factor kept from it would keep all of it alive.  The one SuperLU
         # object it keeps, directly or under an array, is the factor of U
         factor = pressure_solver(unit_square_acute(2))
-        superlu = type(factor._upper)
+        superlu = type(factor._cholesky)
         for name, value in vars(factor).items():
             while isinstance(value, np.ndarray):
                 value = value.base
-            assert not isinstance(value, superlu) or value is factor._upper, name
+            assert not isinstance(value, superlu) or value is factor._cholesky, name
 
     def test_reports_its_build(self):
         mesh = unit_square_acute(1)
@@ -598,6 +598,31 @@ class TestFactorStorage:
     def test_singular_matrix_raises_solver_error(self):
         with pytest.raises(SolverError, match="^named: SuperLU: .*singular"):
             FactoredSolver(sp.csr_matrix(np.ones((2, 2))), name="named")
+
+    def test_pressure_factor_keeps_no_scaling_arrays(self):
+        # D lives only inside the Cholesky factor R = D^{-1/2} U, and the
+        # zero-mean shift divides by the one weight sum: the one float
+        # array kept beside the factor is the caller's weights
+        mesh = unit_square_acute(2)
+        factor = pressure_solver(mesh)
+        floats = [name for name, value in vars(factor).items()
+                  if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
+        assert floats == ["weights"] and factor.weights is p1nc_mass(mesh)
+        upper = factor._cholesky.U
+        R = spla.splu(pressure_stiffness(mesh)[1:, 1:].tocsc(),
+                      permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
+                      options={"SymmetricMode": True, "DiagPivotThresh": 0.0}).U
+        R = sp.diags(1.0 / np.sqrt(R.diagonal())) @ R
+        assert abs(upper - R).max() <= 1e-14 * abs(R).max()
+
+    def test_indefinite_matrix_raises_solver_error(self):
+        # symmetric, the constants in its kernel, and its grounded block
+        # [[-1, 2], [2, -2]] nonsingular: its pivots are not zero, but one
+        # is negative
+        A = np.array([[1.0, -1.0, 0.0], [-1.0, -1.0, 2.0], [0.0, 2.0, -2.0]])
+        with pytest.raises(SolverError, match="^named: non-positive pivot .*"
+                                              "not positive definite"):
+            FactoredSolver(A, np.ones(3), name="named")
 
     def test_zero_diagonal_pivot_raises_solver_error(self):
         # the grounded block [[0, 1], [1, 0]] is nonsingular but indefinite,

@@ -46,6 +46,15 @@ class TestGradient:
         g_ref = reference.gradient_direct(mesh, q)
         assert np.abs(g.values - g_ref).max() < 1e-12
 
+    def test_components_share_one_pattern(self, family):
+        # Gy keeps Gx's index arrays: rows of three edges in increasing
+        # order, the canonical CSR form
+        for mesh in family:
+            Gx, Gy = gradient_matrices(mesh)
+            assert np.shares_memory(Gx.indices, Gy.indices)
+            assert np.shares_memory(Gx.indptr, Gy.indptr)
+            assert Gx.has_canonical_format and Gx.nnz == 3 * mesh.num_triangles
+
 
 class TestDivergence:
     def test_equilateral_pair_value(self, pair):

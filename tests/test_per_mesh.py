@@ -4,7 +4,9 @@ import ast
 from functools import wraps
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fvproj
 from fvproj import fields, operators
@@ -113,3 +115,48 @@ def test_one_cache_and_no_import_cycle():
             modules |= {f"fvproj.{a.name}" for a in node.names}
     assert not modules & {"fvproj.operators", "fvproj.linalg"}
     assert "fvproj.mesh" in modules  # the relative imports were read
+
+
+def stored_bytes(mesh) -> int:
+    """Bytes owned by the arrays the mesh keeps, in its attributes and in
+    its per-mesh cache: a sparse matrix counts its data, index and pointer
+    arrays, an object its attributes, and a buffer counts once however many
+    arrays view it.  SuperLU's own storage is not an array and not counted
+    (``nnz`` reports it)."""
+    seen, total = set(), 0
+
+    def visit(x):
+        nonlocal total
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            if id(x) not in seen:
+                seen.add(id(x))
+                total += x.nbytes
+        elif sp.issparse(x):
+            for part in (x.data, x.indices, x.indptr):
+                visit(part)
+        elif isinstance(x, (tuple, list)):
+            for item in x:
+                visit(item)
+        elif isinstance(x, dict):
+            for item in x.values():
+                visit(item)
+        elif hasattr(x, "__dict__"):
+            visit(vars(x))
+
+    visit(vars(mesh))
+    return total
+
+
+# stored_bytes of acute:3 with every builder's result cached.  An array
+# stored again (a copy, a wider dtype, a cached value that could be
+# derived) raises it; a change that stores less lowers the pin.
+STORED_BYTES_ACUTE_3 = 706_264
+
+
+def test_stored_bytes_budget():
+    mesh = unit_square_acute(3)
+    for builder in BUILDERS:
+        builder(mesh)
+    assert stored_bytes(mesh) == STORED_BYTES_ACUTE_3

@@ -742,6 +742,35 @@ class TestPerStepWork:
         # gradients of phi^0, phi^1 and p^1; that of p^0 = 0 is a zero field
         assert len(calls) == 7
 
+    def test_snapshot_reuses_the_certificates_divergence(self, monkeypatch, tmp_path):
+        # one divergence per certified field: a snapshot writes the one its
+        # certificate took, which is kept on snapshot steps only
+        calls, kept = [], []
+        div, certify = scheme.divergence, _Workspace.certify
+        monkeypatch.setattr(scheme, "divergence", lambda v: calls.append(v) or div(v))
+
+        def recording(ws, v, where, div_scale=0.0, keep_div=False):
+            cert = certify(ws, v, where, div_scale, keep_div)
+            kept.append(ws.snapshot_div is not None)
+            return cert
+
+        monkeypatch.setattr(_Workspace, "certify", recording)
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=6, case="manufactured-A",
+                        out_dir=str(tmp_path), cadence=2)
+        assert run(cfg).snapshot_files == 6
+        # u^0, u^1, then steps 2 to 6, of which 2, 4 and 6 are written
+        assert kept == [False, False, True, False, True, False, True]
+        assert len(calls) == len(kept)
+
+    def test_snapshot_divergence_is_the_fields(self, tmp_path):
+        from test_vtkio import _bits, _decode
+        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4, case="manufactured-A",
+                        out_dir=str(tmp_path), cadence=4)
+        traj = run(cfg)
+        _, _, arrays = _decode((tmp_path / "pressure_000004.vtk").read_bytes())
+        expected = divergence(traj.state.u_curr.field).values
+        assert np.array_equal(_bits(arrays["SCALARS div_velocity"]), _bits(expected))
+
 
 class TestExtrapolatedAdvection:
     def test_momentum_uses_two_un_minus_unm1(self):
