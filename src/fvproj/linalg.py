@@ -216,6 +216,11 @@ def _superlu(M, permc_spec: str, name: str, **options):
         raise SolverError(f"{name}: SuperLU: {exc}") from None
 
 
+def _lu(A, name: str):
+    """SuperLU's LU of a nonsingular A, ordered and pivoted as ``LUFactor`` says."""
+    return _superlu(sp.csc_matrix(A), "MMD_AT_PLUS_A", name, SymmetricMode=True)
+
+
 def _cholesky_factor(A, name: str):
     """(SuperLU of R, p) for the grounded block M = A[1:, 1:] of a CSR
     matrix A, M symmetric positive definite: M[i, j] = (R^T R)[p[i], p[j]]
@@ -266,8 +271,7 @@ class LUFactor:
 
     def __init__(self, A, name: str = "LUFactor"):
         start = time.perf_counter()
-        self._lu = _superlu(sp.csc_matrix(A), "MMD_AT_PLUS_A", name,
-                            SymmetricMode=True)
+        self._lu = _lu(A, name)
         self.nnz = self._lu.nnz
         self.build_s = time.perf_counter() - start
 
@@ -275,11 +279,11 @@ class LUFactor:
         return self._lu.solve(b)
 
 
-class FactoredSolver(LUFactor):
+class FactoredSolver:
     """Direct solver of A x = b for a fixed A, factored once with the ordering
     and pivots of ``LUFactor`` and kept for the gate.  Without weights A
-    must be nonsingular and its factor is the ``LUFactor`` of A (``apply``
-    serves this plain factor only).  With weights w, A is symmetric positive
+    must be nonsingular and its factor is the LU of A (held, not inherited:
+    there is no ungated ``apply``).  With weights w, A is symmetric positive
     semidefinite with the constants as kernel, and the solve is on the
     subspace w . x = 0.  Unknown 0 is grounded: the factor is of A with its
     row and column 0 deleted (Bochev and Lehoucq, SIAM Review 47(1), 2005),
@@ -319,13 +323,14 @@ class FactoredSolver(LUFactor):
         self.weights = w
         self._weight_sum = None if w is None else float(w.sum())
         self.norm_inf = float(spla.norm(A, np.inf))
+        start = time.perf_counter()
         if w is None:
-            super().__init__(A, name)
+            self._lu = _lu(A, name)
+            self.nnz = self._lu.nnz
         else:
-            start = time.perf_counter()
             self._cholesky, self._perm = _cholesky_factor(A, name)
             self.nnz = self._cholesky.nnz
-            self.build_s = time.perf_counter() - start
+        self.build_s = time.perf_counter() - start
 
     def _grounded(self, b):
         """[0; A_00^{-1} b_0] shifted to zero weighted mean."""
@@ -348,7 +353,7 @@ class FactoredSolver(LUFactor):
             raise ValueError(f"rhs of shape {b.shape} does not match a system of size {n}")
         _require_finite(b)
         if self.weights is None:
-            x = self.apply(b)
+            x = self._lu.solve(b)
         else:
             x = self._grounded(b)
             r = b - self.matrix @ x

@@ -76,14 +76,20 @@ class Mesh:
 
     def __init__(self, vertices, triangles):
         vertices = np.asarray(vertices, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshFormatError("vertices must be an (nv, 2) array")
-        if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise MeshFormatError("triangles must be an (nt, 3) array")
+        if triangles.ndim != 2 or triangles.shape[1] != 3 or len(triangles) == 0:
+            raise MeshFormatError("triangles must be an (nt, 3) array with nt >= 1")
+        if not np.all(np.isfinite(vertices)):
+            raise MeshFormatError("vertex coordinates must be finite")
+        if triangles.dtype.kind not in "iu":
+            triangles = triangles.astype(float)
+            if not np.all(triangles == np.floor(triangles)):  # NaN fails too
+                raise MeshFormatError("triangle vertex indices must be integers")
         nv = len(vertices)
-        # on the caller's integers, before the 32-bit cast could wrap one
-        if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
+        # on the caller's numbers, before the 32-bit cast could wrap one
+        if triangles.min() < 0 or triangles.max() >= nv:
             raise MeshTopologyError("triangle vertex index out of range")
         if max(nv, 3 * len(triangles)) > _INDEX_LIMIT:
             raise MeshTopologyError("mesh too large for 32-bit connectivity")
@@ -109,7 +115,7 @@ class Mesh:
         self.tri_area = 0.5 * cross
         self.tri_area.setflags(write=False)
         center = _circumcenters(a, b, c, cross)
-        self.h = 2.0 * float(np.linalg.norm(a - center, axis=1).max()) if len(triangles) else 0.0
+        self.h = 2.0 * float(np.linalg.norm(a - center, axis=1).max())
 
         self._build_edges(center)
         self._cache = {}
@@ -165,8 +171,7 @@ class Mesh:
             - center[self.edge_owner[interior]], axis=1)
         d[~interior] = np.linalg.norm(
             midpoint[~interior] - center[self.edge_owner[~interior]], axis=1)
-        with np.errstate(divide="ignore"):
-            self.edge_tau = np.where(d > 0, self.edge_length / np.where(d > 0, d, 1.0), np.inf)
+        self.edge_tau = np.where(d > 0, self.edge_length / np.where(d > 0, d, 1.0), np.inf)
         self.interior_edges = np.nonzero(interior)[0]
         self.boundary_edges = np.nonzero(~interior)[0]
         for arr in (self.edges, self.edge_owner, self.edge_neighbor, self.tri_edges,
@@ -270,18 +275,15 @@ def validate_mesh(mesh: Mesh) -> MeshQualityReport:
     pieces = int(np.count_nonzero(root == np.arange(mesh.num_triangles)))
     ang = mesh.angles()
     tau = mesh.edge_tau
-    with np.errstate(divide="ignore"):
-        d_over_edge = 1.0 / tau
-    edge_over_h = mesh.edge_length / mesh.h if mesh.h > 0 else np.zeros_like(mesh.edge_length)
-    min_d = float(d_over_edge.min()) if len(d_over_edge) else 0.0
-    admissible = bool(pieces == 1 and ang.max() < 0.5 * np.pi and min_d > 0.0
-                      and np.all(np.isfinite(tau)))
+    with np.errstate(divide="ignore"):  # tau = 0 once a center overflows to inf
+        min_d = float((1.0 / tau).min())
+    admissible = bool(pieces == 1 and ang.max() < 0.5 * np.pi and min_d > 0.0)
     return MeshQualityReport(
         min_angle=float(ang.min()),
         max_angle=float(ang.max()),
         min_tau=float(tau.min()),
         min_d_over_edge=min_d,
-        min_edge_over_h=float(edge_over_h.min()) if len(edge_over_h) else 0.0,
+        min_edge_over_h=float(mesh.edge_length.min() / mesh.h),
         pieces=pieces,
         admissible=admissible,
     )
@@ -298,89 +300,76 @@ def require_admissible(mesh: Mesh) -> MeshQualityReport:
 # -- file I/O -------------------------------------------------------------------
 
 def load_mesh(path) -> Mesh:
-    """Read a mesh from disk; the file suffix names the format.
+    """Read a mesh from disk; the file suffix names the format, in which
+    ``#`` starts a comment.  A file that cannot be opened raises OSError;
+    an error for a file's content names the file.
 
-    ``.node`` or ``.ele``: the planar-triangulation two-file convention,
-    read from both files of the stem.  The leading index column of each
-    line is honoured (1-based in the wild) and attribute/marker columns
-    are ignored.
+    ``.node`` or ``.ele``: the two-file format of Shewchuk's Triangle, read
+    from both files of the stem.  The leading id column of each line is
+    honoured (1-based in the wild; each vertex id once); the header past
+    its count, attribute/marker columns and uncounted lines are ignored.
 
     Any other suffix: the single-file format.  Line 1 is ``NV NT``, then
-    NV ``x y`` lines, then NT ``i j k`` lines with 0-based vertex ids.
+    exactly NV ``x y`` lines and NT ``i j k`` lines with 0-based vertex ids.
     """
     path = Path(path)
-    if path.suffix in (".node", ".ele"):
-        return _load_node_ele(path)
-    return _load_single(path)
+    try:  # ``source`` names the file read when an error is raised
+        if path.suffix not in (".node", ".ele"):
+            rows = _tokens(source := path)
+            nv, nt = (c.item() for c in _table(rows[:1], "NV NT", 1))
+            return Mesh(np.column_stack(_table(rows[1:1 + nv], "x y", nv)),
+                        np.column_stack(_table(rows[1 + nv:], "i j k", nt)))
+        node, ele = path.with_suffix(".node"), path.with_suffix(".ele")
+        rows = _tokens(source := node)
+        nv = _table(rows, "NV ...", 1)[0].item()
+        ids, x, y = _table(rows[1:], "id x y ...", nv)
+        index = {}
+        for row, i in enumerate(ids.tolist()):
+            if index.setdefault(i, row) != row:
+                raise MeshFormatError(f"vertex id {i} given twice")
+        rows = _tokens(source := ele)
+        nt = _table(rows, "NT ...", 1)[0].item()
+        _, *corners = _table(rows[1:], "id i j k ...", nt)
+        try:
+            triangles = np.array([[index[i] for i in c.tolist()] for c in corners]).T
+        except KeyError as exc:
+            raise MeshTopologyError(f"vertex id {exc.args[0]} not in {node}") from None
+        source = f"{node}, {ele}"
+        return Mesh(np.column_stack([x, y]), triangles)
+    except (MeshFormatError, MeshTopologyError, MeshOrientationError) as exc:
+        raise type(exc)(f"{exc} (in {source})") from None
 
 
 def _tokens(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MeshFormatError(f"cannot read {path}: {exc}") from exc
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield line.split()
+    """(line number, tokens) of each line that holds any once its ``#``
+    comment is cut off.  A byte that does not decode becomes U+FFFD, which
+    no number parses."""
+    rows = ((n, line.split("#", 1)[0].split())
+            for n, line in enumerate(path.read_text(errors="replace").splitlines(), 1))
+    return [(n, tokens) for n, tokens in rows if tokens]
 
 
-def _load_single(path) -> Mesh:
-    rows = list(_tokens(path))
-    if not rows or len(rows[0]) != 2:
-        raise MeshFormatError(f"{path}: expected header 'NV NT'")
-    try:
-        nv, nt = int(rows[0][0]), int(rows[0][1])
-        if len(rows) != 1 + nv + nt:
-            raise MeshFormatError(
-                f"{path}: expected {1 + nv + nt} content lines, found {len(rows)}")
-        verts = np.array([[float(x) for x in r] for r in rows[1:1 + nv]])
-        tris = np.array([[int(x) for x in r] for r in rows[1 + nv:]], dtype=np.int64)
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, MeshFormatError):
-            raise
-        raise MeshFormatError(f"{path}: {exc}") from exc
-    if verts.size and verts.shape[1] != 2:
-        raise MeshFormatError(f"{path}: vertex lines must be 'x y'")
-    if tris.size and tris.shape[1] != 3:
-        raise MeshFormatError(f"{path}: triangle lines must be 'i j k'")
-    return Mesh(verts, tris)
-
-
-def _load_node_ele(path: Path) -> Mesh:
-    node_path, ele_path = path.with_suffix(".node"), path.with_suffix(".ele")
-
-    rows = list(_tokens(node_path))
-    if not rows:
-        raise MeshFormatError(f"{node_path}: empty file")
-    try:
-        nv = int(rows[0][0])
-        ids = []
-        coords = []
-        for r in rows[1:1 + nv]:
-            ids.append(int(r[0]))
-            coords.append((float(r[1]), float(r[2])))
-        if len(coords) != nv:
-            raise MeshFormatError(f"{node_path}: expected {nv} vertex lines")
-        id_map = {i: row for row, i in enumerate(ids)}
-        verts = np.array(coords)
-
-        rows = list(_tokens(ele_path))
-        nt = int(rows[0][0])
-        tris = []
-        for r in rows[1:1 + nt]:
-            try:
-                tris.append([id_map[int(x)] for x in r[1:4]])
-            except KeyError as exc:
-                raise MeshTopologyError(
-                    f"{ele_path}: vertex id {exc.args[0]} not in {node_path}") from None
-        if len(tris) != nt:
-            raise MeshFormatError(f"{ele_path}: expected {nt} triangle lines")
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, (MeshFormatError, MeshTopologyError)):
-            raise
-        raise MeshFormatError(f"{node_path}/{ele_path}: {exc}") from exc
-    return Mesh(verts, np.array(tris, dtype=np.int64))
+def _table(rows, form, count):
+    """The first ``count`` rows read as ``form``, one array per name: float
+    for ``x`` and ``y``, int64 for any other.  A form ending in ``...``
+    ignores further lines, and further tokens on a line; any other takes
+    exactly ``count`` lines of exactly its names.  Rows short of that, or a
+    token that does not parse, raise MeshFormatError."""
+    exact = not form.endswith("...")
+    parse = [np.float64 if name in ("x", "y") else np.int64
+             for name in form.removesuffix("...").split()]
+    if not 0 <= count <= len(rows) or exact and len(rows) > count:
+        raise MeshFormatError(f"expected {count} '{form}' lines, found {len(rows)}")
+    columns = [[] for _ in parse]
+    for n, tokens in rows[:count]:
+        if len(tokens) < len(parse) or exact and len(tokens) > len(parse):
+            raise MeshFormatError(f"line {n}: expected '{form}', found {' '.join(tokens)!r}")
+        try:
+            for column, read, token in zip(columns, parse, tokens):
+                column.append(read(token))
+        except (ValueError, OverflowError) as exc:
+            raise MeshFormatError(f"line {n}: {exc}") from None
+    return [np.array(column, dtype=read) for column, read in zip(columns, parse)]
 
 
 # -- refinement ------------------------------------------------------------------

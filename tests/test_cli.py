@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,61 @@ class TestMeshCheck:
         assert main(["mesh-check", "--mesh", "acute:-1"]) == EXIT_USAGE
         assert ("argument --mesh: want acute:L with L an integer >= 0, "
                 "got 'acute:-1'") in capsys.readouterr().err
+
+
+_NODE = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
+_ELE = "1 3 0\n1 1 2 3\n"
+
+# (name, {file: content}, exit code, the file the error names); the node/ele
+# cases read m.node and m.ele, each from _NODE and _ELE unless given
+MALFORMED_MESH_FILES = [
+    ("header", {"m.mesh": "3\n0 0\n1 0\n0 1\n0 1 2\n"}, EXIT_IO, "m.mesh"),
+    ("short row", {"m.mesh": "3 1\n0 0\n1\n0 1\n0 1 2\n"}, EXIT_IO, "m.mesh"),
+    ("ragged row", {"m.mesh": "3 1\n0 0\n1 0\n0 1\n0 1 2 0\n"}, EXIT_IO, "m.mesh"),
+    ("token", {"m.mesh": "3 1\n0 0\n1 0\n0 1\n0 1 2.5\n"}, EXIT_IO, "m.mesh"),
+    ("extra line", {"m.mesh": "3 1\n0 0\n1 0\n0 1\n0 1 2\n1 2 0\n"}, EXIT_IO,
+     "m.mesh"),
+    ("unknown id", {"m.mesh": "3 1\n0 0\n1 0\n0 1\n0 1 3\n"}, EXIT_CHECK_FAILED,
+     "m.mesh"),
+    ("nan", {"m.mesh": "3 1\nnan 0\n1 0\n0 1\n0 1 2\n"}, EXIT_IO, "m.mesh"),
+    ("inf", {"m.mesh": "3 1\ninf 0\n1 0\n0 1\n0 1 2\n"}, EXIT_IO, "m.mesh"),
+    ("no triangles", {"m.mesh": "3 0\n0 0\n1 0\n0 1\n"}, EXIT_IO, "m.mesh"),
+    ("undecodable", {"m.mesh": b"3 1\n0 0\n1 0\n0 1\n0 1 \xff\n"}, EXIT_IO, "m.mesh"),
+    ("node header", {"m.node": "three 2 0 0\n"}, EXIT_IO, "m.node"),
+    ("empty ele", {"m.ele": "# no header\n"}, EXIT_IO, "m.ele"),
+    ("short ele row", {"m.ele": "1 3 0\n1 1 2\n"}, EXIT_IO, "m.ele"),
+    ("short node row", {"m.node": "3 2 0 0\n1 0 0\n2 1\n3 0 1\n"}, EXIT_IO, "m.node"),
+    ("missing node row", {"m.node": "4 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"}, EXIT_IO,
+     "m.node"),
+    ("node token", {"m.node": "3 2 0 0\n1 0 0\n2 1 zero\n3 0 1\n"}, EXIT_IO, "m.node"),
+    # keyed by id alone, the triangle would take the last line of id 3
+    ("repeated id", {"m.node": "4 2 0 0\n1 0 0\n2 1 0\n3 0.5 0.9\n3 0.5 0.95\n"},
+     EXIT_IO, "m.node"),
+    ("unknown node id", {"m.ele": "1 3 0\n1 1 2 9\n"}, EXIT_CHECK_FAILED, "m.ele"),
+    ("node nan", {"m.node": "3 2 0 0\n1 nan 0\n2 1 0\n3 0 1\n"}, EXIT_IO, "m.node"),
+    ("node inf", {"m.node": "3 2 0 0\n1 0 inf\n2 1 0\n3 0 1\n"}, EXIT_IO, "m.node"),
+    ("no ele triangles", {"m.ele": "0 3 0\n"}, EXIT_IO, "m.ele"),
+]
+
+
+@pytest.mark.parametrize("command", ["mesh-check", "run"])
+@pytest.mark.parametrize("files, code, named",
+                         [case[1:] for case in MALFORMED_MESH_FILES],
+                         ids=[case[0] for case in MALFORMED_MESH_FILES])
+def test_malformed_mesh_file(tmp_path, capsys, command, files, code, named):
+    # refused before anything runs, naming the file, without a warning
+    if "m.mesh" not in files:
+        files = {"m.node": _NODE, "m.ele": _ELE, **files}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    spec = tmp_path / ("m.mesh" if "m.mesh" in files else "m.node")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--mesh", str(spec)]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(tmp_path / named) in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestRun:

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from fvproj import reference
 from fvproj.fields import ScalarP1NC, mean_zero, p1nc_mass
 from fvproj.fields import h_gram
-from fvproj.linalg import (FactoredSolver, SolveInfo, SolverError,
+from fvproj.linalg import (FactoredSolver, LUFactor, SolveInfo, SolverError,
                            SparseOperator, Tolerance, solve)
 from fvproj.mesh import equilateral_pair, unit_square_acute
 from fvproj.operators import h_solver, pressure_solver, pressure_stiffness
@@ -148,7 +148,7 @@ class TestFactorPreconditioner:
 
     def test_exact_factor_converges_at_once(self, system):
         A, b = system
-        op = SparseOperator(A, FactoredSolver(A).apply)
+        op = SparseOperator(A, LUFactor(A).apply)
         x, info = solve(op, b, Tolerance(rtol=1e-12))
         _, jacobi = solve(_diagonal(A), b, Tolerance(rtol=1e-12))
         assert info.converged and info.iterations <= 2 < jacobi.iterations
@@ -158,7 +158,7 @@ class TestFactorPreconditioner:
         # a factor of a different matrix is only a preconditioner: the
         # result is still certified on the true residual of A
         A, b = system
-        lagged = FactoredSolver(A + sp.diags(np.full(A.shape[0], 0.5))).apply
+        lagged = LUFactor(A + sp.diags(np.full(A.shape[0], 0.5))).apply
         x, info = solve(SparseOperator(A, lagged), b,
                         Tolerance(rtol=1e-12))
         assert info.converged and info.iterations > 2
@@ -177,7 +177,7 @@ class TestBlockSolve:
         n = mesh.num_triangles
         skew = sp.random(n, n, density=0.01, random_state=7, format="csr")
         A = (sp.diags(np.full(n, 2.0)) + 0.01 * H + 0.05 * (skew - skew.T)).tocsr()
-        lagged = FactoredSolver(A + sp.diags(np.full(n, 0.5))).apply
+        lagged = LUFactor(A + sp.diags(np.full(n, 0.5))).apply
         return A, lagged, np.random.default_rng(4).standard_normal((n, 2))
 
     @staticmethod
@@ -454,7 +454,7 @@ class TestStartingGuess:
         skew = sp.random(n, n, density=0.01, random_state=7, format="csr")
         A = (sp.diags(np.full(n, 2.0)) + 0.01 * h_gram(mesh)
              + 0.05 * (skew - skew.T)).tocsr()
-        lagged = FactoredSolver(A + sp.diags(np.full(n, 0.5))).apply
+        lagged = LUFactor(A + sp.diags(np.full(n, 0.5))).apply
         X = np.random.default_rng(4).standard_normal((n, 2))
         return A, lagged, X, A @ X
 
@@ -588,6 +588,14 @@ class TestFactorStorage:
             while isinstance(value, np.ndarray):
                 value = value.base
             assert not isinstance(value, superlu) or value is factor._cholesky, name
+
+    @pytest.mark.parametrize("build", [pressure_solver, h_solver])
+    def test_factored_solver_has_no_ungated_apply(self, build):
+        # a preconditioner is an LUFactor; a FactoredSolver solves only
+        # through its backward-error gate
+        factor = build(unit_square_acute(1))
+        assert not isinstance(factor, LUFactor)
+        assert not hasattr(factor, "apply")
 
     def test_reports_its_build(self):
         mesh = unit_square_acute(1)

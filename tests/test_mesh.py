@@ -242,6 +242,26 @@ class TestIO:
         with pytest.raises(MeshOrientationError):
             Mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
 
+    @pytest.mark.parametrize("x, triangles, match", [
+        # an integer cast would truncate this to triangle (0, 1, 2)
+        (0.0, [[0.0, 1.0, 2.9], [1, 0, 3]], "integers"),
+        (np.nan, [[0, 1, 2], [1, 0, 3]], "finite"),
+        # would warn of an invalid value in the signed area
+        (np.inf, [[0, 1, 2], [1, 0, 3]], "finite"),
+        # no mesh at all: validate_mesh has nothing to report on
+        (0.0, np.zeros((0, 3), dtype=int), "nt >= 1"),
+    ])
+    def test_refused_arrays(self, pair, x, triangles, match):
+        vertices = pair.vertices.copy()
+        vertices[0, 0] = x
+        with pytest.raises(MeshFormatError, match=match):
+            Mesh(vertices, triangles)
+
+    def test_integral_float_indices_accepted(self, pair):
+        mesh = Mesh(pair.vertices, pair.triangles.astype(float))
+        assert mesh.triangles.dtype == np.int32
+        assert np.array_equal(mesh.triangles, pair.triangles)
+
     def test_node_ele(self, tmp_path):
         (tmp_path / "m.node").write_text(
             "4 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 1\n3 0.5 0.9 1\n4 0.5 -0.9 1\n")

@@ -793,8 +793,8 @@ class TestExtrapolatedAdvection:
             gp = gradient(state.p_curr)
             rhs = (f.values + (4 * state.u_curr.values - state.u_prev.values)
                    / (2 * k) - gp.values) * mesh.tri_area[:, None]
-            from fvproj.linalg import FactoredSolver, SparseOperator, solve
-            out, info = solve(SparseOperator(A, FactoredSolver(A).apply), rhs,
+            from fvproj.linalg import LUFactor, SparseOperator, solve
+            out, info = solve(SparseOperator(A, LUFactor(A).apply), rhs,
                               scheme.MOMENTUM_TOL)
             assert info.converged
             return out
