@@ -99,18 +99,13 @@ class VectorRT0(_Field):
 
 class SolenoidalP0:
     """A cellwise-constant vector field taken as discretely divergence
-    free: the marker type of an advecting field.  ``trusted`` wraps a field
-    without a check; the scheme's divergence certificate returns one after
-    gating |div v|."""
+    free: the marker type of an advecting field.  ``operators.leray_project``
+    returns one after gating |div u|; the constructor itself checks nothing."""
 
     __slots__ = ("field",)
 
     def __init__(self, field: VectorP0):
         self.field = field
-
-    @classmethod
-    def trusted(cls, field: VectorP0) -> "SolenoidalP0":
-        return cls(field)
 
     @property
     def mesh(self):

@@ -56,7 +56,6 @@ class Mesh:
     triangles : (nt, 3) int32 array, counterclockwise
     tri_area : (nt,) areas
     tri_center : (nt, 2) circumcenters, derived on access
-    tri_diameter : (nt,) circumcircle diameters, derived on access
     tri_edges : (nt, 3) int32 edge id opposite each local vertex
     edges : (ne, 2) int32 vertex pairs, sorted lexicographically
     edge_length : per-edge length
@@ -65,9 +64,11 @@ class Mesh:
     edge_normal : (ne, 2) unit normal pointing out of the owner
     edge_tau : edge_length / d (inf when d == 0), d the circumcenter
         distance (owner-to-neighbor, or owner-to-midpoint on the boundary)
-    edge_d : edge_length / edge_tau, that distance, derived on access
     interior_edges, boundary_edges : index arrays
     h : largest circumcircle diameter
+
+    Geometry that is not finite (areas, circumcenters, h and 1 / h, edge
+    lengths and their reciprocals, d / edge_length) raises MeshFormatError.
 
     The connectivity only set-up reads (``triangles``, ``edges``,
     ``tri_edges``) is 32-bit; the index arrays of every time step stay
@@ -106,18 +107,22 @@ class Mesh:
 
         p = vertices[triangles]  # (nt, 3, 2)
         a, b, c = p[:, 0], p[:, 1], p[:, 2]
-        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-        if np.any(cross <= 0):
-            bad = int(np.argmax(cross <= 0))
-            raise MeshOrientationError(
-                f"triangle {bad} has non-positive signed area {0.5 * cross[bad]:.3e}"
-            )
-        self.tri_area = 0.5 * cross
-        self.tri_area.setflags(write=False)
-        center = _circumcenters(a, b, c, cross)
-        self.h = 2.0 * float(np.linalg.norm(a - center, axis=1).max())
-
-        self._build_edges(center)
+        with np.errstate(all="ignore"):  # what overflows is refused below
+            area = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                          - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+            _require_finite("signed area", area)
+            if np.any(area <= 0):
+                bad = int(np.argmax(area <= 0))
+                raise MeshOrientationError(
+                    f"triangle {bad} has non-positive signed area {area[bad]:.3e}")
+            center = _circumcenters(a, b, c, 2.0 * area)  # as ``tri_center``
+            _require_finite("circumcenter", center)
+            h = 2.0 * np.linalg.norm(a - center, axis=1).max()
+            _require_finite("h or 1 / h", [h, 1.0 / h])
+            self.h = float(h)
+            self.tri_area = area
+            self.tri_area.setflags(write=False)
+            self._build_edges(center)
         self._cache = {}
 
     # -- construction helpers -------------------------------------------------
@@ -156,6 +161,8 @@ class Mesh:
         vb = self.vertices[self.edges[:, 1]]
         midpoint = 0.5 * (va + vb)
         self.edge_length = np.linalg.norm(vb - va, axis=1)
+        _require_finite("edge length or 1 / length",
+                        [self.edge_length, 1.0 / self.edge_length])
         tang = (vb - va) / self.edge_length[:, None]
         normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
         # orient out of the owner: away from the opposite vertex
@@ -172,6 +179,7 @@ class Mesh:
         d[~interior] = np.linalg.norm(
             midpoint[~interior] - center[self.edge_owner[~interior]], axis=1)
         self.edge_tau = np.where(d > 0, self.edge_length / np.where(d > 0, d, 1.0), np.inf)
+        _require_finite("d / edge length", 1.0 / self.edge_tau)  # validate_mesh's
         self.interior_edges = np.nonzero(interior)[0]
         self.boundary_edges = np.nonzero(~interior)[0]
         for arr in (self.edges, self.edge_owner, self.edge_neighbor, self.tri_edges,
@@ -187,17 +195,8 @@ class Mesh:
         return _circumcenters(a, b, c, 2.0 * self.tri_area)
 
     @property
-    def tri_diameter(self):
-        return 2.0 * np.linalg.norm(self.vertices[self.triangles[:, 0]]
-                                    - self.tri_center, axis=1)
-
-    @property
     def edge_midpoint(self):
         return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
-
-    @property
-    def edge_d(self):
-        return self.edge_length / self.edge_tau
 
     @property
     def num_vertices(self):
@@ -247,6 +246,11 @@ def per_mesh(build):
 _INDEX_LIMIT = np.iinfo(np.int32).max
 
 
+def _require_finite(name, values):
+    if not np.all(np.isfinite(values)):
+        raise MeshFormatError(f"mesh geometry is not finite: {name}")
+
+
 def _circumcenters(a, b, c, cross):
     a2 = (a * a).sum(1)
     b2 = (b * b).sum(1)
@@ -275,8 +279,7 @@ def validate_mesh(mesh: Mesh) -> MeshQualityReport:
     pieces = int(np.count_nonzero(root == np.arange(mesh.num_triangles)))
     ang = mesh.angles()
     tau = mesh.edge_tau
-    with np.errstate(divide="ignore"):  # tau = 0 once a center overflows to inf
-        min_d = float((1.0 / tau).min())
+    min_d = float((1.0 / tau).min())
     admissible = bool(pieces == 1 and ang.max() < 0.5 * np.pi and min_d > 0.0)
     return MeshQualityReport(
         min_angle=float(ang.min()),

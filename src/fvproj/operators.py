@@ -117,14 +117,22 @@ def dual_norm(v: VectorP0) -> float:
     return float(np.sqrt(max(np.sum(mv * w), 0.0)))
 
 
+# The divergence certificate of a projected field, |div u| <= CERT_TOL
+# max(|u|, |div v|); the pressure solve's own gate is its backward error.
+CERT_TOL = 1e-12
+
+
 def leray_project(v: VectorP0, tol: Tolerance, where: str = "Leray projection"):
-    """Discrete Leray projection v - grad phi, (grad phi, grad r) = (v, grad r)
-    for all r, by one zero-mean pressure solve: every projection of the
-    scheme and the verification suite.  Returns (projected field, phi, the
-    solve's SolveInfo, |div v|); the caller certifies or trusts the field.
-    A right-hand side -(div v, r) whose sum is above rounding raises
-    SolverError naming ``where``; the rounding-level sum is removed, since
-    in the grounded row it fails the gate when div v is small against v."""
+    """Discrete Leray projection u = v - grad phi, (grad phi, grad r) =
+    (v, grad r) for all r, by one zero-mean pressure solve: every
+    projection of the scheme and the verification suite.  Returns (u,
+    certified as a SolenoidalP0, phi, the solve's SolveInfo, |div u|).
+    Raises SolverError naming ``where`` for a non-finite v, a right-hand
+    side -(div v, r) whose sum is above rounding (a rounding-level sum is
+    removed: in the grounded row it fails the gate when div v is small
+    against v), or a u that fails the certificate."""
+    if not np.all(np.isfinite(v.values)):
+        raise SolverError(f"{where}: field has NaN or Inf entries")
     solver = pressure_solver(v.mesh)  # built before the field's temporaries
     mass = p1nc_mass(v.mesh)
     div = divergence(v)
@@ -135,7 +143,15 @@ def leray_project(v: VectorP0, tol: Tolerance, where: str = "Leray projection"):
     weighted -= mass * (weighted.sum() / mass.sum())
     phi, info = solver.solve(-weighted, tol, where)
     phi = ScalarP1NC(v.mesh, phi)
-    return v - gradient(phi), phi, info, l2_norm(div)
+    u = v - gradient(phi)
+    div_l2 = l2_norm(divergence(u))
+    scale = max(l2_norm(u), l2_norm(div))
+    if not div_l2 <= CERT_TOL * scale:  # NaN fails
+        raise SolverError(
+            f"{where}: divergence-free certificate failed (|div u| = "
+            f"{div_l2:.3e} > {CERT_TOL:.1e} * {scale:.3e}; pressure solve "
+            f"backward error {info.backward_error:.1e})")
+    return SolenoidalP0(u), phi, info, div_l2
 
 
 def laplacian_p0(v: VectorP0) -> VectorP0:

@@ -35,17 +35,14 @@ from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram, h_norm,
                      l2_inner, l2_norm, mean_zero, project_p0)
 from .linalg import LUFactor, SolverError, SparseOperator, Tolerance, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
-from .operators import (convection_matrix, divergence, gradient, h_diagonal,
-                        leray_project, pressure_solver, trilinear_form)
+from .operators import (CERT_TOL, convection_matrix, divergence, gradient,
+                        h_diagonal, leray_project, pressure_solver,
+                        trilinear_form)
 
 
 class SchemeError(RuntimeError):
-    pass
+    """Caught by the CLI and perfbench; a failed step raises SolverError."""
 
-
-# Divergence certificate |div u| <= CERT_TOL max(|u|, removed divergence) of
-# a projected field; the pressure solve has its own (backward-error) gate.
-CERT_TOL = 1e-12
 
 # Tolerances of the momentum (BiCGStab) and pressure (factored) solves.
 MOMENTUM_TOL = Tolerance(rtol=1e-12)
@@ -164,6 +161,9 @@ class RunConfig:
         if self.cadence < 0:
             raise ValueError(f"config key 'cadence': cadence must be >= 0, "
                              f"got {self.cadence}")
+        if self.cadence and not self.out_dir:
+            raise ValueError("config key 'cadence': snapshots need an output "
+                             "directory (config key 'out')")
         if self.case not in CASES:
             raise ValueError(f"config key 'case': unknown case {self.case!r} "
                              f"(choose {' or '.join(CASES)})")
@@ -259,39 +259,15 @@ class _Workspace:
         self.mom_failed = self.mom_failed_iters = 0
         self.convection = None      # weighted C(u*) of the last momentum step
         self.p_backward_error = 0.0
-        self.div_residual = 0.0     # |div u| of the last certified field
-        self.u_l2 = 0.0             # |u| of the last certified field
+        self.div_residual = 0.0     # |div u| of the last projected field
+        self.u_l2 = 0.0             # |u| of the last projected field
         self.u_star_l2 = 0.0        # |u*| of the last momentum step
-        self.cadence = config.cadence if config.out_dir else 0
-        self.snapshot_div = None    # div u of a certified field a snapshot writes
+        self.cadence = config.cadence
 
     def snapshot_due(self, n: int) -> bool:
         """Whether the run writes a snapshot of step n's state (never of the
         start-up states u^0 and u^1)."""
         return n >= 2 and self.cadence > 0 and n % self.cadence == 0
-
-    def certify(self, v: VectorP0, where: str, div_scale: float = 0.0,
-                keep_div: bool = False) -> SolenoidalP0:
-        """Gate a projected field on its remaining divergence.
-
-        The projection solve can only reduce the divergence by its relative
-        tolerance, so the gate scales with the larger of the field norm and
-        the divergence that was removed.  Leaves |div v| and |v| in
-        ``div_residual`` and ``u_l2`` for the step record, and with
-        ``keep_div`` div v in ``snapshot_div`` for the snapshot.
-        """
-        if not np.all(np.isfinite(v.values)):
-            raise SchemeError(f"{where}: field has NaN or Inf entries")
-        div = divergence(v)
-        self.snapshot_div = div if keep_div else None
-        div_l2 = self.div_residual = l2_norm(div)
-        self.u_l2 = l2_norm(v)
-        scale = max(self.u_l2, div_scale)
-        if div_l2 > self.cert_tol * scale:
-            raise SchemeError(
-                f"{where}: divergence-free certificate failed "
-                f"(|div u| = {div_l2:.3e} > {self.cert_tol:.1e} * {scale:.3e})")
-        return SolenoidalP0.trusted(v)
 
 
 # -- the three substeps --------------------------------------------------------------
@@ -325,7 +301,8 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     a0, a1, a2 = _bdf_coefficients(state)
     u_star = 2.0 * state.u_curr.field - state.u_prev.field
     ws.u_star_l2 = l2_norm(u_star)
-    ws.convection = convection_matrix(SolenoidalP0.trusted(u_star))
+    # unchecked: a combination of two fields that leray_project certified
+    ws.convection = convection_matrix(SolenoidalP0(u_star))
     mesh = ws.mesh
     H = h_gram(mesh)
 
@@ -372,25 +349,23 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
 
 def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
                   ws: _Workspace):
-    """Project u_tilde with ``leray_project``: returns (u^{n+1} = u_tilde -
-    grad phi, p^{n+1} = p^n + (a0/k) phi at zero mean, |div u_tilde|) and
-    leaves the solve's normwise backward error in ``ws.p_backward_error``."""
-    u_next, phi, info, div_l2 = leray_project(u_tilde, PRESSURE_TOL,
-                                              f"pressure step {state.n + 1}")
+    """Project u_tilde with ``leray_project``, which certifies u^{n+1}:
+    returns (u^{n+1} = u_tilde - grad phi, p^{n+1} = p^n + (a0/k) phi at
+    zero mean) and leaves |u^{n+1}|, |div u^{n+1}| and the solve's normwise
+    backward error in ``ws`` for the step record."""
+    u_next, phi, info, ws.div_residual = leray_project(
+        u_tilde, PRESSURE_TOL, f"pressure step {state.n + 1}")
+    ws.u_l2 = l2_norm(u_next.field)
     ws.p_backward_error = info.backward_error
     a0 = _bdf_coefficients(state)[0]
-    return u_next, mean_zero(state.p_curr + (a0 / config.k) * phi), div_l2
+    return u_next, mean_zero(state.p_curr + (a0 / config.k) * phi)
 
 
-def correction_step(state: SchemeState, u_tilde: VectorP0, u_next: VectorP0,
-                    p_next: ScalarP1NC, config: RunConfig, ws: _Workspace,
-                    div_scale: float) -> SchemeState:
-    """Certify the projected u^{n+1} (``div_scale`` is |div u_tilde|) and
-    rotate the state, which keeps gradient(p_next) for the next step."""
-    cert = ws.certify(u_next, f"correction step {state.n + 1}", div_scale,
-                      keep_div=ws.snapshot_due(state.n + 1))
+def correction_step(state: SchemeState, u_tilde: VectorP0, u_next: SolenoidalP0,
+                    p_next: ScalarP1NC, config: RunConfig) -> SchemeState:
+    """Rotate the state, which keeps gradient(p_next) for the next step."""
     history = (u_tilde.values,) + state.predictors
-    return SchemeState(u_prev=state.u_curr, u_curr=cert, p_curr=p_next,
+    return SchemeState(u_prev=state.u_curr, u_curr=u_next, p_curr=p_next,
                        t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde,
                        grad_p=gradient(p_next), predictors=history[:len(GUESS_WEIGHTS)])
 
@@ -400,14 +375,14 @@ def _substeps(state: SchemeState, config: RunConfig, ws: _Workspace,
     """The three substeps out of ``state`` (BDF1 at n = 0, BDF2 after);
     ``grad_p`` is gradient(state.p_curr)."""
     u_tilde = momentum_step(state, config, ws, grad_p=grad_p)
-    u_next, p_next, div_scale = pressure_step(state, u_tilde, config, ws)
-    return correction_step(state, u_tilde, u_next, p_next, config, ws, div_scale)
+    u_next, p_next = pressure_step(state, u_tilde, config, ws)
+    return correction_step(state, u_tilde, u_next, p_next, config)
 
 
 def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     """One full BDF2 projection step; returns (new state, StepRecord)."""
     k = config.k
-    u_n_l2 = ws.u_l2  # certified at the last step, or at start-up
+    u_n_l2 = ws.u_l2  # projected at the last step, or at start-up
     new = _substeps(state, config, ws, state.grad_p)
     u_tilde, p_next = new.u_tilde, new.p_curr
 
@@ -463,10 +438,9 @@ def initialize(config: RunConfig, mesh: Mesh):
     ws = _Workspace(config, mesh)
     k = config.k
 
-    u0_field, _, _, div_raw = leray_project(project_p0(ws.case.u0, mesh),
-                                            PRESSURE_TOL, "initial projection")
-    u0 = ws.certify(u0_field, "initial projection", div_raw)
-    u0_l2, div_u0 = ws.u_l2, ws.div_residual
+    u0, _, _, div_u0 = leray_project(project_p0(ws.case.u0, mesh),
+                                     PRESSURE_TOL, "initial projection")
+    u0_l2 = l2_norm(u0.field)
     # before the start-up step, so that the quadrature's temporaries are
     # gone before the momentum factor is built
     err0 = _quadrature_error(u0.field, ws.case.u0)
@@ -480,12 +454,12 @@ def initialize(config: RunConfig, mesh: Mesh):
 
     diagnostics = {
         "u0_l2": u0_l2,
-        "u1_l2": ws.u_l2,               # the certificate's |u1|
+        "u1_l2": ws.u_l2,               # the projection's |u1|
         "k_grad_p1_l2": k_grad_p1_l2,
         "startup_bound": u0_l2 + ws.u_l2 + k_grad_p1_l2,
         "u0_projection_error": err0,
         "div_u0": div_u0,
-        "div_u1": ws.div_residual,      # the certificate's |div u1|
+        "div_u1": ws.div_residual,      # the projection's |div u1|
         "mom_iters": ws.mom_iters, "mom_refactor": ws.mom_refactor,  # start-up solve
     }
     return state, diagnostics, ws
@@ -523,8 +497,7 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
         records.append(rec)
         if ws.snapshot_due(state.n):
             t_snap = time.perf_counter()
-            snapshots += _snapshot(out, state, ws.snapshot_div)
-            ws.snapshot_div = None
+            snapshots += _snapshot(out, state)
             snapshot_s += time.perf_counter() - t_snap
     p_factor, m_factor = pressure_solver(mesh), ws.mom_factor
     traj = Trajectory(config=config, mesh=mesh, records=records,
@@ -541,9 +514,9 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
     return traj
 
 
-def _snapshot(out: Path, state: SchemeState, div: ScalarP1NC) -> list:
-    """Write the state's velocity and pressure files, with ``div`` the
-    certificate's divergence of its velocity; return their paths."""
+def _snapshot(out: Path, state: SchemeState) -> list:
+    """Write the state's velocity and pressure files, the pressure's with
+    the divergence of the velocity; return their paths."""
     mesh = state.u_curr.mesh
     grid = out / f"state_{state.n:06d}.vtk"
     cloud = out / f"pressure_{state.n:06d}.vtk"
@@ -554,5 +527,5 @@ def _snapshot(out: Path, state: SchemeState, div: ScalarP1NC) -> list:
     vtkio.write_point_cloud(
         cloud, mesh.edge_midpoint,
         scalars={"pressure": state.p_curr.values,
-                 "div_velocity": div.values})
+                 "div_velocity": divergence(state.u_curr.field).values})
     return [grid, cloud]

@@ -91,8 +91,7 @@ def test_criterion_3_convection_positivity(battery):
         rng_u = np.random.default_rng(np.random.SeedSequence([SEED, 99]))
         for _ in range(N_SAMPLES):
             w = VectorP0(mesh, rng_u.standard_normal((mesh.num_triangles, 2)))
-            u = SolenoidalP0.trusted(
-                leray_project(w, Tolerance(rtol=1e-13, atol=1e-16))[0])
+            u = leray_project(w, Tolerance(rtol=1e-13, atol=1e-16))[0]
             v = VectorP0(mesh, rng_u.standard_normal((mesh.num_triangles, 2)))
             value = (trilinear_form(convection_matrix(u), v, v)
                      / (l2_norm(u.field) * h_norm(v) ** 2))
@@ -190,8 +189,8 @@ def test_criterion_10_exactness_oracles():
                        case="manufactured-A")
     ws = _Workspace(config, mesh)
     rng = np.random.default_rng(SEED)
-    u_n = SolenoidalP0.trusted(VectorP0(mesh, rng.standard_normal((1, 2))))
-    u_nm1 = SolenoidalP0.trusted(VectorP0(mesh, rng.standard_normal((1, 2))))
+    u_n = SolenoidalP0(VectorP0(mesh, rng.standard_normal((1, 2))))
+    u_nm1 = SolenoidalP0(VectorP0(mesh, rng.standard_normal((1, 2))))
     p_n = ScalarP1NC(mesh, rng.standard_normal(3))
     state = SchemeState(u_prev=u_nm1, u_curr=u_n, p_curr=p_n, t=0.4, n=3)
     ut = momentum_step(state, config, ws, gradient(state.p_curr))

@@ -115,6 +115,12 @@ MALFORMED_MESH_FILES = [
     ("node nan", {"m.node": "3 2 0 0\n1 nan 0\n2 1 0\n3 0 1\n"}, EXIT_IO, "m.node"),
     ("node inf", {"m.node": "3 2 0 0\n1 0 inf\n2 1 0\n3 0 1\n"}, EXIT_IO, "m.node"),
     ("no ele triangles", {"m.ele": "0 3 0\n"}, EXIT_IO, "m.ele"),
+    # finite coordinates whose area and circumcenter overflow, and a
+    # near-flat triangle whose circumcenter does
+    ("overflowing area", {"m.mesh": "3 1\n0 0\n1e200 0\n0 1e200\n0 1 2\n"},
+     EXIT_IO, "m.mesh"),
+    ("overflowing center", {"m.mesh": "3 1\n0 0\n1 0\n2 1e-320\n0 1 2\n"},
+     EXIT_IO, "m.mesh"),
 ]
 
 
@@ -271,6 +277,25 @@ class TestRun:
                      "cadence=-1", f"out={out_dir}"]) == EXIT_USAGE
         assert "cadence must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.rglob("state_*.vtk"))
+
+    def test_cadence_without_out_rejected(self, capsys):
+        assert main(["run", "--mesh", "acute:1", "cadence=2",
+                     "steps=4"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("config key 'cadence': snapshots need an output directory"
+                in captured.err)
+
+    def test_failed_certificate_exits_1(self, monkeypatch, capsys):
+        # a SolverError of the projection, named, with no traceback
+        from fvproj import operators
+        exact = operators.gradient
+        monkeypatch.setattr(operators, "gradient", lambda q: exact(q) * (1 + 1e-11))
+        assert main(["run", "--mesh", "acute:1", "steps=3"]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial projection: divergence-free "
+                              "certificate failed (|div u| = ")
+        assert "Traceback" not in err
 
     def test_removed_flags_are_usage_errors(self, tmp_path):
         # the solver tolerances are fixed and a run mesh must be admissible

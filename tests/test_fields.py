@@ -382,7 +382,7 @@ class TestFieldKernels:
 
     def test_edge_normal_fluxes(self, fields):
         mesh, a, _ = fields
-        flux = SolenoidalP0.trusted(VectorP0(mesh, a)).edge_normal_fluxes()
+        flux = SolenoidalP0(VectorP0(mesh, a)).edge_normal_fluxes()
         old = _fluxes_einsum(mesh, a)
         assert np.abs(flux - old).max() <= 1e-13 * np.abs(old).max()
         assert np.all(flux[mesh.boundary_edges] == 0.0)

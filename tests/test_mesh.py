@@ -19,7 +19,6 @@ class TestGeometry:
         assert abs(equilateral.tri_area[0] - np.sqrt(3) / 4) < 1e-14
         assert np.allclose(equilateral.tri_center[0], [0.5, np.sqrt(3) / 6],
                            atol=1e-14)
-        assert abs(equilateral.tri_diameter[0] - 2 / np.sqrt(3)) < 1e-14
         assert abs(equilateral.h - 2 / np.sqrt(3)) < 1e-14
 
     def test_right_triangle_circumcenter_on_hypotenuse(self, right_triangle):
@@ -73,24 +72,20 @@ class TestGeometry:
 
     def test_transmissibility_positive_on_admissible(self, family):
         for mesh in family:
-            assert np.all(mesh.edge_d > 0)
             assert np.all(np.isfinite(mesh.edge_tau))
             assert np.all(mesh.edge_tau > 0)
 
     def test_diameter_and_distance_are_derived_not_stored(self, family):
-        # neither is kept on the mesh, and both still equal their formulas:
-        # the circumcircle diameter, and the circumcenter distance
-        # owner-to-neighbour (owner-to-midpoint on the boundary)
+        # h is the largest circumcircle diameter, and |e| / tau the
+        # circumcenter distance owner-to-neighbour (owner-to-midpoint on
+        # the boundary); the mesh keeps neither per cell or edge
         for mesh in family:
-            assert not {"edge_d", "tri_diameter"} & set(vars(mesh))
             a = mesh.vertices[mesh.triangles[:, 0]]
-            diameter = 2.0 * np.linalg.norm(a - mesh.tri_center, axis=1)
-            assert np.array_equal(mesh.tri_diameter, diameter)
-            assert mesh.h == diameter.max()
+            assert mesh.h == (2.0 * np.linalg.norm(a - mesh.tri_center, axis=1)).max()
             K, L = mesh.edge_owner, mesh.edge_neighbor
             far = np.where((L >= 0)[:, None], mesh.tri_center[L], mesh.edge_midpoint)
             d = np.linalg.norm(far - mesh.tri_center[K], axis=1)
-            assert np.allclose(mesh.edge_d, d, rtol=1e-14, atol=0)
+            assert np.allclose(mesh.edge_length / mesh.edge_tau, d, rtol=1e-14, atol=0)
 
     def test_centers_and_midpoints_are_derived_not_stored(self, family):
         # neither is kept on the mesh, and both still equal the formulas
@@ -257,6 +252,18 @@ class TestIO:
         with pytest.raises(MeshFormatError, match=match):
             Mesh(vertices, triangles)
 
+    @pytest.mark.parametrize("vertices, match", [
+        ([[0, 0], [1e200, 0], [0, 1e200]], "signed area"),
+        # positive area 5e-321: the circumcenter overflows
+        ([[0, 0], [1, 0], [2, 1e-320]], "circumcenter"),
+        # the circumcenter formula underflows onto vertex 0: h = 0
+        ([[0, 0], [-2.149e-121, 1.474e-121], [-9.362e-142, -4.479e-141]], "h or 1 / h"),
+    ])
+    def test_geometry_that_is_not_finite_refused(self, vertices, match):
+        # refused by name, without a RuntimeWarning on the way
+        with pytest.raises(MeshFormatError, match=f"geometry is not finite: {match}"):
+            Mesh(vertices, [[0, 1, 2]])
+
     def test_integral_float_indices_accepted(self, pair):
         mesh = Mesh(pair.vertices, pair.triangles.astype(float))
         assert mesh.triangles.dtype == np.int32
@@ -338,7 +345,7 @@ def test_resolve_mesh_rejects_bad_selector(spec):
 def test_equilateral_pair_taus(pair):
     # interior edge: circumcenters sit 1/(2 sqrt(3)) on each side
     e = pair.interior_edges[0]
-    assert abs(pair.edge_d[e] - 1 / np.sqrt(3)) < 1e-14
+    assert abs(pair.edge_length[e] / pair.edge_tau[e] - 1 / np.sqrt(3)) < 1e-14
     assert abs(pair.edge_tau[e] - np.sqrt(3)) < 1e-14
     for e in pair.boundary_edges:
         assert abs(pair.edge_tau[e] - 2 * np.sqrt(3)) < 1e-13

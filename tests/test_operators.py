@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fvproj import reference
+from fvproj import analysis, reference, scheme
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
                            h_gram, h_norm, l2_inner, l2_norm, mean_zero, p1nc_mass)
-from fvproj.linalg import Tolerance, solve
+from fvproj.linalg import SolverError, Tolerance, solve
 from fvproj.mesh import Mesh, unit_square_acute
 from fvproj.operators import (convection_matrix, divergence, gradient,
                               gradient_matrices, laplacian_p0, leray_project,
@@ -17,7 +17,7 @@ from fixture_meshes import single_triangle, square_two_triangles
 
 def random_solenoidal(mesh, rng):
     v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
-    return SolenoidalP0.trusted(leray_project(v, Tolerance(rtol=1e-13))[0])
+    return leray_project(v, Tolerance(rtol=1e-13))[0]
 
 
 class TestGradient:
@@ -178,10 +178,10 @@ class TestPressureLaplacian:
         mesh = family[1]
         v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
         u, phi, info, div_l2 = leray_project(v, Tolerance(rtol=1e-13))
-        assert l2_norm(divergence(u)) <= 1e-11 * l2_norm(v)
-        assert div_l2 == l2_norm(divergence(v))
+        assert isinstance(u, SolenoidalP0)
+        assert div_l2 == l2_norm(divergence(u.field)) <= 1e-11 * l2_norm(v)
         assert 0.0 < info.backward_error <= 1e-13
-        gap = (v - u).values - gradient(phi).values
+        gap = (v - u.field).values - gradient(phi).values
         assert np.abs(gap).max() <= 1e-14 * np.abs(v.values).max()
         assert abs(p1nc_mass(mesh) @ phi.values) <= 1e-13 * np.abs(phi.values).max()
 
@@ -223,6 +223,42 @@ class TestPressureLaplacian:
                         zero_mean_weights=mass)
         assert info.converged
         assert abs(mass @ x) < 1e-13 * max(np.abs(x).max(), 1.0)
+
+
+# Every caller of leray_project is refused a field that misses the
+# divergence certificate.  A gradient scaled by 1 + 1e-11 leaves |div u|
+# at 1e-11 |div v|, ten times the bound when |div v| sets the scale (the
+# run's initial projection: 1.384e-11 against 1e-12 * 1.384; the convection
+# check: 3.371e-10 against 1e-12 * 33.71); 1 + 1e-13 stays inside it.
+_CERTIFIED_CALLERS = {
+    "run": ("initial projection",
+            lambda: scheme.run(scheme.RunConfig(mesh_spec="acute:1", n_steps=3))),
+    "check_convection": ("convection-positivity level 0",
+                         lambda: analysis.check_convection(unit_square_acute(1))),
+    "random_solenoidal": ("random solenoidal field", lambda: analysis.random_solenoidal(
+        unit_square_acute(1), np.random.default_rng(0))),
+}
+
+
+def _scale_gradient(monkeypatch, factor):
+    from fvproj import operators
+    exact = operators.gradient
+    monkeypatch.setattr(operators, "gradient", lambda q: exact(q) * factor)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("caller", list(_CERTIFIED_CALLERS))
+    def test_fails_when_the_projection_is_off(self, monkeypatch, caller):
+        where, call = _CERTIFIED_CALLERS[caller]
+        _scale_gradient(monkeypatch, 1 + 1e-11)
+        with pytest.raises(SolverError, match=rf"^{where}: divergence-free "
+                           r"certificate failed .* backward error \d"):
+            call()
+
+    @pytest.mark.parametrize("caller", list(_CERTIFIED_CALLERS))
+    def test_passes_within_its_bound(self, monkeypatch, caller):
+        _scale_gradient(monkeypatch, 1 + 1e-13)
+        _CERTIFIED_CALLERS[caller][1]()
 
 
 class TestVelocityLaplacian:
@@ -379,7 +415,7 @@ class TestTrilinearForm:
 
     def test_zero_advecting_field(self, family, rng):
         mesh = family[0]
-        u = SolenoidalP0.trusted(VectorP0(mesh, np.zeros((mesh.num_triangles, 2))))
+        u = SolenoidalP0(VectorP0(mesh, np.zeros((mesh.num_triangles, 2))))
         v = VectorP0(mesh, rng.standard_normal((mesh.num_triangles, 2)))
         assert trilinear_form(convection_matrix(u), v, v) == 0.0
 

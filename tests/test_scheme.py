@@ -14,7 +14,7 @@ from fvproj.linalg import SolverError, Tolerance
 from fvproj.mesh import unit_square_acute
 from fvproj.operators import (divergence, gradient, leray_project,
                               pressure_stiffness)
-from fvproj.scheme import (RunConfig, SchemeError, _Workspace, advance,
+from fvproj.scheme import (RunConfig, _Workspace, advance,
                            correction_step, initialize, make_case,
                            momentum_step, pressure_step, run)
 from fixture_meshes import single_triangle, square_two_triangles
@@ -105,6 +105,14 @@ class TestConfig:
             RunConfig(cadence=-1)
         assert RunConfig(cadence=0).cadence == 0
 
+    def test_cadence_needs_an_output_directory(self):
+        # a cadence with nowhere to write is a usage error
+        with pytest.raises(ValueError, match="config key 'cadence': snapshots "
+                           "need an output directory"):
+            RunConfig().with_overrides({"cadence": "2"})
+        cfg = RunConfig().with_overrides({"cadence": "2", "out": "results"})
+        assert _Workspace(cfg, unit_square_acute(0)).cadence == 2
+
     @pytest.mark.parametrize("key, value", [("k", "nan"), ("re", "nan"),
                                             ("k", "inf")])
     def test_non_finite_values_name_their_key(self, key, value):
@@ -139,8 +147,10 @@ class TestConfig:
         listed = re.findall(r"^- `([^`]+)`", section, flags=re.M)
         assert sorted(listed) == sorted(scheme.CONFIG_KEYS)
         for key in listed:
-            # a case is one of scheme.CASES; "2" parses for every other key
-            RunConfig().with_overrides({key: "zero" if key == "case" else "2"})
+            # a case is one of scheme.CASES; "2" parses for every other key,
+            # and a cadence needs an output directory
+            RunConfig(out_dir="out").with_overrides(
+                {key: "zero" if key == "case" else "2"})
 
 
 class TestZeroRun:
@@ -209,8 +219,8 @@ class TestSingleCellMomentum:
         cfg = RunConfig(mesh_spec="unused", k=0.05, n_steps=2, re=10.0,
                         case="manufactured-A")
         rng = np.random.default_rng(8)
-        u_n = SolenoidalP0.trusted(VectorP0(mesh, rng.standard_normal((1, 2))))
-        u_nm1 = SolenoidalP0.trusted(VectorP0(mesh, rng.standard_normal((1, 2))))
+        u_n = SolenoidalP0(VectorP0(mesh, rng.standard_normal((1, 2))))
+        u_nm1 = SolenoidalP0(VectorP0(mesh, rng.standard_normal((1, 2))))
         p_n = ScalarP1NC(mesh, rng.standard_normal(3))
         return mesh, cfg, _Workspace(cfg, mesh), u_n, u_nm1, p_n
 
@@ -262,10 +272,10 @@ class TestStepProperties:
         state, _, ws = initialize(cfg, mesh)
         # feed the (already divergence-free) current velocity as predictor
         ut = VectorP0(mesh, state.u_curr.values.copy())
-        u_next, p_next, div_scale = pressure_step(state, ut, cfg, ws)
+        u_next, p_next = pressure_step(state, ut, cfg, ws)
         dp = p_next - state.p_curr
         assert l2_norm(gradient(dp)) < 1e-10 * max(l2_norm(ut), 1e-3)
-        new = correction_step(state, ut, u_next, p_next, cfg, ws, div_scale)
+        new = correction_step(state, ut, u_next, p_next, cfg)
         assert np.abs(new.u_curr.values - ut.values).max() < 1e-10
 
     def test_pressure_solution_unique_across_methods(self):
@@ -293,7 +303,8 @@ class TestStepProperties:
         dp = (new.p_curr - state.p_curr).values
         assert np.abs(dp - 1.5 / cfg.k * phi.values).max() <= 1e-13 * np.abs(dp).max()
         assert rec.p_backward_error == info.backward_error
-        assert div_l2 == l2_norm(divergence(new.u_tilde))
+        assert rec.div_residual == div_l2 == l2_norm(divergence(u.field))
+        assert rec.u_l2 == l2_norm(u.field)
 
     def test_small_time_step_meets_pressure_rtol(self):
         # at k = 1e-4 the right-hand side's rounding-level sum, left in the
@@ -305,14 +316,15 @@ class TestStepProperties:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_certify_rejects_non_finite_field(self, bad):
+        # the projection refuses a non-finite field before its solve
         mesh = unit_square_acute(0)
-        ws = _Workspace(RunConfig(mesh_spec="acute:0"), mesh)
         values = np.zeros((mesh.num_triangles, 2))
         values[3, 0] = bad
-        with pytest.raises(SchemeError, match="NaN or Inf"):
-            ws.certify(VectorP0(mesh, values), "test")
-        with pytest.raises(SchemeError, match="NaN or Inf"):
-            ws.certify(VectorP0(mesh, np.full_like(values, bad)), "test")
+        with pytest.raises(SolverError, match="test: field has NaN or Inf"):
+            leray_project(VectorP0(mesh, values), scheme.PRESSURE_TOL, "test")
+        with pytest.raises(SolverError, match="test: field has NaN or Inf"):
+            leray_project(VectorP0(mesh, np.full_like(values, bad)),
+                          scheme.PRESSURE_TOL, "test")
 
     def test_pressure_failure_names_its_caller(self, monkeypatch):
         # no solve meets rtol 1e-30, so the first pressure solve of each
@@ -730,9 +742,9 @@ class TestPerStepWork:
                                   gradient(state.p_curr).values)
 
     def test_start_up_takes_each_divergence_once(self, monkeypatch):
-        # the projections of the data and of the start-up predictor and the
-        # certificates of u^0 and u^1: four fields, each divergence once;
-        # the certificate's scale |div| comes from the projection
+        # the projections of the data and of the start-up predictor, each
+        # taking div v and the certificate's div u: four fields, each
+        # divergence once
         calls = []
         _count_divgrad(monkeypatch, calls)
         initialize(RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4),
@@ -741,26 +753,6 @@ class TestPerStepWork:
         assert len(divs) == len(set(divs)) == 4
         # gradients of phi^0, phi^1 and p^1; that of p^0 = 0 is a zero field
         assert len(calls) == 7
-
-    def test_snapshot_reuses_the_certificates_divergence(self, monkeypatch, tmp_path):
-        # one divergence per certified field: a snapshot writes the one its
-        # certificate took, which is kept on snapshot steps only
-        calls, kept = [], []
-        div, certify = scheme.divergence, _Workspace.certify
-        monkeypatch.setattr(scheme, "divergence", lambda v: calls.append(v) or div(v))
-
-        def recording(ws, v, where, div_scale=0.0, keep_div=False):
-            cert = certify(ws, v, where, div_scale, keep_div)
-            kept.append(ws.snapshot_div is not None)
-            return cert
-
-        monkeypatch.setattr(_Workspace, "certify", recording)
-        cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=6, case="manufactured-A",
-                        out_dir=str(tmp_path), cadence=2)
-        assert run(cfg).snapshot_files == 6
-        # u^0, u^1, then steps 2 to 6, of which 2, 4 and 6 are written
-        assert kept == [False, False, True, False, True, False, True]
-        assert len(calls) == len(kept)
 
     def test_snapshot_divergence_is_the_fields(self, tmp_path):
         from test_vtkio import _bits, _decode
@@ -799,8 +791,7 @@ class TestExtrapolatedAdvection:
             assert info.converged
             return out
 
-        extrapolated = SolenoidalP0.trusted(
-            2.0 * state.u_curr.field - state.u_prev.field)
+        extrapolated = SolenoidalP0(2.0 * state.u_curr.field - state.u_prev.field)
         good = assemble_with(extrapolated)
         assert np.abs(ut.values - good).max() <= 1e-11 * np.abs(good).max()
 
