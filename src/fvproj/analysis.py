@@ -23,7 +23,7 @@ from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, collocate_p0,
                      project_p0, project_rt0)
 # ``solve`` is not called here; it stays bound because perfbench/job.py
 # wraps the ``solve`` name of every module that may reach a linear solve
-from .linalg import SolverError, Tolerance, solve
+from .linalg import SolverError, solve
 from .mesh import Mesh, unit_square_acute
 from .operators import (convection_matrix, divergence, dual_norm, gradient,
                         gradient_matrices, h_solver, laplacian_p0,
@@ -110,18 +110,14 @@ def random_p1nc(mesh, rng) -> ScalarP1NC:
     return ScalarP1NC(mesh, rng.standard_normal(mesh.num_edges))
 
 
-# tolerances of the verification suite's linear solves
-_TIGHT = Tolerance(rtol=1e-13, atol=1e-16)
-
-
 def _h_inverse(mesh: Mesh, where: str):
     """x -> H^-1 x by the mesh's cached factor of the H1 Gram matrix."""
     solver = h_solver(mesh)
-    return lambda x: solver.solve(x, _TIGHT, where)[0]
+    return lambda x: solver.solve(x, where)[0]
 
 
 def random_solenoidal(mesh, rng, where="random solenoidal field") -> SolenoidalP0:
-    return leray_project(random_vector_p0(mesh, rng), _TIGHT, where)[0]
+    return leray_project(random_vector_p0(mesh, rng), where)[0]
 
 
 # -- operator identities ---------------------------------------------------------------
@@ -146,7 +142,7 @@ def check_identities(mesh: Mesh, seed: int = 7, level: int = 0,
         w = random_vector_p0(mesh, rng)
         cont = max(cont, -l2_inner(laplacian_p0(v), w) / (h_norm(v) * h_norm(w)))
 
-        u = leray_project(w, _TIGHT, f"projection identities level {level}")[0]
+        u = leray_project(w, f"projection identities level {level}")[0]
         gq = gradient(q)
         # normalize by the pre-projection field: on meshes whose solenoidal
         # subspace is trivial the projected field is pure roundoff
@@ -216,7 +212,7 @@ def check_convection(mesh: Mesh, seed: int = 7, level: int = 0,
     for cell, value in impulses:
         vals = np.zeros((mesh.num_triangles, 2))
         vals[cell] = value
-        u = leray_project(VectorP0(mesh, vals), _TIGHT,
+        u = leray_project(VectorP0(mesh, vals),
                           f"convection-stability level {level}")[0]
         W = convection_matrix(u)
         WT = W.T
@@ -476,7 +472,7 @@ def poincare_inverse_constants(levels=(0, 1, 2), seed: int = 7,
         p_solver = pressure_solver(mesh)
         where = f"poincare-pressure level {lvl}"
         lam_q, _ = _power_iteration(
-            lambda x: p_solver.solve(mass_p * x, _TIGHT, where)[0],
+            lambda x: p_solver.solve(mass_p * x, where)[0],
             b_product=lambda x: x @ (A @ x),
             a_product=lambda x: x @ (mass_p * x),
             x0=rng.standard_normal(mesh.num_edges), tol=tol,

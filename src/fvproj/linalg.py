@@ -10,6 +10,9 @@ refines once): the pressure Laplacian on its zero-mean subspace, grounded
 at one unknown; and the discrete H1 Gram matrix of the dual norm and the
 verification suite.  ``LUFactor`` is such a factor alone, without its
 matrix or a gate: the preconditioner's factor of the momentum matrix.
+
+Each solver has one gate, the module constants below, and no caller
+passes a tolerance: a BiCGStab caller varies only the iteration cap.
 """
 from __future__ import annotations
 
@@ -40,21 +43,6 @@ class SparseOperator:
 
 
 @dataclass
-class Tolerance:
-    """The tolerances of a solve, and the BiCGStab iteration cap per
-    right-hand side (None: 10 n)."""
-    rtol: float = 1e-10
-    atol: float = 1e-14
-    maxiter: int | None = None
-
-    def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.maxiter is not None and self.maxiter < 1:
-            raise ValueError("the iteration cap must be at least 1")
-
-
-@dataclass
 class SolveInfo:
     converged: bool
     iterations: int
@@ -73,6 +61,14 @@ class SolveInfo:
                 f"iters={self.iterations} residual={self.residual:.3e}")
 
 
+# The one gate of each solver, read at call time.  BiCGStab (the momentum
+# solve): |b - A x| <= max(BICGSTAB_RTOL |b|, BICGSTAB_ATOL) per column.
+# A factored solve (the pressure and H1 Gram solves, in a run and in the
+# verification suite): normwise backward error <= FACTORED_RTOL, no floor.
+BICGSTAB_RTOL = 1e-12
+BICGSTAB_ATOL = 1e-14
+FACTORED_RTOL = 1e-13
+
 # BiCGStab iteration cap, per unknown
 _MAXITER_PER_UNKNOWN = 10
 # BiCGStab gives up once its residual exceeds this multiple of max(|b|, |b - A x0|)
@@ -84,18 +80,18 @@ def _require_finite(b, what="right-hand side"):
         raise SolverError(f"{what} has NaN or Inf entries")
 
 
-def _bicgstab_column(A, b, x, config: Tolerance, maxiter: int):
+def _bicgstab_column(A, b, x, maxiter: int):
     """Right-preconditioned BiCGStab for one right-hand side from the guess
     x, with up to two restarts so the true residual, not the recursion,
-    meets max(rtol |b|, atol) whatever the guess.  A residual that is not
-    finite or exceeds _DIVERGENCE_FACTOR max(|b|, the guess's residual) ends
-    the solve as not converged.
+    meets max(BICGSTAB_RTOL |b|, BICGSTAB_ATOL) whatever the guess.  A
+    residual that is not finite or exceeds _DIVERGENCE_FACTOR max(|b|, the
+    guess's residual) ends the solve as not converged.
 
     A generator: it yields each vector v to precondition and is sent back
     P^{-1} v, so that ``_bicgstab`` serves several columns with one
     preconditioner call; it returns (x, SolveInfo)."""
     b_norm = math.sqrt(b @ b)
-    tol = max(config.rtol * b_norm, config.atol)
+    tol = max(BICGSTAB_RTOL * b_norm, BICGSTAB_ATOL)
     r = b - A @ x
     res = math.sqrt(r @ r)
     scale = max(b_norm, res, 1e-300)
@@ -143,7 +139,7 @@ def _bicgstab_column(A, b, x, config: Tolerance, maxiter: int):
     return x, SolveInfo(res <= tol, it, float(res), "bicgstab")
 
 
-def _bicgstab(A, B, X0, config: Tolerance, precondition):
+def _bicgstab(A, B, X0, maxiter, precondition):
     """BiCGStab on the m rows of B (m, n) in lockstep from the rows of X0:
     each row runs its own ``_bicgstab_column`` (its own scalars, breakdown
     and divergence guards, true-residual gate, iteration cap and restarts,
@@ -151,9 +147,9 @@ def _bicgstab(A, B, X0, config: Tolerance, precondition):
     still running each request one vector per half-step; one ``precondition``
     call on their stack, transposed to (n, k) in Fortran order as SuperLU
     takes it, serves them all.  Returns (X, one SolveInfo per row)."""
-    maxiter = (_MAXITER_PER_UNKNOWN * B.shape[1] if config.maxiter is None
-               else config.maxiter)
-    columns = [_bicgstab_column(A, b, x, config, maxiter) for b, x in zip(B, X0)]
+    if maxiter is None:
+        maxiter = _MAXITER_PER_UNKNOWN * B.shape[1]
+    columns = [_bicgstab_column(A, b, x, maxiter) for b, x in zip(B, X0)]
     results = [None] * len(columns)
     requests = {}
 
@@ -173,9 +169,9 @@ def _bicgstab(A, B, X0, config: Tolerance, precondition):
     return np.array([x for x, _ in results]), [info for _, info in results]
 
 
-def solve(A, b, tol: Tolerance, zero_mean_weights=None):
+def solve(A, b, maxiter: int | None = None, zero_mean_weights=None):
     """Solve A x = b for the m right-hand sides of b (n, m) by BiCGStab,
-    capped at ``tol.maxiter`` (default 10 n) iterations per column,
+    capped at ``maxiter`` (None: 10 n) iterations per column,
     preconditioned by ``A.preconditioner`` and started from ``A.guess`` (A
     a SparseOperator; a NaN or Inf guess raises SolverError); it iterates
     on the rows of b.T and of the guess's transpose, which are views when
@@ -184,10 +180,10 @@ def solve(A, b, tol: Tolerance, zero_mean_weights=None):
     columns converged; ``iterations`` is their sum and ``columns`` holds
     each one's SolveInfo).  With ``zero_mean_weights`` (the diagonal mass
     of the pressure space), returns the solution of zero weighted mean from
-    a ``FactoredSolver`` of the matrix A, which raises SolverError on
-    failure."""
+    a ``FactoredSolver`` of the matrix A, which ignores ``maxiter`` and
+    raises SolverError on failure."""
     if zero_mean_weights is not None:
-        return FactoredSolver(A, zero_mean_weights).solve(b, tol)
+        return FactoredSolver(A, zero_mean_weights).solve(b)
     b = np.asarray(b, dtype=float)
     x0 = np.zeros_like(b) if A.guess is None else np.asarray(A.guess, dtype=float)
     n = b.shape[0]
@@ -197,7 +193,7 @@ def solve(A, b, tol: Tolerance, zero_mean_weights=None):
     _require_finite(b)
     _require_finite(x0, "starting guess")
     x, infos = _bicgstab(A.matrix, np.ascontiguousarray(b.T),
-                         np.ascontiguousarray(x0.T), tol, A.preconditioner)
+                         np.ascontiguousarray(x0.T), maxiter, A.preconditioner)
     info = SolveInfo(all(c.converged for c in infos),
                      sum(c.iterations for c in infos),
                      float(np.linalg.norm([c.residual for c in infos])),
@@ -307,10 +303,11 @@ class FactoredSolver:
     (sum b != 0) keeps its sum in row 0 and fails the gate.
 
     Each solve is gated, column by column, on its normwise backward error
-    |b - A x| <= max(rtol (|A| |x| + |b|), atol) in the infinity norm
+    |b - A x| <= FACTORED_RTOL (|A| |x| + |b|) in the infinity norm
     (Rigal and Gaches, J. ACM 14(3), 1967; Higham, section 7.1), which a
     backward-stable factor meets however large |A| |x| / |b| grows on fine
-    meshes.
+    meshes.  There is no absolute floor, so a tiny right-hand side is held
+    to the same relative bound (a zero one passes: r = 0).
     """
 
     def __init__(self, A, weights=None, name: str = "FactoredSolver"):
@@ -342,7 +339,7 @@ class FactoredSolver:
         x -= (self.weights @ x) / self._weight_sum
         return x
 
-    def solve(self, b, tol: Tolerance, where: str = "FactoredSolver"):
+    def solve(self, b, where: str = "FactoredSolver"):
         """Solve for one right-hand side (n,) or several (n, m).  Returns
         (x, SolveInfo) with the 2-norm of the true residual and the largest
         normwise backward error; raises SolverError, naming ``where``, when
@@ -363,11 +360,11 @@ class FactoredSolver:
         r_inf = np.abs(r).max(axis=0)
         scale = self.norm_inf * np.abs(x).max(axis=0) + np.abs(b).max(axis=0)
         backward = float(np.max(r_inf / np.maximum(scale, 1e-300)))
-        info = SolveInfo(bool(np.all(r_inf <= np.maximum(tol.rtol * scale, tol.atol))),
+        info = SolveInfo(bool(np.all(r_inf <= FACTORED_RTOL * scale)),
                          1 if self.weights is None else 2,
                          float(np.linalg.norm(r)), "lu", backward_error=backward)
         if not info.converged:
             raise SolverError(
                 f"{where}: factored solve failed: {info}, backward error "
-                f"{backward:.3e} > rtol {tol.rtol:.1e}")
+                f"{backward:.3e} > {FACTORED_RTOL:.1e}")
         return x, info

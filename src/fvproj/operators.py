@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, VectorRT0,
                      h_gram, l2_inner, l2_norm, p1nc_mass)
-from .linalg import FactoredSolver, SolverError, Tolerance
+from .linalg import FactoredSolver, SolverError
 from .mesh import Mesh, per_mesh
 
 
@@ -113,7 +113,7 @@ def dual_norm(v: VectorP0) -> float:
     """Dual of the discrete H1 norm, realized exactly by one solve with the
     factored H for both components: ||v||_* = sqrt((Mv)' H^{-1} (Mv))."""
     mv = v.mesh.tri_area[:, None] * v.values
-    w, _ = h_solver(v.mesh).solve(mv, Tolerance(rtol=1e-12), "dual norm")
+    w, _ = h_solver(v.mesh).solve(mv, "dual norm")
     return float(np.sqrt(max(np.sum(mv * w), 0.0)))
 
 
@@ -122,7 +122,7 @@ def dual_norm(v: VectorP0) -> float:
 CERT_TOL = 1e-12
 
 
-def leray_project(v: VectorP0, tol: Tolerance, where: str = "Leray projection"):
+def leray_project(v: VectorP0, where: str = "Leray projection"):
     """Discrete Leray projection u = v - grad phi, (grad phi, grad r) =
     (v, grad r) for all r, by one zero-mean pressure solve: every
     projection of the scheme and the verification suite.  Returns (u,
@@ -141,7 +141,7 @@ def leray_project(v: VectorP0, tol: Tolerance, where: str = "Leray projection"):
         raise SolverError(f"{where}: right-hand side incompatible: "
                           f"(div v, 1) = {weighted.sum():.3e}")
     weighted -= mass * (weighted.sum() / mass.sum())
-    phi, info = solver.solve(-weighted, tol, where)
+    phi, info = solver.solve(-weighted, where)
     phi = ScalarP1NC(v.mesh, phi)
     u = v - gradient(phi)
     div_l2 = l2_norm(divergence(u))

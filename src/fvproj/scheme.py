@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from . import vtkio
 from .fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram, h_norm,
                      l2_inner, l2_norm, mean_zero, project_p0)
-from .linalg import LUFactor, SolverError, SparseOperator, Tolerance, solve
+from .linalg import LUFactor, SolverError, SparseOperator, solve
 from .mesh import Mesh, require_admissible, resolve_mesh
 from .operators import (CERT_TOL, convection_matrix, divergence, gradient,
                         h_diagonal, leray_project, pressure_solver,
@@ -43,10 +43,6 @@ from .operators import (CERT_TOL, convection_matrix, divergence, gradient,
 class SchemeError(RuntimeError):
     """Caught by the CLI and perfbench; a failed step raises SolverError."""
 
-
-# Tolerances of the momentum (BiCGStab) and pressure (factored) solves.
-MOMENTUM_TOL = Tolerance(rtol=1e-12)
-PRESSURE_TOL = Tolerance(rtol=1e-13)
 
 # A solve with the current momentum factor stops at this many iterations
 # per component and is repeated with a fresh factor, which needs about 3;
@@ -327,7 +323,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
     guess.T[...] = (sum(w * v for w, v in zip(GUESS_WEIGHTS, state.predictors))
                     if len(state.predictors) == len(GUESS_WEIGHTS) else u_star.values)
     A = SparseOperator(with_mass(a0 / k), ws.mom_factor.apply, guess.T)
-    out, info = solve(A, rhs.T, replace(MOMENTUM_TOL, maxiter=LAGGED_MAXITER))
+    out, info = solve(A, rhs.T, LAGGED_MAXITER)
     ws.mom_iters = info.iterations
     ws.mom_solves += 1
     if not info.converged:
@@ -338,7 +334,7 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
         ws.mom_factor = LUFactor(A.matrix, name="momentum matrix")
         A.preconditioner = ws.mom_factor.apply
         ws.mom_refactor += 1
-        out, info = solve(A, rhs.T, MOMENTUM_TOL)
+        out, info = solve(A, rhs.T)
         ws.mom_iters += info.iterations
         ws.mom_solves += 1
     if not info.converged:
@@ -354,7 +350,7 @@ def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
     zero mean) and leaves |u^{n+1}|, |div u^{n+1}| and the solve's normwise
     backward error in ``ws`` for the step record."""
     u_next, phi, info, ws.div_residual = leray_project(
-        u_tilde, PRESSURE_TOL, f"pressure step {state.n + 1}")
+        u_tilde, f"pressure step {state.n + 1}")
     ws.u_l2 = l2_norm(u_next.field)
     ws.p_backward_error = info.backward_error
     a0 = _bdf_coefficients(state)[0]
@@ -428,53 +424,24 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
 # -- start-up ------------------------------------------------------------------------
 
 def initialize(config: RunConfig, mesh: Mesh):
-    """Build (u^0, u^1, p^1) and report the start-up diagnostics.
+    """Build (u^0, u^1, p^1).
 
     u^0 is the discrete Leray projection of the cell-averaged initial
     data; u^1 comes from the three substeps of every time step, run out
-    of n = 0 (BDF1).  The start-up step has no StepRecord.
-    Returns (state, diagnostics, workspace).
+    of n = 0 (BDF1).  The start-up step has no StepRecord; its momentum
+    iterations and factor builds are the diagnostics.  Returns (state,
+    diagnostics, workspace), where state.u_prev is u^0, state.u_curr u^1
+    and state.grad_p the gradient of p^1.
     """
     ws = _Workspace(config, mesh)
-    k = config.k
-
-    u0, _, _, div_u0 = leray_project(project_p0(ws.case.u0, mesh),
-                                     PRESSURE_TOL, "initial projection")
-    u0_l2 = l2_norm(u0.field)
-    # before the start-up step, so that the quadrature's temporaries are
-    # gone before the momentum factor is built
-    err0 = _quadrature_error(u0.field, ws.case.u0)
-
+    u0 = leray_project(project_p0(ws.case.u0, mesh), "initial projection")[0]
     state = SchemeState(u_prev=u0, u_curr=u0,
                         p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
                         t=0.0, n=0)
     grad_p0 = VectorP0(mesh, np.zeros((mesh.num_triangles, 2)))  # of p^0 = 0
     state = _substeps(state, config, ws, grad_p0)
-    k_grad_p1_l2 = k * l2_norm(state.grad_p)
-
-    diagnostics = {
-        "u0_l2": u0_l2,
-        "u1_l2": ws.u_l2,               # the projection's |u1|
-        "k_grad_p1_l2": k_grad_p1_l2,
-        "startup_bound": u0_l2 + ws.u_l2 + k_grad_p1_l2,
-        "u0_projection_error": err0,
-        "div_u0": div_u0,
-        "div_u1": ws.div_residual,      # the projection's |div u1|
-        "mom_iters": ws.mom_iters, "mom_refactor": ws.mom_refactor,  # start-up solve
-    }
+    diagnostics = {"mom_iters": ws.mom_iters, "mom_refactor": ws.mom_refactor}
     return state, diagnostics, ws
-
-
-def _quadrature_error(field: VectorP0, exact) -> float:
-    from . import quadrature
-
-    mesh = field.mesh
-    bary, w = quadrature.triangle_rule(4)
-    pts = quadrature.triangle_points(mesh.vertices[mesh.triangles], bary)
-    diff = (np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
-            - field.values[:, None, :])
-    per_cell = np.einsum("tqd,tqd,q->t", diff, diff, w) * mesh.tri_area
-    return float(np.sqrt(max(per_cell.sum(), 0.0)))
 
 
 # -- driver --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Field evaluations that only the tests use: the edge-mean projection
-onto the nonconforming-P1 space, and the per-cell affine reconstructions
-of nonconforming-P1 scalars and lowest-order flux vectors."""
+onto the nonconforming-P1 space, the L2 error of a cellwise-constant
+field, and the per-cell affine reconstructions of nonconforming-P1
+scalars and lowest-order flux vectors."""
 import numpy as np
 
 from fvproj import quadrature
-from fvproj.fields import ScalarP1NC, VectorRT0
+from fvproj.fields import ScalarP1NC, VectorP0, VectorRT0
 from fvproj.mesh import Mesh
 
 
@@ -15,6 +16,15 @@ def project_p1nc(f, mesh: Mesh, npoints: int = 3) -> ScalarP1NC:
     pts = quadrature.segment_points(mesh.vertices[mesh.edges[:, 0]],
                                     mesh.vertices[mesh.edges[:, 1]], t)
     return ScalarP1NC(mesh, np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float) @ w)
+
+
+def p0_l2_error(field: VectorP0, exact) -> float:
+    """|exact - field| in L2, by the degree-4 rule on each cell."""
+    mesh = field.mesh
+    bary, w = quadrature.triangle_rule(4)
+    pts = quadrature.triangle_points(mesh.vertices[mesh.triangles], bary)
+    diff = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float) - field.values[:, None, :]
+    return float(np.sqrt(np.einsum("tqd,tqd,q,t->", diff, diff, w, mesh.tri_area)))
 
 
 def p1nc_cell_values(q: ScalarP1NC, bary: np.ndarray) -> np.ndarray:

@@ -178,7 +178,7 @@ class TestConstants:
         A, mass = pressure_stiffness(mesh), p1nc_mass(mesh)
         x0 = np.random.default_rng(2).standard_normal(mesh.num_edges)
         x0 -= (mass @ x0) / mass.sum()
-        x, _ = pressure_solver(mesh).solve(mass * x0, analysis._TIGHT)
+        x, _ = pressure_solver(mesh).solve(mass * x0)
         x_cg, info = spla.cg(A, mass * x0, rtol=1e-13, atol=0.0,
                              maxiter=20 * mesh.num_edges)
         assert info == 0

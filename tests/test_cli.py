@@ -189,8 +189,8 @@ class TestRun:
         iters, failed, factors = [], [], []
         factor = scheme.LUFactor
 
-        def counting_solve(A, b, config=None, **kwargs):
-            x, info = linalg.solve(A, b, config, **kwargs)
+        def counting_solve(A, b, maxiter=None, **kwargs):
+            x, info = linalg.solve(A, b, maxiter, **kwargs)
             iters.append(info.iterations)
             if not info.converged:
                 failed.append(info.iterations)
@@ -376,13 +376,14 @@ class TestRun:
             assert "Traceback" not in captured.err
 
     def test_solver_failure_inside_run_is_check_failure(self, capsys, monkeypatch):
-        # no solve meets rtol 1e-30: the start-up projection's SolverError
-        # names it in one error line
-        from fvproj.linalg import Tolerance
-        monkeypatch.setattr(cli.scheme, "PRESSURE_TOL", Tolerance(rtol=1e-30, atol=1e-300))
+        # no solve meets a backward error of 1e-30: the start-up
+        # projection's SolverError names it in one error line
+        from fvproj import linalg
+        monkeypatch.setattr(linalg, "FACTORED_RTOL", 1e-30)
         assert main(["run", "--mesh", "acute:0", "steps=3"]) == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
         assert err.startswith("error: initial projection: factored solve failed")
+        assert "backward error" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("mesh, overrides", [
@@ -577,3 +578,26 @@ def test_no_module_imports_a_private_name():
                 private += [f"{path.name}:{node.lineno} {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_imported_name_is_used():
+    # no linter runs over the package, so a name a module imports and never
+    # reads would go unnoticed.  Two are kept on purpose: the re-exports
+    # that __init__ lists in __all__, and analysis.solve, which perfbench
+    # replaces by name to trace the solves
+    package = Path(fvproj.__file__).resolve().parent
+    kept = {("__init__.py", name) for name in fvproj.__all__}
+    kept.add(("analysis.py", "solve"))
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used and (path.name, name) not in kept]
+    assert unused == []

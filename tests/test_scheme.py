@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fvproj import reference, scheme
+from fvproj import linalg, reference, scheme
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram,
                            h_norm, l2_norm, p1nc_mass)
-from fvproj.linalg import SolverError, Tolerance
+from fvproj.linalg import SolverError
 from fvproj.mesh import unit_square_acute
 from fvproj.operators import (divergence, gradient, leray_project,
                               pressure_stiffness)
 from fvproj.scheme import (RunConfig, _Workspace, advance,
                            correction_step, initialize, make_case,
                            momentum_step, pressure_step, run)
+from field_helpers import p0_l2_error
 from fixture_meshes import single_triangle, square_two_triangles
 
 
@@ -90,8 +91,9 @@ class TestConfig:
         assert [f.name for f in fields(cfg)] == [
             "mesh_spec", "k", "n_steps", "re", "case", "out_dir", "cadence"]
         # the solves and the certificate read fixed tolerances
-        assert scheme.MOMENTUM_TOL == Tolerance(rtol=1e-12, atol=1e-14)
-        assert scheme.PRESSURE_TOL == Tolerance(rtol=1e-13)
+        assert (linalg.BICGSTAB_RTOL, linalg.BICGSTAB_ATOL) == (1e-12, 1e-14)
+        assert linalg.FACTORED_RTOL == 1e-13
+        assert scheme.LAGGED_MAXITER == 20
         assert scheme.CERT_TOL == 1e-12
 
     def test_validation(self):
@@ -162,8 +164,10 @@ class TestZeroRun:
             assert rec.u_l2 == 0.0
             assert rec.p_l2 == 0.0
             assert rec.div_residual == 0.0
-        for key in ("u0_l2", "u1_l2", "k_grad_p1_l2"):
-            assert traj.init_diagnostics[key] == 0.0
+        # u^0, u^1 and grad p^1 of the start-up
+        state, _, _ = initialize(cfg, unit_square_acute(0))
+        for field in (state.u_prev.field, state.u_curr.field, state.grad_p):
+            assert l2_norm(field) == 0.0
 
 
 class TestStartup:
@@ -187,16 +191,19 @@ class TestStartup:
     def test_initial_velocity_divergence_free(self):
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=2)
         mesh = unit_square_acute(1)
-        state, diag, ws = initialize(cfg, mesh)
-        assert diag["div_u0"] <= 1e-11 * diag["u0_l2"]
-        assert diag["div_u1"] <= 1e-11 * diag["u1_l2"]
+        state, _, _ = initialize(cfg, mesh)
+        # u^0 is state.u_prev and u^1 state.u_curr
+        for u in (state.u_prev.field, state.u_curr.field):
+            assert l2_norm(divergence(u)) <= 1e-11 * l2_norm(u)
 
     def test_startup_bound_stable_under_refinement(self):
+        # |u^0| + |u^1| + k |grad p^1|
         values = []
         for lvl in range(3):
             cfg = RunConfig(mesh_spec=f"acute:{lvl}", k=1e-2, n_steps=2)
-            _, diag, _ = initialize(cfg, unit_square_acute(lvl))
-            values.append(diag["startup_bound"])
+            state, _, _ = initialize(cfg, unit_square_acute(lvl))
+            values.append(l2_norm(state.u_prev.field) + l2_norm(state.u_curr.field)
+                          + cfg.k * l2_norm(state.grad_p))
         assert max(values) / min(values) < 2.0
 
     def test_projection_error_first_order(self):
@@ -205,8 +212,8 @@ class TestStartup:
         for lvl in range(3):
             cfg = RunConfig(mesh_spec=f"acute:{lvl}", k=1e-2, n_steps=2)
             mesh = unit_square_acute(lvl)
-            _, diag, _ = initialize(cfg, mesh)
-            errors.append(diag["u0_projection_error"])
+            state, _, _ = initialize(cfg, mesh)
+            errors.append(p0_l2_error(state.u_prev.field, make_case(cfg.case, cfg.re).u0))
             hs.append(mesh.h)
         slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
         assert slope >= 0.8
@@ -285,7 +292,7 @@ class TestStepProperties:
         mesh = unit_square_acute(1)
         state, _, ws = initialize(cfg, mesh)
         ut = momentum_step(state, cfg, ws, gradient(state.p_curr))
-        dp = 1.5 / cfg.k * leray_project(ut, scheme.PRESSURE_TOL)[1].values
+        dp = 1.5 / cfg.k * leray_project(ut)[1].values
         rhs = -1.5 / cfg.k * p1nc_mass(mesh) * divergence(ut).values
         dp_dense = reference.zero_mean_solve_dense(
             pressure_stiffness(mesh).toarray(), rhs, p1nc_mass(mesh))
@@ -298,7 +305,7 @@ class TestStepProperties:
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=3)
         state, _, ws = initialize(cfg, unit_square_acute(1))
         new, rec = advance(state, cfg, ws)
-        u, phi, info, div_l2 = leray_project(new.u_tilde, scheme.PRESSURE_TOL)
+        u, phi, info, div_l2 = leray_project(new.u_tilde)
         assert np.array_equal(new.u_curr.values, u.values)
         dp = (new.p_curr - state.p_curr).values
         assert np.abs(dp - 1.5 / cfg.k * phi.values).max() <= 1e-13 * np.abs(dp).max()
@@ -311,7 +318,7 @@ class TestStepProperties:
         # grounded row, once failed the gate at step 312; every solve must
         # meet rtol itself, not only the absolute floor of the gate
         traj = run(RunConfig(mesh_spec="acute:1", re=100, k=1e-4, n_steps=400))
-        assert all(r.p_backward_error < scheme.PRESSURE_TOL.rtol
+        assert all(r.p_backward_error < linalg.FACTORED_RTOL
                    for r in traj.records)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -321,25 +328,23 @@ class TestStepProperties:
         values = np.zeros((mesh.num_triangles, 2))
         values[3, 0] = bad
         with pytest.raises(SolverError, match="test: field has NaN or Inf"):
-            leray_project(VectorP0(mesh, values), scheme.PRESSURE_TOL, "test")
+            leray_project(VectorP0(mesh, values), "test")
         with pytest.raises(SolverError, match="test: field has NaN or Inf"):
-            leray_project(VectorP0(mesh, np.full_like(values, bad)),
-                          scheme.PRESSURE_TOL, "test")
+            leray_project(VectorP0(mesh, np.full_like(values, bad)), "test")
 
     def test_pressure_failure_names_its_caller(self, monkeypatch):
-        # no solve meets rtol 1e-30, so the first pressure solve of each
-        # path fails and must say where it was
+        # no solve meets a backward error of 1e-30, so the first pressure
+        # solve of each path fails and must say where it was
         cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=3)
         mesh = unit_square_acute(0)
-        strict = Tolerance(rtol=1e-30, atol=1e-300)
         with monkeypatch.context() as m:
-            m.setattr(scheme, "PRESSURE_TOL", strict)
-            with pytest.raises(SolverError, match="^initial projection: "):
+            m.setattr(linalg, "FACTORED_RTOL", 1e-30)
+            with pytest.raises(SolverError, match="^initial projection: .*backward error"):
                 initialize(cfg, mesh)
         state, _, ws = initialize(cfg, mesh)
         ut = momentum_step(state, cfg, ws, gradient(state.p_curr))
-        monkeypatch.setattr(scheme, "PRESSURE_TOL", strict)
-        with pytest.raises(SolverError, match="^pressure step 2: "):
+        monkeypatch.setattr(linalg, "FACTORED_RTOL", 1e-30)
+        with pytest.raises(SolverError, match="^pressure step 2: .*backward error"):
             pressure_step(state, ut, cfg, ws)
 
     def test_incompatible_projection_names_its_caller(self, monkeypatch):
@@ -388,7 +393,7 @@ class TestStepProperties:
             assert rec.energy_residual <= 1e-10
 
     def test_divergence_residual_bound(self, short_run):
-        rtol = scheme.PRESSURE_TOL.rtol
+        rtol = linalg.FACTORED_RTOL
         for rec in short_run.records:
             assert rec.div_residual <= 10 * rtol * rec.u_l2
 
@@ -411,11 +416,10 @@ class TestMomentumSolveResidual:
         # regression: on this run BiCGStab once stopped on its recursive
         # residual while |b - A x| / |b| was 1.00005e-12 > rtol.  One
         # two-column solve per step, each column on its own gate
-        from fvproj import linalg
         residuals = []
 
-        def recording_solve(A, b, config=None, **kwargs):
-            x, info = linalg.solve(A, b, config, **kwargs)
+        def recording_solve(A, b, maxiter=None, **kwargs):
+            x, info = linalg.solve(A, b, maxiter, **kwargs)
             residuals.append(_column_residuals(A, b, x))
             return x, info
 
@@ -424,8 +428,7 @@ class TestMomentumSolveResidual:
                         case="manufactured-A")
         run(cfg)
         assert len(residuals) == cfg.n_steps
-        assert scheme.MOMENTUM_TOL.rtol == 1e-12
-        assert max(max(r) for r in residuals) <= scheme.MOMENTUM_TOL.rtol
+        assert max(max(r) for r in residuals) <= linalg.BICGSTAB_RTOL
 
 
 class TestMomentumPreconditioner:
@@ -433,7 +436,6 @@ class TestMomentumPreconditioner:
     SuperLU factor of the BDF2 momentum matrix."""
 
     def _counted_run(self, monkeypatch, n_steps):
-        from fvproj import linalg
         factors, solves = [], []
         factor = scheme.LUFactor
 
@@ -441,8 +443,8 @@ class TestMomentumPreconditioner:
             factors.append(1)
             return factor(*args, **kwargs)
 
-        def recording_solve(A, b, config=None, **kwargs):
-            x, info = linalg.solve(A, b, config, **kwargs)
+        def recording_solve(A, b, maxiter=None, **kwargs):
+            x, info = linalg.solve(A, b, maxiter, **kwargs)
             solves.append((info.iterations, max(_column_residuals(A, b, x)),
                            [col.iterations for col in info.columns]))
             return x, info
@@ -460,7 +462,7 @@ class TestMomentumPreconditioner:
         assert len(solves) == 20
         # Jacobi needs about 80 iterations per component here
         assert max(max(cols) for _, _, cols in solves) <= 10
-        assert max(res for _, res, _ in solves) <= scheme.MOMENTUM_TOL.rtol
+        assert max(res for _, res, _ in solves) <= linalg.BICGSTAB_RTOL
         assert all(it == sum(cols) for it, _, cols in solves)
         assert [r.mom_iters for r in traj.records] == [it for it, _, _ in solves[1:]]
         assert [r.mom_refactor for r in traj.records] == [0] * 19
@@ -484,12 +486,11 @@ class TestMomentumPreconditioner:
         # second array of H's pattern (such as a shared (1/Re) H + C to
         # shift) stays alive in the step through its solves; and the
         # right-hand sides and guess come in the layout solve iterates on
-        from fvproj import linalg
         mesh = unit_square_acute(1)
         H = h_gram(mesh)
         spare = []
 
-        def inspecting_solve(A, b, config=None, **kwargs):
+        def inspecting_solve(A, b, maxiter=None, **kwargs):
             step = sys._getframe(1).f_locals
             reached = list(step.values())
             for v in step.values():
@@ -499,7 +500,7 @@ class TestMomentumPreconditioner:
                          and v.shape == H.data.shape and v is not H.data)
             assert A.matrix.data.shape == H.data.shape
             assert b.T.flags.c_contiguous and A.guess.T.flags.c_contiguous
-            return linalg.solve(A, b, config, **kwargs)
+            return linalg.solve(A, b, maxiter, **kwargs)
 
         monkeypatch.setattr(scheme, "solve", inspecting_solve)
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=8)
@@ -514,17 +515,16 @@ class TestMomentumPreconditioner:
         assert len(factors) == 7 and len(solves) == 12
         assert traj.init_diagnostics["mom_refactor"] == 2
         assert [r.mom_refactor for r in traj.records] == [1] * 5
-        assert max(res for _, res, _ in solves[1::2]) <= scheme.MOMENTUM_TOL.rtol
+        assert max(res for _, res, _ in solves[1::2]) <= linalg.BICGSTAB_RTOL
 
     def test_rebuilt_only_after_a_failed_solve(self, monkeypatch):
         # a factor serves until a capped solve with it fails; the repeat's
         # fresh factor of the step's own matrix becomes the current one
-        from fvproj import linalg
         matrices = []
 
-        def recording_solve(A, b, config=None, **kwargs):
+        def recording_solve(A, b, maxiter=None, **kwargs):
             matrices.append(A.matrix)
-            return linalg.solve(A, b, config, **kwargs)
+            return linalg.solve(A, b, maxiter, **kwargs)
 
         monkeypatch.setattr(scheme, "solve", recording_solve)
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
@@ -559,13 +559,12 @@ class TestMomentumRetry:
         # both runs raised SolverError when only a slow solve refactored,
         # and only at the next step; uncapped, their failing attempts ran
         # 844 and 1,381 iterations before BiCGStab diverged
-        from fvproj import linalg
         solves = []
 
-        def recording_solve(A, b, config=None, **kwargs):
-            x, info = linalg.solve(A, b, config, **kwargs)
+        def recording_solve(A, b, maxiter=None, **kwargs):
+            x, info = linalg.solve(A, b, maxiter, **kwargs)
             solves.append((info.converged, b, max(_column_residuals(A, b, x)),
-                           config.maxiter, [c.iterations for c in info.columns]))
+                           maxiter, [c.iterations for c in info.columns]))
             return x, info
 
         monkeypatch.setattr(scheme, "solve", recording_solve)
@@ -584,7 +583,7 @@ class TestMomentumRetry:
             assert maxiter == cap and max(cols) == cap
             ok, b, res, maxiter, _ = solves[i + 1]
             assert ok and np.array_equal(b, solves[i][1]) and maxiter is None
-            assert res <= scheme.MOMENTUM_TOL.rtol
+            assert res <= linalg.BICGSTAB_RTOL
         assert all(max(cols) <= cap for _, _, _, maxiter, cols in solves
                    if maxiter == cap)
         # one factor at start-up, and one for each repeat
@@ -596,7 +595,6 @@ class TestMomentumRetry:
     def test_every_later_build_follows_a_failed_capped_solve(self, monkeypatch):
         # a factor is built only at the run's first solve and for the
         # repeat of a capped solve that failed: nothing builds ahead
-        from fvproj import linalg
         events = []
         factor = scheme.LUFactor
 
@@ -604,9 +602,9 @@ class TestMomentumRetry:
             events.append("build")
             return factor(*args, **kwargs)
 
-        def recording_solve(A, b, config=None, **kwargs):
-            x, info = linalg.solve(A, b, config, **kwargs)
-            events.append((info.converged, config.maxiter))
+        def recording_solve(A, b, maxiter=None, **kwargs):
+            x, info = linalg.solve(A, b, maxiter, **kwargs)
+            events.append((info.converged, maxiter))
             return x, info
 
         monkeypatch.setattr(scheme, "LUFactor", recording_factor)
@@ -620,8 +618,8 @@ class TestMomentumRetry:
             assert events[i + 1] == (True, None)
 
     def test_fresh_factor_failure_raises(self, monkeypatch):
-        # no solve meets rtol 1e-30: the lagged factor fails, one fresh
-        # factor is built, and its failure is raised
+        # no solve meets rtol 1e-30 (atol 1e-300): the lagged factor fails,
+        # one fresh factor is built, and its failure is raised
         cfg = RunConfig(mesh_spec="acute:0", k=1e-2, n_steps=3)
         state, _, ws = initialize(cfg, unit_square_acute(0))
         factors = []
@@ -632,8 +630,8 @@ class TestMomentumRetry:
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(scheme, "LUFactor", counting_factor)
-        monkeypatch.setattr(scheme, "MOMENTUM_TOL",
-                            Tolerance(rtol=1e-30, atol=1e-300))
+        monkeypatch.setattr(linalg, "BICGSTAB_RTOL", 1e-30)
+        monkeypatch.setattr(linalg, "BICGSTAB_ATOL", 1e-300)
         with pytest.raises(SolverError, match=r"^momentum solve \(component 0\)"):
             momentum_step(state, cfg, ws, gradient(state.p_curr))
         assert len(factors) == 1
@@ -659,7 +657,7 @@ class TestStepRecordTelemetry:
         assert names[-2:] == ["mom_refactor", "p_backward_error"]
         col = [float(line.split(",")[-1]) for line in lines[1:]]
         assert col == [r.p_backward_error for r in traj.records]
-        assert all(0.0 < v <= scheme.PRESSURE_TOL.rtol for v in col)
+        assert all(0.0 < v <= linalg.FACTORED_RTOL for v in col)
         # deterministic, so the file stays byte-stable from run to run
         run(replace(cfg, out_dir=str(tmp_path / "again")))
         assert ((tmp_path / "again" / "monitors.csv").read_bytes()
@@ -786,8 +784,7 @@ class TestExtrapolatedAdvection:
             rhs = (f.values + (4 * state.u_curr.values - state.u_prev.values)
                    / (2 * k) - gp.values) * mesh.tri_area[:, None]
             from fvproj.linalg import LUFactor, SparseOperator, solve
-            out, info = solve(SparseOperator(A, LUFactor(A).apply), rhs,
-                              scheme.MOMENTUM_TOL)
+            out, info = solve(SparseOperator(A, LUFactor(A).apply), rhs)
             assert info.converged
             return out
 
@@ -808,12 +805,11 @@ class TestStartingGuess:
         assert abs(guess - quartic(1.0)) <= 1e-12 * max(abs(quartic.coef).sum(), 1.0)
 
     def test_u_star_until_five_predictors(self, monkeypatch):
-        from fvproj import linalg
         guesses = []
 
-        def recording_solve(A, b, config=None, **kwargs):
+        def recording_solve(A, b, maxiter=None, **kwargs):
             guesses.append(A.guess)
-            return linalg.solve(A, b, config, **kwargs)
+            return linalg.solve(A, b, maxiter, **kwargs)
 
         monkeypatch.setattr(scheme, "solve", recording_solve)
         cfg = RunConfig(mesh_spec="acute:1", k=1e-2, n_steps=4)
