@@ -87,14 +87,26 @@ def _bicgstab_column(A, b, x, maxiter: int):
     residual that is not finite or exceeds _DIVERGENCE_FACTOR max(|b|, the
     guess's residual) ends the solve as not converged.
 
+    A column with max|b| >= 1 iterates on b, x and the floors scaled by the
+    power of two 2^-e that brings max|b| into [1/2, 1) (``np.frexp``), so
+    that |b| = sqrt(b . b) cannot overflow (past |b| ~ 1e154 it read inf,
+    and the gate passed at once); x and the residual are scaled back on
+    return.  A power of two scales exactly, so every iterate equals the
+    unscaled one wherever that is finite.  A smaller column is not scaled
+    (nor copied): its |b| cannot overflow, and scaling a tiny b up would
+    carry the guess and the floors past the largest float.
+
     A generator: it yields each vector v to precondition and is sent back
     P^{-1} v, so that ``_bicgstab`` serves several columns with one
     preconditioner call; it returns (x, SolveInfo)."""
+    e = max(int(np.frexp(max(b.max(), -b.min()))[1]), 0)
+    if e:
+        b, x = np.ldexp(b, -e), np.ldexp(x, -e)
     b_norm = math.sqrt(b @ b)
-    tol = max(BICGSTAB_RTOL * b_norm, BICGSTAB_ATOL)
+    tol = max(BICGSTAB_RTOL * b_norm, math.ldexp(BICGSTAB_ATOL, -e))
     r = b - A @ x
     res = math.sqrt(r @ r)
-    scale = max(b_norm, res, 1e-300)
+    scale = max(b_norm, res, math.ldexp(1e-300, -e))
     diverged = lambda res: not res <= _DIVERGENCE_FACTOR * scale
     it = 0
     for _ in range(3):
@@ -136,7 +148,8 @@ def _bicgstab_column(A, b, x, maxiter: int):
         res = math.sqrt(r @ r)
         if diverged(res):
             break
-    return x, SolveInfo(res <= tol, it, float(res), "bicgstab")
+    info = SolveInfo(res <= tol, it, float(np.ldexp(res, e)), "bicgstab")
+    return (np.ldexp(x, e) if e else x), info
 
 
 def _bicgstab(A, B, X0, maxiter, precondition):
@@ -196,7 +209,7 @@ def solve(A, b, maxiter: int | None = None, zero_mean_weights=None):
                          np.ascontiguousarray(x0.T), maxiter, A.preconditioner)
     info = SolveInfo(all(c.converged for c in infos),
                      sum(c.iterations for c in infos),
-                     float(np.linalg.norm([c.residual for c in infos])),
+                     math.hypot(*(c.residual for c in infos)),
                      "bicgstab", columns=tuple(infos))
     return np.ascontiguousarray(x.T), info
 

@@ -252,13 +252,14 @@ def _require_finite(name, values):
 
 
 def _circumcenters(a, b, c, cross):
-    a2 = (a * a).sum(1)
-    b2 = (b * b).sum(1)
-    c2 = (c * c).sum(1)
-    d = 2.0 * cross
-    ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
-    uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
-    return np.stack([ux, uy], axis=1)
+    """Circumcenters of the triangles (a, b, c), cross = 2 |K| each, taken
+    relative to a: the squared lengths of b - a and c - a are divided by
+    2 cross before any product with a coordinate, so the center keeps its
+    digits however small or far from the origin the triangle is."""
+    ab, ac, d = b - a, c - a, 2.0 * cross
+    pb, pc = (ab * ab).sum(1) / d, (ac * ac).sum(1) / d
+    return a + np.stack([pb * ac[:, 1] - pc * ab[:, 1],
+                         pc * ab[:, 0] - pb * ac[:, 0]], axis=1)
 
 
 # -- validation ----------------------------------------------------------------

@@ -1,13 +1,28 @@
 """Small meshes that only the tests build: a single triangle and two
 inadmissible (right-angled) triangulations of the unit square; and the
-writer of the single-file mesh format that the tests read back."""
+writer of the mesh formats that the tests read back."""
+from pathlib import Path
+
 import numpy as np
 
 from fvproj.mesh import Mesh
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    """Write the single-file plain-text format that ``load_mesh`` reads."""
+    """Write the format that ``load_mesh`` reads from ``path``: for a
+    ``.node`` or ``.ele`` suffix both files of the stem, 1-based; for any
+    other the single-file plain-text format."""
+    path = Path(path)
+    if path.suffix in (".node", ".ele"):
+        with open(path.with_suffix(".node"), "w") as f:
+            f.write(f"{mesh.num_vertices} 2 0 0\n")
+            for n, (x, y) in enumerate(mesh.vertices, 1):
+                f.write(f"{n} {x:.17g} {y:.17g}\n")
+        with open(path.with_suffix(".ele"), "w") as f:
+            f.write(f"{mesh.num_triangles} 3 0\n")
+            for n, (i, j, k) in enumerate(mesh.triangles, 1):
+                f.write(f"{n} {i + 1} {j + 1} {k + 1}\n")
+        return
     with open(path, "w") as f:
         f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
         for x, y in mesh.vertices:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -601,3 +602,72 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used and (path.name, name) not in kept]
     assert unused == []
+
+
+def test_reference_imports_no_fvproj_module():
+    # the oracles that verify compares the operators with share no code
+    # with the package they check
+    path = Path(fvproj.__file__).resolve().parent / "reference.py"
+    imports = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imports.append((node.lineno, "." * node.level + (node.module or "")))
+        elif isinstance(node, ast.Import):
+            imports += [(node.lineno, alias.name) for alias in node.names]
+    assert [(line, name) for line, name in imports
+            if name.startswith((".", "fvproj"))] == []
+
+
+# Defined in the package but reached by none of the commands: text for
+# debugging and error messages, and a decorator that runs at import
+UNREACHED_BY_COMMANDS = {"fields._Field.__repr__", "linalg.SolveInfo.__str__",
+                         "mesh.per_mesh"}
+
+
+def _functions(code, module):
+    """(name, first line) of every function and lambda compiled in code."""
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            if (const.co_flags & inspect.CO_NEWLOCALS
+                    and (const.co_name == "<lambda>"
+                         or not const.co_name.startswith("<"))):
+                yield f"{module}.{const.co_qualname}", const.co_firstlineno
+            yield from _functions(const, module)
+
+
+def test_commands_reach_every_function(tmp_path):
+    # the package holds what its commands run: every function, method and
+    # lambda in src/fvproj is called by run, verify or mesh-check, except
+    # the few named above; code that only the tests call belongs in tests/
+    package = Path(fvproj.__file__).resolve().parent
+    defined = set()
+    for path in sorted(package.glob("*.py")):
+        defined |= set(_functions(compile(path.read_text(), str(path), "exec"),
+                                  path.stem))
+    save_mesh(unit_square_acute(0), tmp_path / "acute0.mesh")
+    save_mesh(unit_square_acute(0), tmp_path / "acute0.node")
+    commands = [
+        ["run", "--mesh", "acute:1", "steps=3", "cadence=1", f"out={tmp_path / 'run'}"],
+        ["run", "--mesh", "acute:0", "case=zero", "steps=2"],
+        ["verify", "--level", "0", "--out", str(tmp_path / "verify")],
+        ["mesh-check", "--mesh", str(tmp_path / "acute0.mesh")],
+        ["mesh-check", "--mesh", str(tmp_path / "acute0.node")],
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(command) for command in commands]
+    finally:
+        sys.setprofile(None)
+    assert codes == [EXIT_OK] * len(commands)
+    reached = {(f"{Path(c.co_filename).stem}.{c.co_qualname}", c.co_firstlineno)
+               for c in called if Path(c.co_filename).parent == package}
+    unreached = {name for name, _ in defined - reached}
+    assert UNREACHED_BY_COMMANDS <= {name for name, _ in defined}
+    only_tests = sorted(unreached - UNREACHED_BY_COMMANDS)
+    assert not only_tests, f"no command calls {', '.join(only_tests)}"

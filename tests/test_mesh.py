@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from fvproj import mesh as meshmod
-from fvproj import reference
 from fvproj.mesh import (Mesh, MeshFormatError, MeshOrientationError,
                          MeshTopologyError, load_mesh, refine_uniform,
                          require_admissible, unit_square_acute, validate_mesh)
 from fixture_meshes import (save_mesh, single_triangle, square_two_triangles,
                             unit_square_crisscross)
+from loop_oracles import (boundary_polygon_area, edge_topology_loop,
+                          refine_uniform_loop)
 
 
 class TestGeometry:
@@ -68,7 +69,7 @@ class TestGeometry:
 
     def test_area_matches_boundary_polygon(self, family):
         for mesh in family:
-            assert abs(mesh.tri_area.sum() - reference.boundary_polygon_area(mesh)) < 1e-12
+            assert abs(mesh.tri_area.sum() - boundary_polygon_area(mesh)) < 1e-12
 
     def test_transmissibility_positive_on_admissible(self, family):
         for mesh in family:
@@ -256,13 +257,36 @@ class TestIO:
         ([[0, 0], [1e200, 0], [0, 1e200]], "signed area"),
         # positive area 5e-321: the circumcenter overflows
         ([[0, 0], [1, 0], [2, 1e-320]], "circumcenter"),
-        # the circumcenter formula underflows onto vertex 0: h = 0
-        ([[0, 0], [-2.149e-121, 1.474e-121], [-9.362e-142, -4.479e-141]], "h or 1 / h"),
+        # a needle whose circumcenter is finite but |a - center| overflows
+        ([[0, 0], [1, 0], [0.5, 1e-161]], "h or 1 / h"),
     ])
     def test_geometry_that_is_not_finite_refused(self, vertices, match):
         # refused by name, without a RuntimeWarning on the way
         with pytest.raises(MeshFormatError, match=f"geometry is not finite: {match}"):
             Mesh(vertices, [[0, 1, 2]])
+
+    def test_tiny_triangle_builds(self):
+        # squared absolute coordinates once put this circumcenter on vertex
+        # 0 (h = 0, refused); h is twice the circumradius |ab| |bc| |ca| / 4|K|
+        vertices = np.array([[0, 0], [-2.149e-121, 1.474e-121],
+                             [-9.362e-142, -4.479e-141]])
+        mesh = Mesh(vertices, [[0, 1, 2]])
+        p = vertices * 1e121
+        sides = np.linalg.norm(p - np.roll(p, 1, axis=0), axis=1)
+        (bx, by), (cx, cy) = p[1] - p[0], p[2] - p[0]
+        area = 0.5 * abs(bx * cy - by * cx)
+        assert mesh.h * 1e121 == pytest.approx(np.prod(sides) / (2 * area), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-140, 1e150, 1e153])
+    def test_scaled_pair_builds_admissible(self, pair, scale):
+        # centers relative to a vertex: from squared absolute coordinates
+        # the pair built at 1e-140 with h / s = 2 and tau = inf, and was
+        # refused at 1e150 ("circumcenter not finite")
+        mesh = Mesh(pair.vertices * scale, pair.triangles)
+        assert validate_mesh(mesh).admissible
+        assert mesh.h / mesh.edge_length.min() == pytest.approx(2 / np.sqrt(3), rel=1e-14)
+        assert mesh.edge_tau[mesh.interior_edges] == pytest.approx([np.sqrt(3)],
+                                                                   rel=1e-14)
 
     def test_integral_float_indices_accepted(self, pair):
         mesh = Mesh(pair.vertices, pair.triangles.astype(float))
@@ -361,7 +385,7 @@ class TestLoopOracle:
 
     @classmethod
     def assert_matches_loop(cls, mesh):
-        ref = reference.edge_topology_loop(mesh.vertices, mesh.triangles)
+        ref = edge_topology_loop(mesh.vertices, mesh.triangles)
         for name, expected in ref.items():
             got = getattr(mesh, name)
             assert got.dtype == cls.WIDTH.get(name, expected.dtype), name
@@ -372,7 +396,7 @@ class TestLoopOracle:
     def test_family_matches_loop_build(self, level):
         mesh = unit_square_acute(level)
         self.assert_matches_loop(mesh)
-        verts, tris = reference.refine_uniform_loop(mesh.vertices, mesh.triangles)
+        verts, tris = refine_uniform_loop(mesh.vertices, mesh.triangles)
         fine = refine_uniform(mesh)
         assert fine.vertices.dtype == verts.dtype and np.array_equal(fine.vertices, verts)
         assert fine.triangles.dtype == np.int32 and np.array_equal(fine.triangles, tris)

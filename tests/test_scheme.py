@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fvproj import linalg, reference, scheme
+from fvproj import linalg, scheme
 from fvproj.fields import (ScalarP1NC, SolenoidalP0, VectorP0, h_gram,
                            h_norm, l2_norm, p1nc_mass)
 from fvproj.linalg import SolverError
@@ -19,6 +19,7 @@ from fvproj.scheme import (RunConfig, _Workspace, advance,
                            momentum_step, pressure_step, run)
 from field_helpers import p0_l2_error
 from fixture_meshes import single_triangle, square_two_triangles
+from loop_oracles import zero_mean_solve_dense
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +295,7 @@ class TestStepProperties:
         ut = momentum_step(state, cfg, ws, gradient(state.p_curr))
         dp = 1.5 / cfg.k * leray_project(ut)[1].values
         rhs = -1.5 / cfg.k * p1nc_mass(mesh) * divergence(ut).values
-        dp_dense = reference.zero_mean_solve_dense(
+        dp_dense = zero_mean_solve_dense(
             pressure_stiffness(mesh).toarray(), rhs, p1nc_mass(mesh))
         denom = max(np.abs(dp_dense).max(), 1e-12)
         assert np.abs(dp - dp_dense).max() < 1e-10 * denom
@@ -429,6 +430,18 @@ class TestMomentumSolveResidual:
         run(cfg)
         assert len(residuals) == cfg.n_steps
         assert max(max(r) for r in residuals) <= linalg.BICGSTAB_RTOL
+
+
+    def test_huge_forcing_is_solved(self):
+        # at re = 1e-200 the momentum right-hand side passes 1e154, where
+        # its norm once overflowed and each solve returned its guess after
+        # 0 iterations; the velocity is that of re = 1e-150
+        runs = [run(RunConfig(mesh_spec="acute:1", n_steps=2, re=re))
+                for re in (1e-200, 1e-150)]
+        assert all(r.mom_iters > 0 for r in runs[0].records)
+        for a, b in zip(*(r.records for r in runs)):
+            assert a.u_l2 == pytest.approx(b.u_l2, rel=1e-6)
+            assert a.p_l2 == pytest.approx(b.p_l2, rel=1e-6)
 
 
 class TestMomentumPreconditioner:
