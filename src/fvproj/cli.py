@@ -95,6 +95,7 @@ def _cmd_run(args) -> int:
           f"{traj.mom_solves} solves, {sum(c['mom_refactor'] for c in counts)} factor "
           f"builds; {traj.mom_failed} capped solves failed after "
           f"{traj.mom_failed_iters} iterations")
+    print(f"  projections: {traj.second_passes} of {config.n_steps + 1} projected twice")
     (p_nnz, p_s), (m_nnz, m_s) = traj.pressure_factor, traj.momentum_factor
     print(f"  factors: pressure {p_nnz} entries in {p_s:.3g}s; "
           f"momentum {m_nnz} entries in {m_s:.3g}s")
@@ -149,7 +150,7 @@ def main(argv=None) -> int:
     except (MeshFormatError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SolverError, scheme.SchemeError, ValueError) as exc:
+    except (SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

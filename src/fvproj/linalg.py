@@ -48,7 +48,7 @@ class SolveInfo:
     iterations: int
     residual: float
     method: str
-    # always empty: nothing falls back; perfbench/job.py still reads it
+    # "second projection" when ``leray_project`` projected twice; else empty
     fallbacks: list = field(default_factory=list)
     # normwise backward error of a factored solve (the largest over columns)
     backward_error: float | None = None
@@ -352,6 +352,13 @@ class FactoredSolver:
         x -= (self.weights @ x) / self._weight_sum
         return x
 
+    def gate(self, x, b, r):
+        """(x's residual r for b meets the gate in each column, largest backward error)."""
+        r_inf = np.abs(r).max(axis=0)
+        scale = self.norm_inf * np.abs(x).max(axis=0) + np.abs(b).max(axis=0)
+        return (bool(np.all(r_inf <= FACTORED_RTOL * scale)),
+                float(np.max(r_inf / np.maximum(scale, 1e-300))))
+
     def solve(self, b, where: str = "FactoredSolver"):
         """Solve for one right-hand side (n,) or several (n, m).  Returns
         (x, SolveInfo) with the 2-norm of the true residual and the largest
@@ -370,11 +377,8 @@ class FactoredSolver:
             r -= np.multiply.outer(self.weights, r.sum(axis=0) / self._weight_sum)
             x += self._grounded(r)
         r = b - self.matrix @ x
-        r_inf = np.abs(r).max(axis=0)
-        scale = self.norm_inf * np.abs(x).max(axis=0) + np.abs(b).max(axis=0)
-        backward = float(np.max(r_inf / np.maximum(scale, 1e-300)))
-        info = SolveInfo(bool(np.all(r_inf <= FACTORED_RTOL * scale)),
-                         1 if self.weights is None else 2,
+        passed, backward = self.gate(x, b, r)
+        info = SolveInfo(passed, 1 if self.weights is None else 2,
                          float(np.linalg.norm(r)), "lu", backward_error=backward)
         if not info.converged:
             raise SolverError(

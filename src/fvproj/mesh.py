@@ -117,7 +117,7 @@ class Mesh:
                     f"triangle {bad} has non-positive signed area {area[bad]:.3e}")
             center = _circumcenters(a, b, c, 2.0 * area)  # as ``tri_center``
             _require_finite("circumcenter", center)
-            h = 2.0 * np.linalg.norm(a - center, axis=1).max()
+            h = 2.0 * _lengths(a - center).max()
             _require_finite("h or 1 / h", [h, 1.0 / h])
             self.h = float(h)
             self.tri_area = area
@@ -160,7 +160,7 @@ class Mesh:
         va = self.vertices[self.edges[:, 0]]
         vb = self.vertices[self.edges[:, 1]]
         midpoint = 0.5 * (va + vb)
-        self.edge_length = np.linalg.norm(vb - va, axis=1)
+        self.edge_length = _lengths(vb - va)
         _require_finite("edge length or 1 / length",
                         [self.edge_length, 1.0 / self.edge_length])
         tang = (vb - va) / self.edge_length[:, None]
@@ -173,11 +173,9 @@ class Mesh:
 
         interior = self.edge_neighbor >= 0
         d = np.empty(ne)
-        d[interior] = np.linalg.norm(
-            center[self.edge_neighbor[interior]]
-            - center[self.edge_owner[interior]], axis=1)
-        d[~interior] = np.linalg.norm(
-            midpoint[~interior] - center[self.edge_owner[~interior]], axis=1)
+        d[interior] = _lengths(center[self.edge_neighbor[interior]]
+                               - center[self.edge_owner[interior]])
+        d[~interior] = _lengths(midpoint[~interior] - center[self.edge_owner[~interior]])
         self.edge_tau = np.where(d > 0, self.edge_length / np.where(d > 0, d, 1.0), np.inf)
         _require_finite("d / edge length", 1.0 / self.edge_tau)  # validate_mesh's
         self.interior_edges = np.nonzero(interior)[0]
@@ -249,6 +247,13 @@ _INDEX_LIMIT = np.iinfo(np.int32).max
 def _require_finite(name, values):
     if not np.all(np.isfinite(values)):
         raise MeshFormatError(f"mesh geometry is not finite: {name}")
+
+
+def _lengths(diff):
+    """Row lengths of an (n, 2) array scaled exactly, by the power of two of
+    its largest entry, so no square overflows (``np.hypot`` rounds apart)."""
+    e = int(np.frexp(np.abs(diff).max(initial=0.0))[1])
+    return np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1), e)
 
 
 def _circumcenters(a, b, c, cross):

@@ -130,22 +130,42 @@ def leray_project(v: VectorP0, where: str = "Leray projection"):
     Raises SolverError naming ``where`` for a non-finite v, a right-hand
     side -(div v, r) whose sum is above rounding (a rounding-level sum is
     removed: in the grounded row it fails the gate when div v is small
-    against v), or a u that fails the certificate."""
+    against v), or a u that fails the certificate.
+
+    A u that fails it by rounding alone is projected once more: M div u =
+    A phi - b is the pressure residual, and it meets ``FactoredSolver.gate``
+    while |div u| ~ eps |A| |phi| grows like h^-2 past CERT_TOL (acute:6,
+    k = 0.1).  Then phi2 solves -(div u, r), u - grad phi2 and phi + phi2
+    are returned, and the SolveInfo lists "second projection" in
+    ``fallbacks`` with the larger backward error.  A u off by more fails."""
     if not np.all(np.isfinite(v.values)):
         raise SolverError(f"{where}: field has NaN or Inf entries")
     solver = pressure_solver(v.mesh)  # built before the field's temporaries
     mass = p1nc_mass(v.mesh)
+
+    def potential(div):  # phi, its SolveInfo and right-hand side -(div, r)
+        b = -(mass * div.values)
+        if abs(b.sum()) > 1e-12 * max(np.linalg.norm(b), 1.0):
+            raise SolverError(f"{where}: right-hand side incompatible: "
+                              f"(div v, 1) = {-b.sum():.3e}")
+        b -= mass * (b.sum() / mass.sum())
+        phi, info = solver.solve(b, where)
+        return ScalarP1NC(v.mesh, phi), info, b
+
     div = divergence(v)
-    weighted = mass * div.values
-    if abs(weighted.sum()) > 1e-12 * max(np.linalg.norm(weighted), 1.0):
-        raise SolverError(f"{where}: right-hand side incompatible: "
-                          f"(div v, 1) = {weighted.sum():.3e}")
-    weighted -= mass * (weighted.sum() / mass.sum())
-    phi, info = solver.solve(-weighted, where)
-    phi = ScalarP1NC(v.mesh, phi)
+    phi, info, b = potential(div)
     u = v - gradient(phi)
-    div_l2 = l2_norm(divergence(u))
+    div_u = divergence(u)
+    div_l2 = l2_norm(div_u)
     scale = max(l2_norm(u), l2_norm(div))
+    if div_l2 > CERT_TOL * scale and solver.gate(phi.values, b, mass * div_u.values)[0]:
+        phi2, info2, _ = potential(div_u)
+        u = u - gradient(phi2)
+        phi = phi + phi2
+        info.fallbacks.append("second projection")
+        info.backward_error = max(info.backward_error, info2.backward_error)
+        div_l2 = l2_norm(divergence(u))
+        scale = max(l2_norm(u), l2_norm(div))
     if not div_l2 <= CERT_TOL * scale:  # NaN fails
         raise SolverError(
             f"{where}: divergence-free certificate failed (|div u| = "

@@ -35,7 +35,7 @@ def triangle_points(vertices: np.ndarray, bary: np.ndarray) -> np.ndarray:
     return bary @ vertices
 
 
-def segment_rule(npoints: int = 3):
+def segment_rule(npoints: int):
     """Gauss-Legendre nodes/weights on [0, 1], weights summing to 1."""
     x, w = np.polynomial.legendre.leggauss(npoints)
     return 0.5 * (x + 1.0), 0.5 * w

@@ -41,7 +41,7 @@ from .operators import (CERT_TOL, convection_matrix, divergence, gradient,
 
 
 class SchemeError(RuntimeError):
-    """Caught by the CLI and perfbench; a failed step raises SolverError."""
+    """Unraised (a step raises SolverError); perfbench reads it until ROADMAP item 1."""
 
 
 # A solve with the current momentum factor stops at this many iterations
@@ -183,10 +183,10 @@ class SchemeState:
     u_prev: SolenoidalP0
     u_curr: SolenoidalP0
     p_curr: ScalarP1NC
+    grad_p: VectorP0        # gradient(p_curr); zero at the start-up state
     t: float
     n: int
     u_tilde: VectorP0 | None = None
-    grad_p: VectorP0 | None = None  # gradient(p_curr); None before start-up
     predictors: tuple = ()  # u_tilde.values of the last steps, newest first
 
 
@@ -221,6 +221,7 @@ class Trajectory:
     mom_solves: int = 0         # momentum solves, start-up and retries included
     mom_failed: int = 0         # capped momentum solves that failed
     mom_failed_iters: int = 0   # and the BiCGStab iterations they spent
+    second_passes: int = 0      # projections (that of u^0 included) done twice
     # (stored entries, build seconds) of the pressure factor and of the
     # last momentum factor built
     pressure_factor: tuple = (0, 0.0)
@@ -240,10 +241,9 @@ class Trajectory:
 
 
 class _Workspace:
-    """Once-per-run pieces: the projected (steady) forcing and the current
-    momentum factor; and what the last substeps leave for the step record.
-    Per-mesh matrices, masses and factors are read from the mesh's cache
-    where they are used."""
+    """Once-per-run pieces: the projected (steady) forcing, the current
+    momentum factor and the run's solve totals.  Per-mesh matrices, masses
+    and factors are read from the mesh's cache where they are used."""
 
     def __init__(self, config: RunConfig, mesh: Mesh):
         self.mesh = mesh
@@ -251,19 +251,7 @@ class _Workspace:
         self.cert_tol = CERT_TOL
         self.forcing = project_p0(self.case.forcing, mesh)
         self.mom_factor = None
-        self.mom_iters = self.mom_refactor = self.mom_solves = 0
-        self.mom_failed = self.mom_failed_iters = 0
-        self.convection = None      # weighted C(u*) of the last momentum step
-        self.p_backward_error = 0.0
-        self.div_residual = 0.0     # |div u| of the last projected field
-        self.u_l2 = 0.0             # |u| of the last projected field
-        self.u_star_l2 = 0.0        # |u*| of the last momentum step
-        self.cadence = config.cadence
-
-    def snapshot_due(self, n: int) -> bool:
-        """Whether the run writes a snapshot of step n's state (never of the
-        start-up states u^0 and u^1)."""
-        return n >= 2 and self.cadence > 0 and n % self.cadence == 0
+        self.mom_solves = self.mom_failed = self.mom_failed_iters = self.second_passes = 0
 
 
 # -- the three substeps --------------------------------------------------------------
@@ -273,58 +261,52 @@ def _bdf_coefficients(state: SchemeState):
     return (1.0, -1.0, 0.0) if state.n == 0 else (1.5, -2.0, 0.5)
 
 
-def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
-                  grad_p: VectorP0) -> VectorP0:
+def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace):
     """Solve the predictor system: one matrix a0/k M + H/Re + C(u*),
     assembled as a data array on the pattern of H, and one BiCGStab solve
     for both velocity components from the guess that GUESS_WEIGHTS sets.
 
-    ``grad_p`` is gradient(state.p_curr).  The run's first momentum solve,
-    the start-up step, builds a factor of the BDF2 matrix
-    3/(2k) M + H/Re + C(u*).  Every solve runs with the current factor,
-    capped at LAGGED_MAXITER (20) iterations per component.  A solve that
-    does not converge within that cap is repeated at once with a fresh
-    factor of the step's own matrix, uncapped (default 10 n), and that
-    factor becomes the current one; only a failure of the repeat raises
-    SolverError.  Leaves the weighted convection matrix C(u*) in
-    ``ws.convection`` and |u*| in ``ws.u_star_l2``, the step's BiCGStab
-    iterations (every solve, both components) in ``ws.mom_iters`` and the
-    number of factors it built in ``ws.mom_refactor``; adds its solves to
-    ``ws.mom_solves``, and a failed capped solve and its iterations to
-    ``ws.mom_failed`` and ``ws.mom_failed_iters``.
+    The run's first momentum solve, the start-up step, builds a factor of
+    the BDF2 matrix 3/(2k) M + H/Re + C(u*).  Every solve runs with the
+    current factor, capped at LAGGED_MAXITER (20) iterations per component.
+    A solve that does not converge within that cap is repeated at once
+    with a fresh factor of the step's own matrix, uncapped (default 10 n),
+    and that factor becomes the current one; only a failure of the repeat
+    raises SolverError.  Returns (u_tilde, the weighted C(u*), the step's
+    BiCGStab iterations, the factors it built); adds to the run totals
+    ``ws.mom_solves``, ``ws.mom_failed`` and ``ws.mom_failed_iters``.
     """
     k = config.k
     a0, a1, a2 = _bdf_coefficients(state)
     u_star = 2.0 * state.u_curr.field - state.u_prev.field
-    ws.u_star_l2 = l2_norm(u_star)
     # unchecked: a combination of two fields that leray_project certified
-    ws.convection = convection_matrix(SolenoidalP0(u_star))
+    convection = convection_matrix(SolenoidalP0(u_star))
     mesh = ws.mesh
     H = h_gram(mesh)
 
     def with_mass(shift):
         # (1/Re) H + C(u*) + shift M, its one data array written in place
         data = np.multiply(H.data, 1.0 / config.re)
-        data += ws.convection.data
+        data += convection.data
         data[h_diagonal(mesh)] += shift * mesh.tri_area
         return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape)
 
-    ws.mom_refactor = 0
+    refactor = 0
     if ws.mom_factor is None:  # the start-up step
         ws.mom_factor = LUFactor(with_mass(1.5 / k), name="momentum matrix")
-        ws.mom_refactor = 1
+        refactor = 1
     # the right-hand sides and the guess are built as (2, n) arrays, the
     # layout that ``solve`` iterates on, and passed as their transposes
     rhs = np.empty((2, mesh.num_triangles))
     np.multiply(ws.forcing.values
                 - (a1 * state.u_curr.values + a2 * state.u_prev.values) / k
-                - grad_p.values, mesh.tri_area[:, None], out=rhs.T)
+                - state.grad_p.values, mesh.tri_area[:, None], out=rhs.T)
     guess = np.empty_like(rhs)
     guess.T[...] = (sum(w * v for w, v in zip(GUESS_WEIGHTS, state.predictors))
                     if len(state.predictors) == len(GUESS_WEIGHTS) else u_star.values)
     A = SparseOperator(with_mass(a0 / k), ws.mom_factor.apply, guess.T)
     out, info = solve(A, rhs.T, LAGGED_MAXITER)
-    ws.mom_iters = info.iterations
+    iters = info.iterations
     ws.mom_solves += 1
     if not info.converged:
         # u* has moved too far from the factor's: factor this matrix
@@ -333,28 +315,23 @@ def momentum_step(state: SchemeState, config: RunConfig, ws: _Workspace,
         A.preconditioner = ws.mom_factor = None
         ws.mom_factor = LUFactor(A.matrix, name="momentum matrix")
         A.preconditioner = ws.mom_factor.apply
-        ws.mom_refactor += 1
+        refactor += 1
         out, info = solve(A, rhs.T)
-        ws.mom_iters += info.iterations
+        iters += info.iterations
         ws.mom_solves += 1
     if not info.converged:
         c = next(c for c, col in enumerate(info.columns) if not col.converged)
         raise SolverError(f"momentum solve (component {c}) failed: {info.columns[c]}")
-    return VectorP0(mesh, out)
+    return VectorP0(mesh, out), convection, iters, refactor
 
 
-def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig,
-                  ws: _Workspace):
+def pressure_step(state: SchemeState, u_tilde: VectorP0, config: RunConfig):
     """Project u_tilde with ``leray_project``, which certifies u^{n+1}:
     returns (u^{n+1} = u_tilde - grad phi, p^{n+1} = p^n + (a0/k) phi at
-    zero mean) and leaves |u^{n+1}|, |div u^{n+1}| and the solve's normwise
-    backward error in ``ws`` for the step record."""
-    u_next, phi, info, ws.div_residual = leray_project(
-        u_tilde, f"pressure step {state.n + 1}")
-    ws.u_l2 = l2_norm(u_next.field)
-    ws.p_backward_error = info.backward_error
+    zero mean, the projection's SolveInfo, |div u^{n+1}|)."""
+    u_next, phi, info, div_l2 = leray_project(u_tilde, f"pressure step {state.n + 1}")
     a0 = _bdf_coefficients(state)[0]
-    return u_next, mean_zero(state.p_curr + (a0 / config.k) * phi)
+    return u_next, mean_zero(state.p_curr + (a0 / config.k) * phi), info, div_l2
 
 
 def correction_step(state: SchemeState, u_tilde: VectorP0, u_next: SolenoidalP0,
@@ -362,29 +339,30 @@ def correction_step(state: SchemeState, u_tilde: VectorP0, u_next: SolenoidalP0,
     """Rotate the state, which keeps gradient(p_next) for the next step."""
     history = (u_tilde.values,) + state.predictors
     return SchemeState(u_prev=state.u_curr, u_curr=u_next, p_curr=p_next,
-                       t=state.t + config.k, n=state.n + 1, u_tilde=u_tilde,
-                       grad_p=gradient(p_next), predictors=history[:len(GUESS_WEIGHTS)])
+                       grad_p=gradient(p_next), t=state.t + config.k, n=state.n + 1,
+                       u_tilde=u_tilde, predictors=history[:len(GUESS_WEIGHTS)])
 
 
-def _substeps(state: SchemeState, config: RunConfig, ws: _Workspace,
-              grad_p: VectorP0) -> SchemeState:
-    """The three substeps out of ``state`` (BDF1 at n = 0, BDF2 after);
-    ``grad_p`` is gradient(state.p_curr)."""
-    u_tilde = momentum_step(state, config, ws, grad_p=grad_p)
-    u_next, p_next = pressure_step(state, u_tilde, config, ws)
-    return correction_step(state, u_tilde, u_next, p_next, config)
+def _substeps(state: SchemeState, config: RunConfig, ws: _Workspace):
+    """The three substeps out of ``state`` (BDF1 at n = 0, BDF2 after).
+    Returns (new state, C(u*), the step's solver columns of StepRecord)."""
+    u_tilde, convection, mom_iters, mom_refactor = momentum_step(state, config, ws)
+    u_next, p_next, info, div_l2 = pressure_step(state, u_tilde, config)
+    ws.second_passes += bool(info.fallbacks)
+    solved = {"div_residual": div_l2, "mom_iters": mom_iters,
+              "mom_refactor": mom_refactor, "p_backward_error": info.backward_error}
+    return correction_step(state, u_tilde, u_next, p_next, config), convection, solved
 
 
 def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     """One full BDF2 projection step; returns (new state, StepRecord)."""
     k = config.k
-    u_n_l2 = ws.u_l2  # projected at the last step, or at start-up
-    new = _substeps(state, config, ws, state.grad_p)
-    u_tilde, p_next = new.u_tilde, new.p_curr
+    new, convection, solved = _substeps(state, config, ws)
+    u_tilde = new.u_tilde
 
     u_np1, u_n = new.u_curr.field, state.u_curr.field
     tiny = 1e-300
-    u_np1_l2 = ws.u_l2
+    u_np1_l2 = l2_norm(u_np1)
     u_tilde_l2 = l2_norm(u_tilde)
     jump_l2 = l2_norm(u_np1 - u_tilde)
     ut_hnorm = h_norm(u_tilde)
@@ -393,31 +371,21 @@ def advance(state: SchemeState, config: RunConfig, ws: _Workspace):
     pyth = abs(pyth_num) / max(u_tilde_l2 ** 2, tiny)
 
     terms = [
-        u_np1_l2 ** 2 - u_n_l2 ** 2,
-        l2_norm(2.0 * u_np1 - u_n) ** 2 - ws.u_star_l2 ** 2,
+        u_np1_l2 ** 2 - l2_norm(u_n) ** 2,
+        l2_norm(2.0 * u_np1 - u_n) ** 2 - l2_norm(2.0 * u_n - state.u_prev.field) ** 2,
         l2_norm(u_np1 - 2.0 * u_n + state.u_prev.field) ** 2,
         6.0 * jump_l2 ** 2,
         4.0 * k / config.re * ut_hnorm ** 2,
-        4.0 * k * trilinear_form(ws.convection, u_tilde, u_tilde),
+        4.0 * k * trilinear_form(convection, u_tilde, u_tilde),
         4.0 * k * l2_inner(state.grad_p, u_tilde),
         -4.0 * k * l2_inner(ws.forcing, u_tilde),
     ]
     energy = abs(sum(terms)) / max(max(abs(v) for v in terms), tiny)
 
-    rec = StepRecord(
-        step=new.n, t=new.t,
-        u_l2=u_np1_l2,
-        ut_hnorm=ut_hnorm,
-        p_l2=l2_norm(p_next),
-        div_residual=ws.div_residual,
-        increment=l2_norm(u_np1 - u_n) / k,
-        orth_residual=orth,
-        pyth_residual=pyth,
-        energy_residual=energy,
-        mom_iters=ws.mom_iters,
-        mom_refactor=ws.mom_refactor,
-        p_backward_error=ws.p_backward_error,
-    )
+    rec = StepRecord(step=new.n, t=new.t, u_l2=u_np1_l2, ut_hnorm=ut_hnorm,
+                     p_l2=l2_norm(new.p_curr), increment=l2_norm(u_np1 - u_n) / k,
+                     orth_residual=orth, pyth_residual=pyth,
+                     energy_residual=energy, **solved)
     return new, rec
 
 
@@ -428,19 +396,19 @@ def initialize(config: RunConfig, mesh: Mesh):
 
     u^0 is the discrete Leray projection of the cell-averaged initial
     data; u^1 comes from the three substeps of every time step, run out
-    of n = 0 (BDF1).  The start-up step has no StepRecord; its momentum
-    iterations and factor builds are the diagnostics.  Returns (state,
-    diagnostics, workspace), where state.u_prev is u^0, state.u_curr u^1
-    and state.grad_p the gradient of p^1.
+    of n = 0 (BDF1) with p^0 = 0.  The start-up step has no StepRecord; its
+    solver columns are the diagnostics.  Returns (state, diagnostics,
+    workspace), where state.u_prev is u^0, state.u_curr u^1 and
+    state.grad_p the gradient of p^1.
     """
     ws = _Workspace(config, mesh)
-    u0 = leray_project(project_p0(ws.case.u0, mesh), "initial projection")[0]
+    u0, _, info, _ = leray_project(project_p0(ws.case.u0, mesh), "initial projection")
+    ws.second_passes += bool(info.fallbacks)
     state = SchemeState(u_prev=u0, u_curr=u0,
                         p_curr=ScalarP1NC(mesh, np.zeros(mesh.num_edges)),
+                        grad_p=VectorP0(mesh, np.zeros((mesh.num_triangles, 2))),
                         t=0.0, n=0)
-    grad_p0 = VectorP0(mesh, np.zeros((mesh.num_triangles, 2)))  # of p^0 = 0
-    state = _substeps(state, config, ws, grad_p0)
-    diagnostics = {"mom_iters": ws.mom_iters, "mom_refactor": ws.mom_refactor}
+    state, _, diagnostics = _substeps(state, config, ws)
     return state, diagnostics, ws
 
 
@@ -462,7 +430,7 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
     for _ in range(1, config.n_steps):
         state, rec = advance(state, config, ws)
         records.append(rec)
-        if ws.snapshot_due(state.n):
+        if config.cadence and state.n % config.cadence == 0:
             t_snap = time.perf_counter()
             snapshots += _snapshot(out, state)
             snapshot_s += time.perf_counter() - t_snap
@@ -474,6 +442,7 @@ def run(config: RunConfig, mesh: Mesh | None = None) -> Trajectory:
                       snapshot_bytes=sum(p.stat().st_size for p in snapshots),
                       snapshot_s=snapshot_s, mom_solves=ws.mom_solves,
                       mom_failed=ws.mom_failed, mom_failed_iters=ws.mom_failed_iters,
+                      second_passes=ws.second_passes,
                       pressure_factor=(p_factor.nnz, p_factor.build_s),
                       momentum_factor=(m_factor.nnz, m_factor.build_s))
     if out:

@@ -192,8 +192,9 @@ def test_criterion_10_exactness_oracles():
     u_n = SolenoidalP0(VectorP0(mesh, rng.standard_normal((1, 2))))
     u_nm1 = SolenoidalP0(VectorP0(mesh, rng.standard_normal((1, 2))))
     p_n = ScalarP1NC(mesh, rng.standard_normal(3))
-    state = SchemeState(u_prev=u_nm1, u_curr=u_n, p_curr=p_n, t=0.4, n=3)
-    ut = momentum_step(state, config, ws, gradient(state.p_curr))
+    state = SchemeState(u_prev=u_nm1, u_curr=u_n, p_curr=p_n,
+                        grad_p=gradient(p_n), t=0.4, n=3)
+    ut = momentum_step(state, config, ws)[0]
     k, re = config.k, config.re
     diag = 1.5 / k + np.sum(mesh.edge_tau) / (re * mesh.tri_area[0])
     rhs = (ws.forcing.values[0]

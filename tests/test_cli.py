@@ -43,6 +43,15 @@ class TestMeshCheck:
         assert main(["mesh-check", "--mesh", str(path)]) == EXIT_CHECK_FAILED
         assert "admissible=False" in capsys.readouterr().out
 
+    def test_needle_is_reported_inadmissible(self, tmp_path, capsys):
+        # its circumdiameter 2.5e160 is finite, so the mesh builds and fails
+        # the check (exit 1), not the reader (exit 3)
+        from fvproj.mesh import Mesh
+        path = tmp_path / "needle.mesh"
+        save_mesh(Mesh([[0, 0], [1, 0], [0.5, 1e-161]], [[0, 1, 2]]), path)
+        assert main(["mesh-check", "--mesh", str(path)]) == EXIT_CHECK_FAILED
+        assert "admissible=False" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["mesh-check", "run"])
     def test_clockwise_mesh_file_fails_check(self, tmp_path, capsys, command):
         # a file that reads but holds a clockwise triangle fails a check
@@ -221,6 +230,8 @@ class TestRun:
         out = capsys.readouterr().out
         assert ("  momentum: 226 BiCGStab iterations in 11 solves, 6 factor "
                 "builds; 5 capped solves failed after 200 iterations\n") in out
+        # u^0's projection and one per step, none of them repeated
+        assert "  projections: 0 of 7 projected twice\n" in out
 
     @pytest.mark.parametrize("factor, code", [(10.0, EXIT_OK), (1.5, EXIT_CHECK_FAILED)])
     def test_monitor_lines_are_the_report_rows(self, capsys, monkeypatch, factor,

@@ -257,13 +257,23 @@ class TestIO:
         ([[0, 0], [1e200, 0], [0, 1e200]], "signed area"),
         # positive area 5e-321: the circumcenter overflows
         ([[0, 0], [1, 0], [2, 1e-320]], "circumcenter"),
-        # a needle whose circumcenter is finite but |a - center| overflows
-        ([[0, 0], [1, 0], [0.5, 1e-161]], "h or 1 / h"),
+        # a needle whose circumcenter lies 1.2e308 from its apex, a finite
+        # point, so that h, twice that distance, overflows
+        ([[5e9, 1.04e-289], [0, 0], [1e10, 0]], "h or 1 / h"),
     ])
     def test_geometry_that_is_not_finite_refused(self, vertices, match):
         # refused by name, without a RuntimeWarning on the way
         with pytest.raises(MeshFormatError, match=f"geometry is not finite: {match}"):
             Mesh(vertices, [[0, 1, 2]])
+
+    def test_needle_with_a_far_center_builds(self):
+        # |a - center| = 1.25e160 is finite: from its squared components it
+        # read inf, and the needle was refused as "h or 1 / h"
+        mesh = Mesh([[0, 0], [1, 0], [0.5, 1e-161]], [[0, 1, 2]])
+        assert mesh.h == pytest.approx(2.5e160, rel=1e-15)
+        assert np.array_equal(mesh.edge_length, [1.0, 0.5, 0.5])
+        assert mesh.edge_tau == pytest.approx([8e-161, 4e-161, 4e-161], rel=1e-15)
+        assert not validate_mesh(mesh).admissible
 
     def test_tiny_triangle_builds(self):
         # squared absolute coordinates once put this circumcenter on vertex

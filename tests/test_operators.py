@@ -259,6 +259,25 @@ class TestCertificate:
         _scale_gradient(monkeypatch, 1 + 1e-13)
         _CERTIFIED_CALLERS[caller][1]()
 
+    def test_rounding_failure_is_projected_twice(self, monkeypatch):
+        # a certificate that only the rounding of phi fails (ratio 3.4e-16
+        # against a CERT_TOL of 1e-16 here): the divergence meets the
+        # pressure gate as a residual, so the field is projected once more,
+        # and the SolveInfo says so
+        from fvproj import operators
+        mesh = unit_square_acute(1)
+        v = VectorP0(mesh, np.random.default_rng(0).standard_normal(
+            (mesh.num_triangles, 2)))
+        _, _, once, div_once = leray_project(v)
+        assert once.fallbacks == []
+        monkeypatch.setattr(operators, "CERT_TOL", 1e-16)
+        u, phi, info, div_l2 = leray_project(v)
+        assert info.fallbacks == ["second projection"]
+        assert info.backward_error >= once.backward_error
+        assert div_l2 <= 1e-16 * max(l2_norm(u.field), l2_norm(divergence(v))) < div_once
+        # phi is the sum of both potentials
+        assert np.abs((v - gradient(phi)).values - u.values).max() <= 1e-13
+
 
 class TestVelocityLaplacian:
     def test_zero(self, family):
