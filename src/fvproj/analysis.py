@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import reference
@@ -483,21 +482,15 @@ def poincare_inverse_constants(levels=(0, 1, 2), seed: int = 7,
             report.record_constant(name, lvl, val)
 
         if lvl == min(levels):
-            Hd = H.toarray()
-            Md = np.diag(area)
-            lam_ref = reference.generalized_eig_extremes(Md, Hd)[1]
-            agree = abs(np.sqrt(lam_ref) - c_poincare) / np.sqrt(lam_ref)
-            lam_ref_i = reference.generalized_eig_extremes(Hd, Md)[1]
-            agree = max(agree,
-                        abs(mesh.h * np.sqrt(lam_ref_i) - c_inverse)
-                        / (mesh.h * np.sqrt(lam_ref_i)))
-            basis = scipy.linalg.null_space(mass_p[None, :])
-            Ad = A.toarray()
-            lam_min_a = reference.generalized_eig_extremes(
-                basis.T @ Ad @ basis, basis.T @ (mass_p[:, None] * basis))[0]
-            agree = max(agree,
-                        abs(1.0 / np.sqrt(lam_min_a) - c_pressure)
-                        / (1.0 / np.sqrt(lam_min_a)))
+            # dense: the largest eigenvalues of (M, H) and (H, M), and the
+            # second-smallest of (A, diag(m_p)), whose smallest is 0
+            Hd, Md = H.toarray(), np.diag(area)
+            refs = (np.sqrt(reference.generalized_eigenvalues(Md, Hd)[-1]),
+                    mesh.h * np.sqrt(reference.generalized_eigenvalues(Hd, Md)[-1]),
+                    1.0 / np.sqrt(reference.generalized_eigenvalues(
+                        A.toarray(), np.diag(mass_p))[1]))
+            agree = max(abs(ref - val) / ref for ref, val in
+                        zip(refs, (c_poincare, c_inverse, c_pressure)))
             report.below("extremal-constants-dense-oracle", lvl, agree, 1e-8,
                          "ARPACK vs dense eigensolver")
 

@@ -186,7 +186,7 @@ def p1nc_l2_norm_direct(mesh, qvals) -> float:
     return float(np.sqrt(p1nc_inner_direct(mesh, qvals, qvals)))
 
 
-def generalized_eig_extremes(A: np.ndarray, B: np.ndarray):
-    """(min, max) eigenvalues of A x = lambda B x for SPD B, dense."""
-    vals = scipy.linalg.eigh(A, B, eigvals_only=True)
-    return float(vals[0]), float(vals[-1])
+def generalized_eigenvalues(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Eigenvalues of A x = lambda B x for symmetric A and SPD B, dense,
+    in ascending order."""
+    return scipy.linalg.eigh(A, B, eigvals_only=True)

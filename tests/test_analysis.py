@@ -157,6 +157,28 @@ class TestConstants:
         again = analysis.poincare_inverse_constants(levels=(0, 1), seed=7)
         assert again.constants == report.constants
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_full_pressure_pencil_matches_null_space_reduction(self, level):
+        # the dense oracle's pressure route: the second-smallest eigenvalue
+        # of (A, diag(m_p)) against the smallest of the pencil reduced to
+        # the mass-orthogonal complement of the constants by an SVD basis
+        import scipy.linalg
+        from fvproj import reference
+        from fvproj.fields import p1nc_mass
+        from fvproj.operators import pressure_stiffness
+        mesh = unit_square_acute(level)
+        A, mass = pressure_stiffness(mesh).toarray(), p1nc_mass(mesh)
+        spectrum = reference.generalized_eigenvalues(A, np.diag(mass))
+        basis = scipy.linalg.null_space(mass[None, :])
+        reduced = scipy.linalg.eigh(basis.T @ A @ basis,
+                                    basis.T @ (mass[:, None] * basis),
+                                    eigvals_only=True)[0]
+        # both routes are backward stable: each is within about
+        # n eps lambda_max of the exact value (Golub and Van Loan, 8.7)
+        n, eps = len(mass), np.finfo(float).eps
+        assert spectrum[1] == pytest.approx(
+            reduced, rel=n * eps * spectrum[-1] / reduced, abs=0.0)
+
     def test_arpack_failure_names_constant_and_level(self, monkeypatch):
         import scipy.sparse.linalg as spla
         from fvproj.linalg import SolverError

@@ -275,6 +275,17 @@ class TestIO:
         assert mesh.edge_tau == pytest.approx([8e-161, 4e-161, 4e-161], rel=1e-15)
         assert not validate_mesh(mesh).admissible
 
+    def test_needle_with_long_edges_builds(self):
+        # |b - a|^2 = 1e320 overflows: from squared edge vectors the center
+        # was refused as "circumcenter not finite", and the angles read nan
+        # once the center was mended
+        mesh = Mesh([[0, 0], [1e160, 0], [5e159, 1e100]], [[0, 1, 2]])
+        assert mesh.h == pytest.approx(2.5e219, rel=1e-15)
+        report = validate_mesh(mesh)
+        assert report.min_angle == 0.0
+        assert report.max_angle == pytest.approx(np.pi, rel=1e-15)
+        assert not report.admissible
+
     def test_tiny_triangle_builds(self):
         # squared absolute coordinates once put this circumcenter on vertex
         # 0 (h = 0, refused); h is twice the circumradius |ab| |bc| |ca| / 4|K|

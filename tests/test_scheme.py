@@ -20,6 +20,7 @@ from fvproj.scheme import (RunConfig, _Workspace, advance,
 from field_helpers import p0_l2_error
 from fixture_meshes import single_triangle, square_two_triangles
 from loop_oracles import zero_mean_solve_dense
+from time_order import check_second_order_in_time
 
 
 @pytest.fixture(scope="module")
@@ -881,6 +882,12 @@ class TestRunDriver:
         d1 = l2_norm(states[0] - states[1])
         d2 = l2_norm(states[1] - states[2])
         assert d2 < d1
+
+    def test_second_order_in_time(self):
+        # the velocity rates clear the floor (1.98 and 2.00); the pressure
+        # rates are printed, not gated
+        u_rates, p_rates = check_second_order_in_time()
+        print(f"velocity rates {u_rates}, pressure rates {p_rates}")
 
     def test_monitor_and_snapshot_outputs(self, tmp_path):
         out = tmp_path / "results"
