@@ -534,7 +534,6 @@ def stability_monitors(records, *, k: float) -> VerificationReport:
                  else worst / max(ref, floor) if worst > floor else 1.0)
         report.below(name, 0, ratio, MONITOR_FACTOR, f"reference {ref:.3e}")
 
-    screen("velocity-energy", u2 + ut2_sum)
     screen("velocity-norm-squared", u2)
     screen("increments", inc)
     screen("pressure-sum-average", p2_sum / steps)

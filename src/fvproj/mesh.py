@@ -262,15 +262,14 @@ def _lengths(diff):
 
 def _circumcenters(a, b, c, cross):
     """Circumcenters of the triangles (a, b, c), cross = 2 |K| each, taken
-    relative to a: |b - a|^2 and |c - a|^2 over 2 cross, all scaled by the
-    row's power of two, come before any product with a coordinate, so the
-    center keeps its digits however small, large or far out the triangle is."""
-    ab, ac = b - a, c - a
-    s, e = _scaled_rows(np.hstack([ab, ac]))
-    d = np.ldexp(2.0 * cross, -2 * e)
-    pb, pc = (s[:, :2] ** 2).sum(1) / d, (s[:, 2:] ** 2).sum(1) / d
-    return a + np.stack([pb * ac[:, 1] - pc * ab[:, 1],
-                         pc * ab[:, 0] - pb * ac[:, 0]], axis=1)
+    relative to a, on legs scaled by their own powers of two (2 cross by
+    both) that each term gets back last: the center keeps its digits however
+    small, large, far out or unequal in its legs the triangle is."""
+    (sb, eb), (sc, ec) = _scaled_rows(b - a), _scaled_rows(c - a)
+    d = np.ldexp(2.0 * cross, -(eb + ec))
+    pb, pc = (sb ** 2).sum(1) / d, (sc ** 2).sum(1) / d
+    v = np.ldexp(pb[:, None] * sc, eb[:, None]) - np.ldexp(pc[:, None] * sb, ec[:, None])
+    return a + np.stack([v[:, 1], -v[:, 0]], axis=1)
 
 
 # -- validation ----------------------------------------------------------------

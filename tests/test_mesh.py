@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,6 +261,9 @@ class TestIO:
         # a needle whose circumcenter lies 1.2e308 from its apex, a finite
         # point, so that h, twice that distance, overflows
         ([[5e9, 1.04e-289], [0, 0], [1e10, 0]], "h or 1 / h"),
+        # legs 360 orders of magnitude apart: the center (5e159, 5e-201) is
+        # exact, but the short leg's d / |e| is 5e359
+        ([[0, 0], [1e160, 0], [0, 1e-200]], "d / edge length"),
     ])
     def test_geometry_that_is_not_finite_refused(self, vertices, match):
         # refused by name, without a RuntimeWarning on the way
@@ -285,6 +289,19 @@ class TestIO:
         assert report.min_angle == 0.0
         assert report.max_angle == pytest.approx(np.pi, rel=1e-15)
         assert not report.admissible
+
+    @pytest.mark.parametrize("eps", [1e-200, 1e-160])
+    def test_right_triangle_with_unequal_legs_is_exact(self, eps):
+        # one power of two for both legs put the center at (0.5, 0) at
+        # 1e-200, and inf on the wrong edge; at 1e-160 the center's y was
+        # off by 1.1e-5 relative and the hypotenuse's tau was 1.8e165
+        mesh = Mesh([[0, 0], [1, 0], [0, eps]], [[0, 1, 2]])
+        half = Fraction(eps) / 2    # the center is the hypotenuse's midpoint
+        assert mesh.tri_center.tolist() == [[0.5, float(half)]]
+        # edges (0, 1), (0, 2) and the hypotenuse (1, 2)
+        assert mesh.edge_tau.tolist() == [float(1 / half), float(2 * Fraction(eps)),
+                                          np.inf]
+        assert not validate_mesh(mesh).admissible
 
     def test_tiny_triangle_builds(self):
         # squared absolute coordinates once put this circumcenter on vertex

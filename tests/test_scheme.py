@@ -17,6 +17,7 @@ from fvproj.operators import (divergence, gradient, leray_project,
 from fvproj.scheme import (RunConfig, _Workspace, advance,
                            correction_step, initialize, make_case,
                            momentum_step, pressure_step, run)
+from convection_sign import check_convection_sign
 from field_helpers import p0_l2_error
 from fixture_meshes import single_triangle, square_two_triangles
 from loop_oracles import zero_mean_solve_dense
@@ -681,7 +682,7 @@ class TestMomentumRetry:
         from fvproj.analysis import stability_monitors
         cfg = RunConfig(mesh_spec="acute:2", k=k, n_steps=10, re=re,
                         case="manufactured-A")
-        traj = run(cfg)
+        traj, _ = check_convection_sign(cfg)
         assert max(r.energy_residual for r in traj.records) <= 1e-10
         assert stability_monitors(traj.records, k=k).ok
 
