@@ -5,11 +5,10 @@ operators numerically."""
 
 import os as _os
 
-# Cap BLAS worker pools before numpy loads; harmless if numpy is already up.
-if "FVPROJ_THREADS" in _os.environ:
-    _n = _os.environ["FVPROJ_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _n)
+# One BLAS thread unless set before launch, so output bytes do not follow the
+# core count (a threaded dot sums in another order); too late once numpy loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 from .mesh import (Mesh, MeshQualityReport, load_mesh, refine_uniform,
                    resolve_mesh, unit_square_acute, validate_mesh)

@@ -13,8 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, scheme
 from .linalg import SolverError
 from .mesh import MeshFormatError, acute_level, resolve_mesh, validate_mesh
@@ -138,7 +136,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
-    np.set_printoptions(precision=6)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -1,3 +1,5 @@
+# before numpy, so the suite runs on the one BLAS thread the CLI ships with
+import fvproj  # noqa: F401
 import numpy as np
 import pytest
 

@@ -265,6 +265,28 @@ class TestRun:
         assert main(["run", "--mesh", "acute:3", "steps=20"]) == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_default_run_writes_the_one_thread_bytes(self, tmp_path):
+        # a threaded BLAS dot product sums in another order: with two
+        # threads acute:4's monitors.csv differs at step 2 (acute:2 and
+        # acute:3 are too short to split); without a thread variable the
+        # command must pin one thread itself, in a process of its own
+        root = Path(__file__).resolve().parents[1]
+        pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        bare = {k: v for k, v in os.environ.items()
+                if k not in pools + ("FVPROJ_THREADS",)}
+        written = []
+        for name, env in (("default", bare),
+                          ("pinned", dict(bare, **dict.fromkeys(pools, "1")))):
+            out_dir = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; sys.path.insert(0, 'src'); "
+                 "from fvproj.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "run", "--mesh", "acute:4", "steps=2", f"out={out_dir}"],
+                cwd=root, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            written.append((out_dir / "monitors.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_bad_override(self):
         assert main(["run", "oops"]) == EXIT_USAGE
 
